@@ -16,6 +16,7 @@ from .specfun import (
     regularized_upper_gamma,
     hyp2f1_first_unit,
     integrate_radial,
+    integrate_log_panels,
 )
 from .intensity import (
     DivergenceError,
@@ -42,6 +43,7 @@ from .interference import (
     psi_derivative,
 )
 from .distribution import (
+    BracketingError,
     LinkConfig,
     SinrDistribution,
     cdf_gamma,
@@ -76,6 +78,7 @@ __all__ = [
     "regularized_upper_gamma",
     "hyp2f1_first_unit",
     "integrate_radial",
+    "integrate_log_panels",
     "DivergenceError",
     "DiskRegion",
     "FULL_PLANE",
@@ -96,6 +99,7 @@ __all__ = [
     "psi_quadrature",
     "psi_quadrature_radial",
     "psi_derivative",
+    "BracketingError",
     "LinkConfig",
     "SinrDistribution",
     "cdf_gamma",

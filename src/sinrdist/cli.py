@@ -37,10 +37,10 @@ import scipy
 
 from . import __version__
 from .distribution import (
+    BracketingError,
     LinkConfig,
     SinrDistribution,
     cdf_gamma,
-    outage_probability,
     pdf_gamma,
     scaling_limit,
 )
@@ -608,22 +608,18 @@ def _run_distribution(config: ExperimentConfig, include_pdf: bool):
             "ks_distance": empirical.ks_distance(_analytic_sinr_cdf(dist)),
         }
 
+    gammas = config.gamma_grid
+    sinr = gammas * scale
     header = ["gamma", "sinr_db", "analytic_cdf"]
+    sinr_db = [10.0 * math.log10(x) for x in sinr.tolist()]
+    columns = [gammas, sinr_db, cdf_gamma(dist, gammas)]
     if include_pdf:
         header.append("analytic_pdf")
+        columns.append(pdf_gamma(dist, gammas))
     if empirical is not None:
         header.append("empirical_cdf")
-    rows = []
-    for g in config.gamma_grid:
-        g = float(g)
-        sinr = g * scale
-        row = [g, 10.0 * math.log10(sinr), cdf_gamma(dist, g)]
-        if include_pdf:
-            row.append(pdf_gamma(dist, g))
-        if empirical is not None:
-            row.append(empirical.cdf(sinr))
-        rows.append(row)
-    return header, rows, extra
+        columns.append(empirical.cdf(sinr))
+    return header, list(zip(*columns)), extra
 
 
 def _run_cdf(config):
@@ -638,15 +634,18 @@ def _run_outage_sweep(config: ExperimentConfig):
     # rho re-solved at each exponent so the mean count over the radius-R_c
     # disk stays at mu: rho(eps) = mu * (2 + eps) / (2 pi R_c^(2+eps))
     link = config.link
+    gamma = config.tau * link.r_T**link.alpha
     rows = []
     for eps in config.eps_grid:
         eps = float(eps)
         rho = config.mu * (2.0 + eps) / (TWO_PI * config.R_c ** (2.0 + eps))
         model = PowerLaw(rho=rho, eps=eps)
         evaluator = PsiEvaluator(model, link.alpha, config.quad)
-        for L in config.L_values:
-            dist = SinrDistribution(evaluator, dataclasses.replace(link, L=L))
-            rows.append([eps, L, rho, outage_probability(dist, config.tau)])
+        # the outage is the CDF at gamma, 1 - Q(L, psi + sigma2*gamma): psi is
+        # shared by every antenna count, so one Q call covers them all
+        x = evaluator.value(gamma) + link.sigma2 * gamma
+        outage = 1.0 - regularized_upper_gamma(np.asarray(config.L_values), x)
+        rows += [[eps, L, rho, p] for L, p in zip(config.L_values, outage)]
     return ["epsilon", "L", "rho_adjusted", "outage"], rows, {}
 
 
@@ -660,8 +659,8 @@ def _run_scaling(config: ExperimentConfig):
         model = dataclasses.replace(nominal, beta=nominal.beta * beta)
         evaluator = PsiEvaluator(model, link.alpha, config.quad)
         dist = SinrDistribution(evaluator, dataclasses.replace(link, L=L))
-        for g in config.gamma_grid:
-            rows.append([L, beta, float(g), cdf_gamma(dist, float(g))])
+        cdf = cdf_gamma(dist, config.gamma_grid)
+        rows += [[L, beta, g, c] for g, c in zip(config.gamma_grid, cdf)]
     extra = {
         "sinr_limit": limit,
         "sinr_limit_db": 10.0 * math.log10(limit),
@@ -673,11 +672,11 @@ def _run_scaling(config: ExperimentConfig):
 def _auto_gamma_max(dist: SinrDistribution, p_hi: float) -> float:
     """Smallest bracketing gamma whose CDF reaches p_hi (for truncation sizing)."""
     g = 1.0
-    for _ in range(600):
+    while math.isfinite(g):
         if cdf_gamma(dist, g) >= p_hi:
             return g
         g *= 10.0
-    raise ValueError("analytic CDF never reaches the requested quantile")
+    raise BracketingError("analytic CDF never reaches the requested quantile")
 
 
 def _run_simulate(config: ExperimentConfig):
@@ -727,14 +726,11 @@ def _run_fit_poly(config: ExperimentConfig):
     fits = {}
     for m in config.degrees:
         coeffs, residual = fit_polynomial(profile, m, R0)
-        approx = []
-        for g in config.gamma_grid:
-            g = float(g)
-            psi = psi_polynomial(coeffs, R0, rho0, eps_tail, link.alpha, g)
-            # low-degree fits can dip a hair negative at tiny gamma
-            x = max(0.0, psi + link.sigma2 * g)
-            approx.append(1.0 - regularized_upper_gamma(link.L, x))
-        sup_error = float(np.max(np.abs(np.asarray(approx) - ref)))
+        psi = psi_polynomial(coeffs, R0, rho0, eps_tail, link.alpha, config.gamma_grid)
+        # low-degree fits can dip a hair negative at tiny gamma
+        x = np.maximum(0.0, psi + link.sigma2 * config.gamma_grid)
+        approx = 1.0 - regularized_upper_gamma(link.L, x)
+        sup_error = float(np.max(np.abs(approx - ref)))
         rows.append([m, residual, sup_error])
         fits[str(m)] = [float(a) for a in coeffs]
     return (

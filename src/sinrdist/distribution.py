@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
 import scipy.optimize
 
 from .intensity import FULL_PLANE, DivergenceError, IntensityModel, mean_count
@@ -24,6 +25,7 @@ from .interference import PsiEvaluator
 from .specfun import DEFAULT_QUADRATURE, QuadratureSpec, regularized_upper_gamma
 
 __all__ = [
+    "BracketingError",
     "LinkConfig",
     "SinrDistribution",
     "cdf_gamma",
@@ -39,6 +41,10 @@ __all__ = [
 DOUBLE_SUM_MAX_L = 64
 # Bracket-expansion cap for the scaling-limit inversion.
 _MAX_BRACKET_STEPS = 600
+
+
+class BracketingError(ArithmeticError):
+    """A numerical search could not bracket the level it was asked for."""
 
 
 @dataclass(frozen=True)
@@ -86,17 +92,20 @@ class SinrDistribution:
             )
 
 
-def _gamma_argument(dist: SinrDistribution, gamma: float) -> float:
+def _gamma_argument(dist: SinrDistribution, gamma):
     return dist.psi.value(gamma) + dist.link.sigma2 * gamma
 
 
-def cdf_gamma(dist: SinrDistribution, gamma: float) -> float:
-    """CDF of the normalized SINR: 1 - Q(L, psi(gamma) + sigma2*gamma)."""
-    if not gamma >= 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    if gamma == 0.0:
-        return 0.0
-    return 1.0 - regularized_upper_gamma(dist.link.L, _gamma_argument(dist, gamma))
+def cdf_gamma(dist: SinrDistribution, gamma):
+    """CDF of the normalized SINR: 1 - Q(L, psi(gamma) + sigma2*gamma).
+
+    gamma may be a scalar (float result) or an array.
+    """
+    g = np.asarray(gamma, dtype=float)
+    if not np.all(g >= 0):
+        raise ValueError(f"gamma must be >= 0, got {gamma!r}")
+    out = 1.0 - regularized_upper_gamma(dist.link.L, _gamma_argument(dist, g))
+    return float(out) if g.ndim == 0 else out
 
 
 def cdf_gamma_double_sum(dist: SinrDistribution, gamma: float) -> float:
@@ -136,37 +145,40 @@ def cdf_gamma_double_sum(dist: SinrDistribution, gamma: float) -> float:
     return min(1.0, max(0.0, 1.0 - math.fsum(terms)))
 
 
-def pdf_gamma(dist: SinrDistribution, gamma: float) -> float:
-    """Density of the normalized SINR at gamma > 0.
+def pdf_gamma(dist: SinrDistribution, gamma):
+    """Density of the normalized SINR at gamma > 0 (scalar or array).
 
     (psi + sigma2*gamma)^(L-1) * exp(-(psi + sigma2*gamma)) *
     (sigma2 + psi'(gamma)) / (L-1)!, with the power/exponential prefactor
     accumulated in the log domain so large L and large psi cannot overflow.
     """
-    if not gamma > 0:
-        raise ValueError(f"pdf requires gamma > 0, got {gamma}")
-    link = dist.link
-    x = _gamma_argument(dist, gamma)
-    slope = link.sigma2 + dist.psi.derivative(gamma)
-    if x == 0.0:
-        return slope if link.L == 1 else 0.0
-    log_prefactor = (link.L - 1) * math.log(x) - x - math.lgamma(link.L)
-    return math.exp(log_prefactor) * slope
+    g = np.asarray(gamma, dtype=float)
+    if not np.all(g > 0):
+        raise ValueError(f"pdf requires gamma > 0, got {gamma!r}")
+    L = dist.link.L
+    x = _gamma_argument(dist, g)
+    slope = dist.link.sigma2 + dist.psi.derivative(g)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_prefactor = (L - 1) * np.log(x) - x - math.lgamma(L)
+    at_zero = slope if L == 1 else 0.0
+    out = np.where(x > 0.0, np.exp(log_prefactor) * slope, at_zero)
+    return float(out) if g.ndim == 0 else out
 
 
-def outage_probability(dist: SinrDistribution, tau: float, r_target: float | None = None) -> float:
+def outage_probability(dist: SinrDistribution, tau, r_target: float | None = None):
     """Probability that the SINR falls at or below the threshold tau.
 
-    Equals the CDF at tau * r^alpha. The link distance defaults to the one in
-    dist.link; pass r_target to evaluate the same interference field at a
-    different link distance.
+    Equals the CDF at tau * r^alpha; tau may be a scalar or an array. The
+    link distance defaults to the one in dist.link; pass r_target to evaluate
+    the same interference field at a different link distance.
     """
-    if not tau >= 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
+    t = np.asarray(tau, dtype=float)
+    if not np.all(t >= 0):
+        raise ValueError(f"tau must be >= 0, got {tau!r}")
     r = dist.link.r_T if r_target is None else r_target
     if not r > 0:
         raise ValueError(f"target distance must be > 0, got {r}")
-    return cdf_gamma(dist, tau * r**dist.link.alpha)
+    return cdf_gamma(dist, t * r**dist.link.alpha)
 
 
 def antenna_gain_delta(dist: SinrDistribution, gamma: float) -> float:
@@ -203,6 +215,7 @@ def scaling_limit(
 
     Models with finite total mass (bounded psi_c) may never reach 1/q; that
     saturation is reported as a ValueError rather than a bracketing timeout.
+    A bracket that cannot be found otherwise raises BracketingError.
     """
     if not q > 0:
         raise ValueError(f"q must be > 0, got {q}")
@@ -229,13 +242,13 @@ def scaling_limit(
         hi *= 10.0
         steps += 1
         if steps > _MAX_BRACKET_STEPS:
-            raise ValueError("failed to bracket the interference level from above")
+            raise BracketingError("failed to bracket the interference level from above")
     steps = 0
     while evaluator.value(lo) > target:
         lo /= 10.0
         steps += 1
         if steps > _MAX_BRACKET_STEPS:
-            raise ValueError("failed to bracket the interference level from below")
+            raise BracketingError("failed to bracket the interference level from below")
 
     gamma_star = scipy.optimize.brentq(
         lambda g: evaluator.value(g) - target, lo, hi, rtol=1e-12, maxiter=200
@@ -252,4 +265,5 @@ def regularized_gamma_limit_scan(q: float, L_list: Sequence[int]) -> list:
     """
     if not q > 0:
         raise ValueError(f"q must be > 0, got {q}")
-    return [regularized_upper_gamma(int(L), q * L) for L in L_list]
+    L = np.asarray(L_list, dtype=int)
+    return regularized_upper_gamma(L, q * L).tolist()

@@ -27,6 +27,8 @@ import numpy as np
 import scipy.special
 from scipy.interpolate import PchipInterpolator
 
+from .specfun import _as_array
+
 __all__ = [
     "DivergenceError",
     "DiskRegion",
@@ -57,11 +59,6 @@ GAUSSIAN_SUPPORT_FACTOR = 12.0
 
 class DivergenceError(ValueError):
     """The requested integral of the intensity function diverges."""
-
-
-def _as_array(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
 
 
 def _check_beta(beta: float) -> None:

@@ -115,14 +115,16 @@ class EmpiricalDistribution:
     def quantile(self, p):
         return np.quantile(self.samples, p)
 
-    def ks_distance(self, analytic_cdf: Callable[[float], float]) -> float:
+    def ks_distance(self, analytic_cdf: Callable[[np.ndarray], np.ndarray]) -> float:
         """Two-sided sup gap between the ECDF and a reference CDF.
 
-        Checks both i/n and (i-1)/n against F at each order statistic, which
-        is where the sup of |ECDF - F| is attained.
+        analytic_cdf is called once, on the array of sorted samples, and must
+        return the CDF at each of them. Checks both i/n and (i-1)/n against F
+        at each order statistic, which is where the sup of |ECDF - F| is
+        attained.
         """
         n = self.samples.size
-        ref = np.asarray([float(analytic_cdf(x)) for x in self.samples])
+        ref = np.asarray(analytic_cdf(self.samples), dtype=float)
         steps = np.arange(1, n + 1) / n
         return float(np.max(np.maximum(steps - ref, ref - (steps - 1.0 / n))))
 

@@ -4,10 +4,12 @@ kind against a temp directory, determinism of the outputs, and exit codes."""
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sinrdist.distribution
 from sinrdist import GaussianCluster, PiecewisePowerLaw, PowerLaw
 from sinrdist.cli import (
     ConfigError,
@@ -413,6 +415,59 @@ def test_main_numerical_failure(tmp_path, capsys):
     code = main(["cdf", "--config", json.dumps(cfg)])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _scaling_config(tmp_path, model, q):
+    return {
+        "experiment": "scaling",
+        "model": model,
+        "link": {"alpha": 4.0, "sigma2": 0.0, "r_T": 1.0, "L": 1},
+        "q": q,
+        "L_values": [1],
+        "gamma_grid": {"min": 1.0, "max": 10.0, "points": 2},
+        "output_path": str(tmp_path / "scaling.csv"),
+    }
+
+
+@pytest.mark.parametrize("q, side", [(0.1, "above"), (1.0, "below")])
+def test_main_bracketing_failure_is_numerical(tmp_path, capsys, monkeypatch, q, side):
+    # psi_c(1) = pi^2/2 sits below 1/q = 10 and above 1/q = 1; with no
+    # expansion steps allowed, neither bracket can be found
+    monkeypatch.setattr(sinrdist.distribution, "_MAX_BRACKET_STEPS", 0)
+    cfg = _scaling_config(tmp_path, {"family": "power_law", "rho": 1.0, "eps": 0.0}, q)
+    assert main(["scaling", "--config", json.dumps(cfg)]) == 2
+    assert f"failed to bracket the interference level from {side}" in capsys.readouterr().err
+
+
+def test_main_saturated_scaling_limit_is_a_config_error(tmp_path, capsys):
+    model = {"family": "gaussian_cluster", "v": 100.0, "total_count": 5.0}
+    cfg = _scaling_config(tmp_path, model, 0.1)
+    assert main(["scaling", "--config", json.dumps(cfg)]) == 1
+    assert "limit does not exist" in capsys.readouterr().err
+
+
+def test_main_unreachable_quantile_is_numerical(tmp_path, capsys):
+    # without noise a 5-interferer cluster caps the CDF at 1 - Q(10, 5) ~ 0.03
+    cfg = {
+        "experiment": "simulate",
+        "model": {"family": "gaussian_cluster", "v": 100.0, "total_count": 5.0},
+        "link": {"alpha": 3.0, "sigma2": 0.0, "r_T": 1.0, "L": 10},
+        "sim": {"trials": 10, "seed": 1},
+        "output_path": str(tmp_path / "sim.csv"),
+    }
+    assert main(["simulate", "--config", json.dumps(cfg)]) == 2
+    assert "never reaches the requested quantile" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig4", "fig5"])
+def test_bundled_figures_reproduce_golden_bytes(tmp_path, name):
+    root = Path(__file__).resolve().parents[1]
+    config_path = root / "configs" / f"{name}.json"
+    config = json.loads(config_path.read_text())
+    golden = root / config["output_path"]
+    out = tmp_path / golden.name
+    assert main([config["experiment"], "--config", str(config_path), "--out", str(out)]) == 0
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_main_seed_override_changes_samples(tmp_path):

@@ -15,12 +15,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sinrdist import (
+    DEFAULT_QUADRATURE,
+    AccuracyError,
     DivergenceError,
     GaussianCluster,
     PiecewisePowerLaw,
     PolynomialWithTail,
     PowerLaw,
     PsiEvaluator,
+    QuadratureSpec,
     psi_derivative,
     psi_gaussian,
     psi_piecewise,
@@ -293,8 +296,100 @@ def test_evaluator_is_callable():
     assert ev(0.0) == 0.0
 
 
-def test_gaussian_methods_coincide():
+def test_gaussian_panel_route_matches_quadrature():
+    # auto and closed_form share the log-r panel rule; quadrature is the
+    # adaptive reference, so the routes agree within the spec's rel_tol
     model = GaussianCluster(rho=0.25, v=500.0)
     auto = PsiEvaluator(model, 3.0).value(1e4)
+    closed = PsiEvaluator(model, 3.0, method="closed_form").value(1e4)
     quad = PsiEvaluator(model, 3.0, method="quadrature").value(1e4)
-    assert auto == quad
+    assert auto == closed
+    assert auto == pytest.approx(quad, rel=DEFAULT_QUADRATURE.rel_tol)
+
+
+# ---------------------------------------------------------------------------
+# array evaluation and the Gaussian panel rule
+
+
+def _all_families():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        poly = dataclasses.replace(_poly_model(), beta=2.0)
+    return [
+        (PowerLaw(rho=0.3, eps=-0.5), 3.0),
+        (PiecewisePowerLaw(segments=((0.5, -0.5, 100.0), (0.2, -2.5, 1000.0))), 3.0),
+        (poly, 3.5),
+        (GaussianCluster(rho=1.0, v=500.0, beta=3.0), 3.0),
+        (GaussianCluster(rho=1.0, v=50.0), 4.0),
+    ]
+
+
+def test_vector_and_scalar_calls_agree_bit_for_bit(monkeypatch):
+    import sinrdist.specfun
+
+    gammas = np.sort(10.0 ** np.random.default_rng(1).uniform(-4.0, 10.0, 97))
+    for model, alpha in _all_families():
+        ev = PsiEvaluator(model, alpha)
+        values, slopes = ev.value(gammas), ev.derivative(gammas)
+        assert isinstance(ev.value(1e3), float) and isinstance(ev.derivative(1e3), float)
+        assert np.array_equal(values, [ev.value(float(g)) for g in gammas])
+        assert np.array_equal(slopes, [ev.derivative(float(g)) for g in gammas])
+        assert np.array_equal(ev.value(gammas[::5]), values[::5])
+        assert np.array_equal(ev.value(gammas.reshape(1, -1))[0], values)
+        # chunking of the panel buffer must not move a single bit
+        monkeypatch.setattr(sinrdist.specfun, "PANEL_BUFFER", 3000)
+        assert np.array_equal(ev.value(gammas), values)
+        assert np.array_equal(ev.derivative(gammas), slopes)
+        monkeypatch.undo()
+
+
+def test_array_zero_gamma_and_validation():
+    for model, alpha in _all_families():
+        ev = PsiEvaluator(model, alpha)
+        got = ev.value(np.array([0.0, 1.0]))
+        assert got[0] == 0.0 and got[1] > 0.0
+        with pytest.raises(ValueError):
+            ev.value(np.array([1.0, -1.0]))
+        with pytest.raises(ValueError):
+            ev.derivative(np.array([1.0, 0.0]))
+
+
+def test_gaussian_panel_route_matches_quadrature_grid():
+    # the adaptive reference itself misses mass when the knee gamma^(1/alpha)
+    # sits many decades from v (see the mpmath oracle test), so the
+    # comparison keeps knee / v within [1e-4, 1e3]
+    spec = DEFAULT_QUADRATURE
+    gammas = np.geomspace(1e-6, 1e12, 19)
+    for v in (1.0, 500.0, 1e4):
+        for alpha in (2.5, 3.0, 4.0):
+            knee = gammas ** (1.0 / alpha) / v
+            grid = gammas[(knee >= 1e-4) & (knee <= 1e3)]
+            model = GaussianCluster(rho=1.0, v=v)
+            fast = PsiEvaluator(model, alpha, spec).value(grid)
+            ref = PsiEvaluator(model, alpha, spec, method="quadrature").value(grid)
+            np.testing.assert_allclose(fast, ref, rtol=spec.rel_tol, atol=0.0)
+
+
+def test_derivative_panel_route_matches_quadrature():
+    gammas = np.geomspace(8e2, 8e8, 13)  # the fig2 grid's span
+    for model, alpha in _all_families()[1:]:
+        fast = PsiEvaluator(model, alpha).derivative(gammas)
+        ref = PsiEvaluator(model, alpha, method="quadrature").derivative(gammas)
+        np.testing.assert_allclose(fast, ref, rtol=DEFAULT_QUADRATURE.rel_tol, atol=0.0)
+
+
+def test_panel_fallback_uses_adaptive_route(monkeypatch):
+    import sinrdist.specfun
+
+    model = GaussianCluster(rho=1.0, v=500.0)
+    gammas = np.array([1e2, 1e5, 1e8])
+    # panels far too wide for the 16-node rule: every point misses the spec
+    monkeypatch.setattr(sinrdist.specfun, "PANEL_WIDTH", 8.0)
+    ev = PsiEvaluator(model, 3.0)
+    ref = PsiEvaluator(model, 3.0, method="quadrature")
+    assert np.array_equal(ev.value(gammas), ref.value(gammas))
+    assert np.array_equal(ev.derivative(gammas), ref.derivative(gammas))
+    # and where the adaptive route cannot converge either, the error is typed
+    tight = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300, max_subdivisions=1)
+    with pytest.raises(AccuracyError):
+        PsiEvaluator(model, 3.0, tight).value(gammas)

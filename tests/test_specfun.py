@@ -4,17 +4,20 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sinrdist import (
     AccuracyError,
     DEFAULT_QUADRATURE,
+    DivergenceError,
+    PowerLaw,
     QuadratureSpec,
     hyp2f1_first_unit,
+    integrate_log_panels,
     integrate_radial,
     ln_gamma,
+    psi_quadrature,
     regularized_upper_gamma,
 )
 
@@ -59,14 +62,28 @@ def test_upper_gamma_edge_cases():
         regularized_upper_gamma(3, -0.1)
 
 
-def test_upper_gamma_matches_scipy_across_branches():
-    # the implementation switches between a direct Poisson sum and the scipy
-    # continued-fraction routine; both must agree where either applies
-    for L in (1, 3, 17, 63, 64, 65, 200):
-        for x in (1e-6, 0.5, 10.0, 350.0, 699.0, 701.0, 2000.0):
+def test_upper_gamma_matches_mpmath_across_former_branches():
+    # an earlier implementation switched from a Poisson sum to scipy's
+    # continued fraction at L = 64 / x = 700; both sides must stay exact
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    for L in (1, 3, 17, 63, 64, 65, 128, 200):
+        for x in (1e-6, 0.5, 10.0, 63.0, 64.0, 65.0, 199.0, 350.0, 699.0, 701.0, 2000.0):
             got = regularized_upper_gamma(L, x)
-            ref = float(scipy.special.gammaincc(L, x))
-            assert got == pytest.approx(ref, rel=1e-12, abs=1e-300)
+            ref = float(mp.gammainc(L, a=x, regularized=True))
+            assert got == pytest.approx(ref, rel=1e-12, abs=1e-300), (L, x)
+
+
+def test_upper_gamma_arrays_broadcast():
+    L = np.array([1, 4, 10])
+    x = np.array([0.5, 5.0, 50.0])
+    got = regularized_upper_gamma(L, x)
+    assert np.array_equal(got, [regularized_upper_gamma(int(a), float(b)) for a, b in zip(L, x)])
+    assert regularized_upper_gamma(4, x).shape == (3,)
+    with pytest.raises(ValueError):
+        regularized_upper_gamma(np.array([2, 0]), 1.0)
+    with pytest.raises(ValueError):
+        regularized_upper_gamma(3, np.array([1.0, -0.1]))
 
 
 def test_upper_gamma_large_argument_tails():
@@ -122,6 +139,16 @@ def test_hyp2f1_frozen_values():
     assert hyp2f1_first_unit(2.0, 3.0) == pytest.approx(2.0 * (3.0 - math.log(4.0)) / 9.0, rel=1e-12)
     # 2F1(1,1/2;3/2;-x) = arctan(sqrt(x)) / sqrt(x), so at x=1 it is pi/4
     assert hyp2f1_first_unit(0.5, 1.0) == pytest.approx(math.pi / 4.0, rel=1e-12)
+
+
+def test_hyp2f1_arrays_match_scalars():
+    xs = np.array([0.0, 1e-8, 0.5, 3.0, 1e4, 1e16])
+    for b in (0.5, 1.0, 2.5):
+        got = hyp2f1_first_unit(b, xs)
+        assert np.array_equal(got, [hyp2f1_first_unit(b, float(x)) for x in xs])
+        assert got[0] == 1.0
+    with pytest.raises(ValueError):
+        hyp2f1_first_unit(1.0, np.array([1.0, -0.5]))
 
 
 def test_hyp2f1_at_zero_and_validation():
@@ -185,6 +212,34 @@ def test_integrate_radial_reports_accuracy_failure():
     err = info.value
     assert err.error_bound > 0.0
     assert math.isfinite(err.estimate)
+
+
+def test_log_panels_integrate_and_flag_unresolved_points():
+    # integral of r exp(-r^2/2) over [lower, upper] = e^(-lower^2/2) - e^(-upper^2/2)
+    def g(s, rows):
+        r2 = np.exp(2.0 * s)
+        return r2 * np.exp(-0.5 * r2)
+
+    lower = np.array([1e-8, 1e-3, 0.5])
+    values, converged = integrate_log_panels(g, lower, 12.0, breakpoints=(1.0, 6.0))
+    exact = np.exp(-0.5 * lower**2) - math.exp(-72.0)
+    np.testing.assert_allclose(values, exact, rtol=1e-14)
+    assert converged.all()
+    # a bump a tenth of a panel wide is flagged, not silently accepted
+    spike = lambda s, rows: np.exp(-(((s - 0.1) / 0.02) ** 2))
+    _, converged = integrate_log_panels(spike, np.array([0.5]), 2.0)
+    assert not converged.any()
+
+
+def test_integrate_radial_node_at_infinity_is_typed():
+    # heavy subdivision of the t/(1-t) map puts QUADPACK nodes on t == 1.0,
+    # i.e. r = inf; the slowly decaying tail must end in a value or a typed error
+    model = PowerLaw(0.1, 1.0 - 1e-6)
+    try:
+        got = psi_quadrature(model, 3.0, 1e4)
+    except (AccuracyError, DivergenceError):
+        return
+    assert math.isfinite(got) and got > 0.0
 
 
 def test_quadrature_spec_validation():
