@@ -14,6 +14,7 @@ from .specfun import (
     DEFAULT_QUADRATURE,
     ln_gamma,
     regularized_upper_gamma,
+    regularized_lower_gamma,
     hyp2f1_first_unit,
     integrate_radial,
     integrate_log_panels,
@@ -76,6 +77,7 @@ __all__ = [
     "DEFAULT_QUADRATURE",
     "ln_gamma",
     "regularized_upper_gamma",
+    "regularized_lower_gamma",
     "hyp2f1_first_unit",
     "integrate_radial",
     "integrate_log_panels",

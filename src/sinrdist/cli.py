@@ -67,7 +67,7 @@ from .specfun import (
     DEFAULT_QUADRATURE,
     AccuracyError,
     QuadratureSpec,
-    regularized_upper_gamma,
+    regularized_lower_gamma,
 )
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "run_experiment", "main"]
@@ -641,10 +641,10 @@ def _run_outage_sweep(config: ExperimentConfig):
         rho = config.mu * (2.0 + eps) / (TWO_PI * config.R_c ** (2.0 + eps))
         model = PowerLaw(rho=rho, eps=eps)
         evaluator = PsiEvaluator(model, link.alpha, config.quad)
-        # the outage is the CDF at gamma, 1 - Q(L, psi + sigma2*gamma): psi is
-        # shared by every antenna count, so one Q call covers them all
+        # the outage is the CDF at gamma, P(L, psi + sigma2*gamma): psi is
+        # shared by every antenna count, so one P call covers them all
         x = evaluator.value(gamma) + link.sigma2 * gamma
-        outage = 1.0 - regularized_upper_gamma(np.asarray(config.L_values), x)
+        outage = regularized_lower_gamma(np.asarray(config.L_values), x)
         rows += [[eps, L, rho, p] for L, p in zip(config.L_values, outage)]
     return ["epsilon", "L", "rho_adjusted", "outage"], rows, {}
 
@@ -719,7 +719,7 @@ def _run_fit_poly(config: ExperimentConfig):
         psi = psi_quadrature_radial(
             reference_radial, link.alpha, g, config.quad, breakpoints=(R0,)
         )
-        return 1.0 - regularized_upper_gamma(link.L, psi + link.sigma2 * g)
+        return regularized_lower_gamma(link.L, psi + link.sigma2 * g)
 
     ref = np.asarray([reference_cdf(float(g)) for g in config.gamma_grid])
     rows = []
@@ -729,7 +729,7 @@ def _run_fit_poly(config: ExperimentConfig):
         psi = psi_polynomial(coeffs, R0, rho0, eps_tail, link.alpha, config.gamma_grid)
         # low-degree fits can dip a hair negative at tiny gamma
         x = np.maximum(0.0, psi + link.sigma2 * config.gamma_grid)
-        approx = 1.0 - regularized_upper_gamma(link.L, x)
+        approx = regularized_lower_gamma(link.L, x)
         sup_error = float(np.max(np.abs(approx - ref)))
         rows.append([m, residual, sup_error])
         fits[str(m)] = [float(a) for a in coeffs]

@@ -22,7 +22,12 @@ import scipy.optimize
 
 from .intensity import FULL_PLANE, DivergenceError, IntensityModel, mean_count
 from .interference import PsiEvaluator
-from .specfun import DEFAULT_QUADRATURE, QuadratureSpec, regularized_upper_gamma
+from .specfun import (
+    DEFAULT_QUADRATURE,
+    QuadratureSpec,
+    regularized_lower_gamma,
+    regularized_upper_gamma,
+)
 
 __all__ = [
     "BracketingError",
@@ -99,12 +104,14 @@ def _gamma_argument(dist: SinrDistribution, gamma):
 def cdf_gamma(dist: SinrDistribution, gamma):
     """CDF of the normalized SINR: 1 - Q(L, psi(gamma) + sigma2*gamma).
 
-    gamma may be a scalar (float result) or an array.
+    Evaluated as the lower regularized gamma P(L, .), which keeps full
+    relative accuracy in the lower tail where 1 - Q cancels. gamma may be a
+    scalar (float result) or an array.
     """
     g = np.asarray(gamma, dtype=float)
     if not np.all(g >= 0):
         raise ValueError(f"gamma must be >= 0, got {gamma!r}")
-    out = 1.0 - regularized_upper_gamma(dist.link.L, _gamma_argument(dist, g))
+    out = regularized_lower_gamma(dist.link.L, _gamma_argument(dist, g))
     return float(out) if g.ndim == 0 else out
 
 

@@ -52,6 +52,12 @@ _MASK64 = (1 << 64) - 1
 DEFAULT_TAIL_FRACTION = 1e-3
 # Gaussian clusters are truncated at this multiple of v by default.
 GAUSSIAN_TRUNCATION_FACTOR = 8.0
+# Interferer columns per block of the MMSE Gram: a 2L x 2L x 256 dgemm stays
+# below OpenBLAS's multithreading threshold (m*n*k <= 262,144) for L <= 16.
+GRAM_BLOCK = 256
+# Squared ratio of the extreme Cholesky pivots above which the MMSE trial
+# switches to the QR route.
+CONDITION_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
@@ -156,26 +162,103 @@ def draw_channels(n: int, L: int, rng):
     """Channel vectors: target g_T (length L) and interferer matrix G (L x n).
 
     Entries are i.i.d. circularly symmetric complex Gaussian with unit
-    variance per complex entry (variance 1/2 per real component).
+    variance per complex entry (variance 1/2 per real component). The stream
+    is consumed in the order Re g_T, Im g_T, Re G, Im G (G row-major); each
+    part is drawn into one reused buffer and scaled straight into the
+    complex outputs. The buffer holds one part, not all four: a transient as
+    large as G itself would be handed back to the OS with G at the end of
+    every trial and faulted in again by the next.
     """
     if not L >= 1:
         raise ValueError(f"antenna count L must be >= 1, got {L}")
     if not n >= 0:
         raise ValueError(f"interferer count must be >= 0, got {n}")
     scale = 1.0 / math.sqrt(2.0)
-    g_t = scale * (rng.standard_normal(L) + 1j * rng.standard_normal(L))
-    G = scale * (rng.standard_normal((L, n)) + 1j * rng.standard_normal((L, n)))
+    g_t = np.empty(L, dtype=complex)
+    G = np.empty((L, n), dtype=complex)
+    buffer = np.empty(L * max(n, 1))
+    for part in (g_t.real, g_t.imag, G.real, G.imag):
+        z = buffer[: part.size].reshape(part.shape)
+        rng.standard_normal(out=z)
+        np.multiply(z, scale, out=part)
     return g_t, G
+
+
+def _interference_covariance(powers, G, sigma2: float) -> np.ndarray:
+    """G P G^H + sigma2 I from a real Gram accumulated over column blocks."""
+    L, n = G.shape
+    M = np.zeros((2 * L, 2 * L))
+    for start in range(0, n, GRAM_BLOCK):
+        cols = slice(start, start + GRAM_BLOCK)
+        S = np.concatenate((G.real[:, cols], G.imag[:, cols]))
+        M += (S * powers[cols]) @ S.T
+    # with S = [Re G; Im G], G P G^H = (M_rr + M_ii) + i (M_ir - M_ri)
+    cov = np.empty((L, L), dtype=complex)
+    np.add(M[:L, :L], M[L:, L:], out=cov.real)
+    np.subtract(M[L:, :L], M[:L, L:], out=cov.imag)
+    cov.flat[:: L + 1] += sigma2
+    return cov
+
+
+def _cholesky_quadratic_form(cov, g_t):
+    """g_T^H cov^{-1} g_T by Cholesky, or None when cov is too ill-conditioned."""
+    factor, info = scipy.linalg.lapack.zpotrf(cov, lower=True)
+    if info != 0:
+        return None
+    diag = np.abs(np.diag(factor))
+    if (diag.max() / diag.min()) ** 2 > CONDITION_LIMIT:
+        return None
+    solved, _ = scipy.linalg.lapack.zpotrs(factor, g_t, lower=True)
+    quad = complex(np.vdot(g_t, solved))
+    if abs(quad.imag) > 1e-12 * max(1.0, abs(quad.real)):
+        raise ArithmeticError(
+            f"MMSE quadratic form has non-negligible imaginary part: {quad!r}"
+        )
+    return quad.real
+
+
+def _qr_quadratic_form(powers, g_t, G, sigma2: float) -> float:
+    """g_T^H cov^{-1} g_T from the QR factor of [(G P^(1/2))^H; sigma I]."""
+    L = g_t.size
+    # strongest interferers first, which sorts the rows by norm up to the
+    # O(1) spread of |g_i|: Householder QR on rows sorted by decreasing norm
+    # is row-wise backward stable (Cox and Higham, 1998)
+    order = np.argsort(powers)[::-1]
+    A = np.vstack(
+        ((G[:, order] * np.sqrt(powers[order])).conj().T, math.sqrt(sigma2) * np.eye(L))
+    )
+    R = scipy.linalg.qr(A, mode="r")[0][:L]
+    if not np.all(np.diag(R) != 0.0):
+        raise ArithmeticError(
+            "interference covariance is singular (no noise and fewer "
+            "interferers than antennas): the MMSE SINR is unbounded"
+        )
+    y = scipy.linalg.solve_triangular(R, g_t, trans="C")
+    return float(np.vdot(y, y).real)
 
 
 def mmse_sinr(radii, g_t, G, link: LinkConfig) -> float:
     """Output SINR of the MMSE combiner for one network and channel draw.
 
     Computes r_T^-alpha * g_T^H (G P G^H + sigma2 I)^{-1} g_T with
-    P = diag(r_i^-alpha), through a Cholesky factorization and triangular
-    solves. The L x L Gram matrix is formed directly, so thousands of
-    interferers cost O(n L^2). The quadratic form is real up to roundoff;
-    a residual imaginary part above 1e-12 (relative) aborts the trial.
+    P = diag(r_i^-alpha). The L x L covariance comes from the real Gram
+    S P S^T of the stacked S = [Re G; Im G] (2L x n), accumulated over
+    column blocks of GRAM_BLOCK in block order, so thousands of interferers
+    cost O(n L^2). The blocks keep each temporary in cache and each dgemm
+    below OpenBLAS's multithreading threshold, so a trial never starts BLAS
+    threads of its own beneath the campaign's worker threads.
+
+    The quadratic form goes through a complex Cholesky factorization and
+    triangular solves (LAPACK zpotrf/zpotrs); a residual imaginary part above
+    1e-12 (relative) aborts the trial. A close interferer can make the
+    covariance so ill-conditioned that forming it squares away the digits
+    that matter: when the factorization fails or (max/min |diag of the
+    factor|)^2 exceeds CONDITION_LIMIT, the trial takes the QR route
+    instead, which factors the (n+L) x L matrix [(G P^(1/2))^H; sigma I] =
+    QR, so cov = R^H R and SINR = ||R^-H g_T||^2 r_T^-alpha without ever
+    squaring the condition number. A covariance that is exactly singular
+    (sigma2 = 0 with fewer interferers than antennas) raises
+    ArithmeticError.
     """
     radii = np.asarray(radii, dtype=float)
     g_t = np.asarray(g_t)
@@ -186,15 +269,11 @@ def mmse_sinr(radii, g_t, G, link: LinkConfig) -> float:
             f"channel matrix shape {G.shape} does not match L={L}, n={radii.size}"
         )
     powers = radii ** (-link.alpha)
-    cov = (G * powers) @ G.conj().T + link.sigma2 * np.eye(L)
-    factor = scipy.linalg.cho_factor(cov, lower=True)
-    solved = scipy.linalg.cho_solve(factor, g_t)
-    quad = complex(np.vdot(g_t, solved))
-    if abs(quad.imag) > 1e-12 * max(1.0, abs(quad.real)):
-        raise ArithmeticError(
-            f"MMSE quadratic form has non-negligible imaginary part: {quad!r}"
-        )
-    return float(quad.real) * link.r_T ** (-link.alpha)
+    cov = _interference_covariance(powers, G, link.sigma2)
+    quad = _cholesky_quadratic_form(cov, g_t)
+    if quad is None:
+        quad = _qr_quadratic_form(powers, g_t, G, link.sigma2)
+    return quad * link.r_T ** (-link.alpha)
 
 
 def run_trial(sim: SimConfig, trial_index: int) -> TrialResult:

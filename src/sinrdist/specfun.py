@@ -23,6 +23,7 @@ __all__ = [
     "AccuracyError",
     "ln_gamma",
     "regularized_upper_gamma",
+    "regularized_lower_gamma",
     "hyp2f1_first_unit",
     "integrate_radial",
     "integrate_log_panels",
@@ -87,6 +88,19 @@ def _as_array(x):
     return arr, arr.ndim == 0
 
 
+def _regularized_gamma(ufunc, L, x):
+    L_arr = np.asarray(L)
+    if L_arr.dtype == bool or not np.all(np.mod(L_arr, 1) == 0):
+        raise ValueError(f"antenna count L must be a positive integer, got {L!r}")
+    if np.any(L_arr < 1):
+        raise ValueError(f"antenna count L must be >= 1, got {L!r}")
+    x_arr, scalar = _as_array(x)
+    if np.any(x_arr < 0):
+        raise ValueError(f"the incomplete gamma function requires x >= 0, got {x!r}")
+    out = ufunc(L_arr.astype(float), x_arr)
+    return float(out) if scalar and L_arr.ndim == 0 else out
+
+
 def regularized_upper_gamma(L, x):
     """Upper regularized gamma Q(L, x) = Gamma(L, x) / Gamma(L) for integer L.
 
@@ -95,16 +109,18 @@ def regularized_upper_gamma(L, x):
     ufunc; L and x may be scalars or arrays (broadcast together), and a
     scalar pair returns a float.
     """
-    L_arr = np.asarray(L)
-    if L_arr.dtype == bool or not np.all(np.mod(L_arr, 1) == 0):
-        raise ValueError(f"antenna count L must be a positive integer, got {L!r}")
-    if np.any(L_arr < 1):
-        raise ValueError(f"antenna count L must be >= 1, got {L!r}")
-    x_arr, scalar = _as_array(x)
-    if np.any(x_arr < 0):
-        raise ValueError(f"regularized_upper_gamma requires x >= 0, got {x!r}")
-    out = scipy.special.gammaincc(L_arr.astype(float), x_arr)
-    return float(out) if scalar and L_arr.ndim == 0 else out
+    return _regularized_gamma(scipy.special.gammaincc, L, x)
+
+
+def regularized_lower_gamma(L, x):
+    """Lower regularized gamma P(L, x) = 1 - Q(L, x) for integer L.
+
+    Evaluated directly by the scipy.special.gammainc ufunc, so it keeps full
+    relative accuracy where P is tiny and 1 - Q would cancel to 0 (P(10,
+    1e-3) is about 2.8e-37). Same arguments and broadcasting as
+    regularized_upper_gamma.
+    """
+    return _regularized_gamma(scipy.special.gammainc, L, x)
 
 
 def hyp2f1_first_unit(b: float, x):

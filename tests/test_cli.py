@@ -459,14 +459,18 @@ def test_main_unreachable_quantile_is_numerical(tmp_path, capsys):
     assert "never reaches the requested quantile" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["fig1", "fig4", "fig5"])
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4", "fig5"])
 def test_bundled_figures_reproduce_golden_bytes(tmp_path, name):
     root = Path(__file__).resolve().parents[1]
     config_path = root / "configs" / f"{name}.json"
     config = json.loads(config_path.read_text())
     golden = root / config["output_path"]
     out = tmp_path / golden.name
-    assert main([config["experiment"], "--config", str(config_path), "--out", str(out)]) == 0
+    argv = [config["experiment"], "--config", str(config_path), "--out", str(out)]
+    if "trials" in config.get("sim", {}):
+        # the committed Monte-Carlo outputs were made with 800 trials
+        argv += ["--trials", "800"]
+    assert main(argv) == 0
     assert out.read_bytes() == golden.read_bytes()
 
 

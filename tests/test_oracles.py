@@ -1,5 +1,6 @@
-"""Independent high-precision oracles (mpmath) for the special functions and
-the Gaussian-cluster panel rule.
+"""Independent high-precision oracles (mpmath) for the special functions, the
+Gaussian-cluster panel rule and the MMSE combiner on near-singular
+covariances.
 
 mpmath is a test-only dependency: the whole module is skipped without it.
 """
@@ -10,9 +11,17 @@ import pytest
 from sinrdist import (
     DEFAULT_QUADRATURE,
     GaussianCluster,
+    LinkConfig,
+    PowerLaw,
     PsiEvaluator,
+    SinrDistribution,
+    cdf_gamma,
+    draw_channels,
     hyp2f1_first_unit,
+    mmse_sinr,
+    regularized_lower_gamma,
     regularized_upper_gamma,
+    trial_rng,
 )
 
 mp = pytest.importorskip("mpmath")
@@ -51,3 +60,62 @@ def test_gaussian_panel_route_matches_mpmath():
             got = PsiEvaluator(GaussianCluster(rho=1.0, v=v), alpha).value(gammas)
             ref = [_psi_gaussian_mpmath(v, alpha, g) for g in gammas]
             np.testing.assert_allclose(got, ref, rtol=rel_tol, atol=0.0, err_msg=f"v={v} alpha={alpha}")
+
+
+def test_lower_gamma_small_argument_matches_mpmath():
+    mp.mp.dps = 30
+    # 1 - Q cancels to exactly 0 here; the true value is about 2.753e-37
+    assert 1.0 - regularized_upper_gamma(10, 1e-3) == 0.0
+    xs = np.geomspace(1e-3, 700.0, 25)
+    for L in (1, 2, 3, 5, 10, 20, 40, 64):
+        got = regularized_lower_gamma(L, xs)
+        ref = [float(mp.gammainc(L, 0, mp.mpf(x), regularized=True)) for x in xs]
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0, err_msg=f"L={L}")
+
+
+def test_cdf_lower_tail_keeps_relative_accuracy():
+    mp.mp.dps = 30
+    model = PowerLaw(rho=0.023, eps=-0.5)
+    link = LinkConfig(alpha=4.0, sigma2=1e-12, r_T=10.0, L=10)
+    evaluator = PsiEvaluator(model, link.alpha)
+    gammas = np.geomspace(1e-2, 1e2, 5)
+    got = cdf_gamma(SinrDistribution(evaluator, link), gammas)
+    x = evaluator.value(gammas) + link.sigma2 * gammas
+    ref = [float(mp.gammainc(link.L, 0, mp.mpf(v), regularized=True)) for v in x]
+    assert min(ref) < 1e-20
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+def _mmse_sinr_mpmath(radii, g_t, G, link):
+    L, n = G.shape
+    powers = [mp.mpf(float(r)) ** -mp.mpf(link.alpha) for r in radii]
+    Gm = [[mp.mpc(complex(G[i, k])) for k in range(n)] for i in range(L)]
+    cov = mp.matrix(L, L)
+    for i in range(L):
+        for j in range(L):
+            cov[i, j] = mp.fsum(Gm[i][k] * powers[k] * mp.conj(Gm[j][k]) for k in range(n))
+        cov[i, i] += mp.mpf(link.sigma2)
+    g = mp.matrix([mp.mpc(complex(v)) for v in g_t])
+    solved = mp.lu_solve(cov, g)
+    quad = mp.fsum(mp.conj(g[i]) * solved[i] for i in range(L))
+    return float(quad.real * mp.mpf(link.r_T) ** -mp.mpf(link.alpha))
+
+
+@pytest.mark.parametrize(
+    "L, radii, sigma2",
+    [
+        # one interferer 1e4 times closer than the rest
+        (2, [1e-3, 0.7, 1.3], 1e-12),
+        (3, [8e-4, 0.5, 0.9, 1.1, 2.0], 1e-12),
+        # fewer interferers than antennas: noise alone fills the null space
+        (4, [0.3, 0.6], 1e-12),
+        (4, [2e-3, 0.4, 0.8, 1.5, 3.0, 5.0], 1e-10),
+    ],
+)
+def test_mmse_near_singular_covariance_matches_mpmath(L, radii, sigma2):
+    mp.mp.dps = 50
+    link = LinkConfig(alpha=4.0, sigma2=sigma2, r_T=2.0, L=L)
+    radii = np.asarray(radii)
+    g_t, G = draw_channels(radii.size, L, trial_rng(17, L * 100 + radii.size))
+    expected = _mmse_sinr_mpmath(radii, g_t, G, link)
+    assert mmse_sinr(radii, g_t, G, link) == pytest.approx(expected, rel=1e-9)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import sinrdist.simulator
 from sinrdist import (
     EmpiricalDistribution,
     GaussianCluster,
@@ -117,6 +118,22 @@ def test_draw_channels_entries_uncorrelated():
     assert abs(corr_iq) < 0.01
 
 
+@pytest.mark.parametrize("n, L", [(0, 1), (1, 1), (7, 3), (3870, 10)])
+def test_draw_channels_matches_four_call_construction(n, L):
+    """Every normal lands in the slot the four-call construction gave it."""
+    scale = 1.0 / math.sqrt(2.0)
+    rng = trial_rng(31, n)
+    ref_t = scale * (rng.standard_normal(L) + 1j * rng.standard_normal(L))
+    ref_G = scale * (rng.standard_normal((L, n)) + 1j * rng.standard_normal((L, n)))
+    after_ref = rng.random()
+    rng = trial_rng(31, n)
+    g_t, G = draw_channels(n, L, rng)
+    assert g_t.tobytes() == ref_t.tobytes()
+    assert G.shape == (L, n) and G.tobytes() == ref_G.tobytes()
+    # the stream is left where the four calls left it
+    assert rng.random() == after_ref
+
+
 def test_draw_channels_validation():
     with pytest.raises(ValueError):
         draw_channels(5, 0, trial_rng(0, 0))
@@ -168,6 +185,59 @@ def test_mmse_shape_mismatch():
     link = LinkConfig(alpha=4.0, sigma2=0.1, r_T=1.0, L=2)
     with pytest.raises(ValueError):
         mmse_sinr(np.array([1.0, 2.0]), np.zeros(2, complex), np.zeros((2, 1), complex), link)
+
+
+# fig3 / mc-field shape: PowerLaw(0.023, -0.5), alpha 4, sigma2 1e-12, r_T 10,
+# L 10, truncated at the default radius for the grid maximum 1e8
+FIELD_MODEL = PowerLaw(rho=0.023, eps=-0.5)
+FIELD_LINK = LinkConfig(alpha=4.0, sigma2=1e-12, r_T=10.0, L=10)
+
+
+def _field_sim(trials, seed):
+    R = default_truncation_radius(FIELD_MODEL, FIELD_LINK.alpha, 1e8)
+    assert R == pytest.approx(1172.2876, rel=1e-7)
+    return SimConfig(
+        trials=trials, truncation_radius=R, seed=seed, link=FIELD_LINK, model=FIELD_MODEL
+    )
+
+
+# SINR of the drawn network and channels (the float64 radii and channel
+# entries taken as exact) from a 50-digit mpmath Gram matrix and LU solve.
+# (123, 347): nearest interferer at r = 8.0e-4 with power 2.4e12, Cholesky of
+# the float covariance fails outright; (1, 16065): Cholesky succeeds but
+# returned 13.37719, 7% high; (1, 7475): Cholesky was off by 4.2e-4.
+@pytest.mark.parametrize(
+    "seed, trial, expected",
+    [
+        (123, 347, 6.3393687928344567678),
+        (1, 16065, 12.506150418517803028),
+        (1, 7475, 3.4845008361954356333),
+    ],
+)
+def test_mmse_ill_conditioned_trials_match_mpmath(seed, trial, expected):
+    got = run_trial(_field_sim(trials=1, seed=seed), trial).sinr
+    assert got == pytest.approx(expected, rel=1e-9)
+
+
+def test_mmse_qr_route_agrees_with_cholesky_route(monkeypatch):
+    sim = _field_sim(trials=1, seed=5)
+    cases = []
+    for t in range(20):
+        rng = trial_rng(sim.seed, t)
+        radii = draw_network(sim.model, sim.truncation_radius, rng)
+        cases.append((radii, *draw_channels(radii.size, sim.link.L, rng)))
+    cholesky = [mmse_sinr(*case, sim.link) for case in cases]
+    monkeypatch.setattr(sinrdist.simulator, "CONDITION_LIMIT", 0.0)
+    qr = [mmse_sinr(*case, sim.link) for case in cases]
+    np.testing.assert_allclose(qr, cholesky, rtol=1e-10, atol=0.0)
+
+
+def test_mmse_singular_covariance_is_a_numerical_error():
+    """No noise and fewer interferers than antennas: the SINR is unbounded."""
+    link = LinkConfig(alpha=4.0, sigma2=0.0, r_T=1.0, L=3)
+    g_t, G = draw_channels(2, 3, trial_rng(4, 0))
+    with pytest.raises(ArithmeticError, match="singular"):
+        mmse_sinr(np.array([1.0, 2.0]), g_t, G, link)
 
 
 def test_mmse_more_antennas_never_hurt():
@@ -223,6 +293,15 @@ def test_campaign_independent_of_worker_count():
     threaded = run_trials(sim, workers=3)
     assert [t.sinr for t in serial] == [t.sinr for t in threaded]
     assert [t.n_interferers for t in serial] == [t.n_interferers for t in threaded]
+
+
+def test_field_campaign_bytes_independent_of_worker_count():
+    """348 mc-field trials, trial 347 among them taking the QR route."""
+    sim = _field_sim(trials=348, seed=123)
+    serial = np.array([t.sinr for t in run_trials(sim, workers=1)])
+    threaded = np.array([t.sinr for t in run_trials(sim, workers=2)])
+    assert serial.tobytes() == threaded.tobytes()
+    assert serial[347] == pytest.approx(6.3393687928344567678, rel=1e-9)
 
 
 def test_campaign_seed_sensitivity():
