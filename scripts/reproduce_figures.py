@@ -85,7 +85,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--only", nargs="+", choices=FIGURES, help="subset of figures")
     parser.add_argument("--trials", type=int, help="override Monte-Carlo trial counts")
-    parser.add_argument("--workers", type=int, help="thread count for simulations")
+    parser.add_argument("--workers", type=int, help="worker processes, capped at the CPU count")
     parser.add_argument(
         "--check",
         action="store_true",

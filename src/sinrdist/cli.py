@@ -850,7 +850,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, help="override the trial count")
         p.add_argument("--out", help="override the output CSV path")
         p.add_argument("--tol", type=float, help="override the quadrature rel_tol")
-        p.add_argument("--workers", type=int, help="thread count for simulation")
+        p.add_argument("--workers", type=int, help="worker processes, capped at the CPU count")
     return parser
 
 

@@ -4,12 +4,15 @@ kind against a temp directory, determinism of the outputs, and exit codes."""
 import csv
 import json
 import math
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sinrdist.distribution
+import sinrdist.simulator
 from sinrdist import GaussianCluster, PiecewisePowerLaw, PowerLaw
 from sinrdist.cli import (
     ConfigError,
@@ -457,6 +460,47 @@ def test_main_unreachable_quantile_is_numerical(tmp_path, capsys):
     }
     assert main(["simulate", "--config", json.dumps(cfg)]) == 2
     assert "never reaches the requested quantile" in capsys.readouterr().err
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the campaign pool forks its workers",
+)
+
+
+def _pool_cdf_config(tmp_path):
+    cfg = _cdf_config(tmp_path)
+    cfg["model"] = {"family": "gaussian_cluster", "v": 50.0, "total_count": 2.0}
+    cfg["link"] = {"alpha": 3.0, "sigma2": 1e-10, "r_T": 20.0, "L": 8}
+    cfg["sim"] = {"trials": 8, "seed": 3, "workers": 2}
+    return cfg
+
+
+@needs_fork
+def test_main_worker_numerical_error_exits_2(tmp_path, capsys, monkeypatch):
+    # no noise and fewer interferers than antennas: singular in every worker
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = _pool_cdf_config(tmp_path)
+    cfg["link"]["sigma2"] = 0.0
+    assert main(["cdf", "--config", json.dumps(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "singular" in err and err.count("\n") == 1
+
+
+@needs_fork
+def test_main_dead_worker_exits_1(tmp_path, capsys, monkeypatch):
+    run_trial = sinrdist.simulator.run_trial
+
+    def dies_at_trial_5(sim, trial_index):
+        if trial_index == 5:
+            os._exit(3)
+        return run_trial(sim, trial_index)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sinrdist.simulator, "run_trial", dies_at_trial_5)
+    assert main(["cdf", "--config", json.dumps(_pool_cdf_config(tmp_path))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a campaign worker process died") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4", "fig5"])

@@ -2,7 +2,10 @@
 hand-computed small cases, stream determinism, and agreement with the
 analytic distribution."""
 
+import concurrent.futures.process
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -205,13 +208,16 @@ def _field_sim(trials, seed):
 # entries taken as exact) from a 50-digit mpmath Gram matrix and LU solve.
 # (123, 347): nearest interferer at r = 8.0e-4 with power 2.4e12, Cholesky of
 # the float covariance fails outright; (1, 16065): Cholesky succeeds but
-# returned 13.37719, 7% high; (1, 7475): Cholesky was off by 4.2e-4.
+# returned 13.37719, 7% high; (1, 7475): Cholesky was off by 4.2e-4;
+# (1, 2597): kappa(cov) = 3.0e9 while the squared ratio of the extreme Cholesky
+# pivots was only 5.8e7, and Cholesky was off by 6.1e-8.
 @pytest.mark.parametrize(
     "seed, trial, expected",
     [
         (123, 347, 6.3393687928344567678),
         (1, 16065, 12.506150418517803028),
         (1, 7475, 3.4845008361954356333),
+        (1, 2597, 9.7745692418152279796),
     ],
 )
 def test_mmse_ill_conditioned_trials_match_mpmath(seed, trial, expected):
@@ -302,6 +308,82 @@ def test_field_campaign_bytes_independent_of_worker_count():
     threaded = np.array([t.sinr for t in run_trials(sim, workers=2)])
     assert serial.tobytes() == threaded.tobytes()
     assert serial[347] == pytest.approx(6.3393687928344567678, rel=1e-9)
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the campaign pool forks its workers",
+)
+
+
+class _RecordingPool:
+    """Stand-in for ProcessPoolExecutor that runs the chunks in this process."""
+
+    created = []
+
+    def __init__(self, max_workers, mp_context):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_pool_size_is_capped_at_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    sim = _small_sim(trials=16)
+    serial = np.array([t.sinr for t in run_trials(sim, workers=1)])
+    assert _RecordingPool.created == []
+    pooled = np.array([t.sinr for t in run_trials(sim, workers=64)])
+    assert _RecordingPool.created == [2]
+    assert pooled.tobytes() == serial.tobytes()
+    run_campaign(_small_sim(trials=1), workers=2)
+    assert _RecordingPool.created == [2]
+
+
+def test_campaign_without_fork_runs_serially(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the pool must not start without fork")
+
+    sim = _small_sim(trials=16)
+    serial = run_campaign(sim, workers=1).samples
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert run_campaign(sim, workers=2).samples.tobytes() == serial.tobytes()
+
+
+@needs_fork
+def test_worker_numerical_error_keeps_its_type(monkeypatch):
+    """No noise and fewer interferers than antennas, raised inside a worker."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    model = GaussianCluster.with_total_count(2.0, 50.0)
+    link = LinkConfig(alpha=3.0, sigma2=0.0, r_T=20.0, L=8)
+    sim = SimConfig(trials=4, truncation_radius=400.0, seed=3, link=link, model=model)
+    with pytest.raises(ArithmeticError, match="singular"):
+        run_campaign(sim, workers=2)
+
+
+@needs_fork
+def test_dead_worker_is_a_child_process_error(monkeypatch):
+    run_trial = sinrdist.simulator.run_trial
+
+    def dies_at_trial_5(sim, trial_index):
+        if trial_index == 5:
+            os._exit(3)
+        return run_trial(sim, trial_index)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sinrdist.simulator, "run_trial", dies_at_trial_5)
+    with pytest.raises(ChildProcessError, match="worker process died"):
+        run_campaign(_small_sim(trials=8), workers=2)
 
 
 def test_campaign_seed_sensitivity():
