@@ -8,7 +8,9 @@ for a smoke run. The committed outputs/ were made with --trials 800.
 
 --check regenerates the figures into a temporary directory instead, with the
 Monte-Carlo runs at 800 trials, compares each CSV byte for byte with the one
-in outputs/, and exits with status 1 if any differs.
+in outputs/ and the sidecar's truncation_radius, ks_distance and
+truncation_cdf_bound with the committed sidecar, and exits with status 1 if
+any differs.
 
 Usage:
     python3 scripts/reproduce_figures.py [--only fig2 fig3] [--trials N] [--check]
@@ -32,6 +34,14 @@ FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5")
 SUMMARY_KEYS = ("count", "ks_distance", "sinr_limit_db", "mean_interferers")
 # Monte-Carlo trial count the committed outputs/ were generated with
 GOLDEN_TRIALS = 800
+# sidecar keys --check compares exactly ("versions" depends on the host)
+CHECKED_KEYS = ("truncation_radius", "ks_distance", "truncation_cdf_bound")
+
+
+def sidecar_mismatch(new_csv: Path, golden_csv: Path) -> list:
+    """The CHECKED_KEYS whose values differ between two runs' sidecars."""
+    new, golden = (json.loads(sidecar_path(p).read_text()) for p in (new_csv, golden_csv))
+    return [key for key in CHECKED_KEYS if new.get(key) != golden.get(key)]
 
 
 def run_one(name: str, trials, workers, root: Path = ROOT) -> int:
@@ -65,7 +75,7 @@ def run_one(name: str, trials, workers, root: Path = ROOT) -> int:
 
 
 def check(names, workers) -> int:
-    """Regenerate into a temporary directory and cmp each CSV with outputs/."""
+    """Regenerate into a temporary directory and compare each run with outputs/."""
     differ = []
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
@@ -73,11 +83,15 @@ def check(names, workers) -> int:
             if code != 0:
                 return code
             rel = json.loads((ROOT / "configs" / f"{name}.json").read_text())["output_path"]
-            if not filecmp.cmp(Path(tmp) / rel, ROOT / rel, shallow=False):
-                differ.append(rel)
-    for rel in differ:
-        print(f"DIFFERS: {rel}", file=sys.stderr)
-    print(f"{len(names) - len(differ)} of {len(names)} CSVs identical to outputs/")
+            new, golden = Path(tmp) / rel, ROOT / rel
+            keys = sidecar_mismatch(new, golden)
+            if not filecmp.cmp(new, golden, shallow=False):
+                keys.insert(0, "csv")
+            if keys:
+                differ.append(f"{rel} ({', '.join(keys)})")
+    for entry in differ:
+        print(f"DIFFERS: {entry}", file=sys.stderr)
+    print(f"{len(names) - len(differ)} of {len(names)} runs identical to outputs/")
     return 1 if differ else 0
 
 

@@ -59,9 +59,10 @@ from .intensity import (
 from .interference import PsiEvaluator, psi_polynomial, psi_quadrature_radial
 from .simulator import (
     SimConfig,
-    default_truncation_radius,
+    budget_truncation_radius,
     run_campaign,
     trial_rng,
+    truncation_cdf_bound,
 )
 from .specfun import (
     DEFAULT_QUADRATURE,
@@ -577,12 +578,34 @@ def _analytic_sinr_cdf(dist: SinrDistribution):
     return lambda s: cdf_gamma(dist, s / scale)
 
 
-def _resolve_truncation(config: ExperimentConfig, gamma_max: float) -> float:
+def _run_sim(config: ExperimentConfig, dist: SinrDistribution):
+    """The campaign's empirical distribution and its sidecar entries.
+
+    Without an explicit sim.truncation_radius the disk is sized by
+    budget_truncation_radius, and the resolved radius is written back into
+    the config so the sidecar's config block replays the same campaign.
+    """
     if config.truncation_radius is None:
         config.truncation_radius = float(
-            default_truncation_radius(config.model, config.link.alpha, gamma_max)
+            budget_truncation_radius(config.model, config.link, config.trials)
         )
-    return config.truncation_radius
+    radius = config.truncation_radius
+    sim = SimConfig(
+        trials=config.trials,
+        truncation_radius=radius,
+        seed=config.seed,
+        link=config.link,
+        model=config.model,
+    )
+    empirical = run_campaign(sim, config.workers)
+    extra = {
+        "trials": config.trials,
+        "seed": config.seed,
+        "truncation_radius": radius,
+        "truncation_cdf_bound": truncation_cdf_bound(config.model, config.link, radius),
+        "ks_distance": empirical.ks_distance(_analytic_sinr_cdf(dist)),
+    }
+    return empirical, extra
 
 
 def _run_distribution(config: ExperimentConfig, include_pdf: bool):
@@ -592,21 +615,7 @@ def _run_distribution(config: ExperimentConfig, include_pdf: bool):
     extra = {}
     empirical = None
     if config.sim_requested:
-        radius = _resolve_truncation(config, float(config.gamma_grid[-1]))
-        sim = SimConfig(
-            trials=config.trials,
-            truncation_radius=radius,
-            seed=config.seed,
-            link=config.link,
-            model=config.model,
-        )
-        empirical = run_campaign(sim, config.workers)
-        extra = {
-            "trials": config.trials,
-            "seed": config.seed,
-            "truncation_radius": radius,
-            "ks_distance": empirical.ks_distance(_analytic_sinr_cdf(dist)),
-        }
+        empirical, extra = _run_sim(config, dist)
 
     gammas = config.gamma_grid
     sinr = gammas * scale
@@ -669,12 +678,16 @@ def _run_scaling(config: ExperimentConfig):
     return ["L", "beta", "gamma", "cdf"], rows, extra
 
 
-def _auto_gamma_max(dist: SinrDistribution, p_hi: float) -> float:
-    """Smallest bracketing gamma whose CDF reaches p_hi (for truncation sizing)."""
+def _require_quantile(dist: SinrDistribution, p_hi: float) -> None:
+    """Raise BracketingError unless the analytic CDF reaches p_hi.
+
+    A CDF that stays below p_hi leaves that much SINR mass at infinity, which
+    no finite campaign samples.
+    """
     g = 1.0
     while math.isfinite(g):
         if cdf_gamma(dist, g) >= p_hi:
-            return g
+            return
         g *= 10.0
     raise BracketingError("analytic CDF never reaches the requested quantile")
 
@@ -683,26 +696,12 @@ def _run_simulate(config: ExperimentConfig):
     evaluator = PsiEvaluator(config.model, config.link.alpha, config.quad)
     dist = SinrDistribution(evaluator, config.link)
     if config.truncation_radius is None:
-        p_hi = 1.0 - min(1e-4, 1.0 / (10.0 * config.trials))
-        _resolve_truncation(config, _auto_gamma_max(dist, p_hi))
-    sim = SimConfig(
-        trials=config.trials,
-        truncation_radius=config.truncation_radius,
-        seed=config.seed,
-        link=config.link,
-        model=config.model,
-    )
-    empirical = run_campaign(sim, config.workers)
+        _require_quantile(dist, 1.0 - min(1e-4, 1.0 / (10.0 * config.trials)))
+    empirical, extra = _run_sim(config, dist)
     rows = [[s, 10.0 * math.log10(s)] for s in empirical.samples]
-    extra = {
-        "trials": config.trials,
-        "seed": config.seed,
-        "truncation_radius": config.truncation_radius,
-        "ks_distance": empirical.ks_distance(_analytic_sinr_cdf(dist)),
-        "mean_interferers": mean_count(
-            config.model, DiskRegion(config.truncation_radius)
-        ),
-    }
+    extra["mean_interferers"] = mean_count(
+        config.model, DiskRegion(config.truncation_radius)
+    )
     return ["sinr", "sinr_db"], rows, extra
 
 

@@ -50,6 +50,12 @@ TWO_PI = 2.0 * math.pi
 NONNEGATIVITY_GRID = 1024
 # Knot count of the tabulated inverse radial CDF used by table-driven samplers.
 INVERSE_CDF_KNOTS = 4096
+# Below the CDF value at this knot of its table a Gaussian-cluster radius is
+# drawn by the exact inverse. Near the origin the radius goes like u^(1/3),
+# which the cubic table follows badly: on the default 8v disk it is 24% off at
+# u = 1e-9, and above knot 32 its relative error is still 1.9e-7, while above
+# knot 64 (u = 5.2e-4 there) it is at most 1.3e-8, whatever the disk radius.
+GAUSSIAN_EXACT_KNOTS = 64
 # Beyond this degree the monomial representation is too ill-conditioned.
 FIT_DEGREE_CAP = 30
 # Sampling truncation, in units of v, when a Gaussian cluster is drawn over the
@@ -428,13 +434,26 @@ def _inverse_cdf_table(model: IntensityModel, r_max: float) -> PchipInterpolator
     return PchipInterpolator(cdf, grid[keep])
 
 
+def _maxwell_radii(v: float, r_max: float, u: np.ndarray) -> np.ndarray:
+    """Exact inverse radial CDF of a Gaussian cluster on [0, r_max].
+
+    The radial density is proportional to r^2 exp(-r^2 / 2v^2), so the CDF is
+    P(3/2, r^2/2v^2) / P(3/2, r_max^2/2v^2) with P the regularized lower
+    incomplete gamma function.
+    """
+    mass = scipy.special.gammainc(1.5, 0.5 * (r_max / v) ** 2)
+    return v * np.sqrt(2.0 * scipy.special.gammaincinv(1.5, u * mass))
+
+
 def sample_location(model: IntensityModel, region: DiskRegion, rng, size=None):
     """Draw point locations (r, theta) from the normalized intensity.
 
     theta is uniform on [0, 2*pi); r follows the radial marginal, inverted
     analytically for the power-law families and through a precomputed
-    4096-knot inverse-CDF table for the polynomial and Gaussian ones. Pass
-    size=None for one (float, float) pair, or an integer for arrays.
+    4096-knot inverse-CDF table for the polynomial and Gaussian ones (the
+    Gaussian draws below the table's GAUSSIAN_EXACT_KNOTS-th knot take the
+    exact inverse instead). Pass size=None for one (float, float) pair, or
+    an integer for arrays.
 
     rng must be an exclusive numpy Generator (one per thread).
     """
@@ -460,6 +479,10 @@ def sample_location(model: IntensityModel, region: DiskRegion, rng, size=None):
         table = _inverse_cdf_table(model, float(r_max))
         x = table.x
         r = np.asarray(table(np.clip(u, x[0], x[-1])), dtype=float)
+        if isinstance(model, GaussianCluster):
+            near = u < x[GAUSSIAN_EXACT_KNOTS]
+            if near.any():
+                r[near] = _maxwell_radii(model.v, r_max, u[near])
 
     if size is None:
         return float(r[0]), float(theta[0])

@@ -19,9 +19,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
+import scipy.special
 
 from .distribution import LinkConfig
 from .intensity import (
+    FULL_PLANE,
     DiskRegion,
     GaussianCluster,
     IntensityModel,
@@ -31,7 +33,8 @@ from .intensity import (
     mean_count,
     sample_location,
 )
-from .interference import _outer_term, psi_polynomial
+from .interference import PsiEvaluator, _outer_term, psi_polynomial
+from .specfun import regularized_upper_gamma
 
 __all__ = [
     "SimConfig",
@@ -44,6 +47,8 @@ __all__ = [
     "run_trials",
     "run_campaign",
     "default_truncation_radius",
+    "budget_truncation_radius",
+    "truncation_cdf_bound",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -52,10 +57,26 @@ _MASK64 = (1 << 64) - 1
 DEFAULT_TAIL_FRACTION = 1e-3
 # Gaussian clusters are truncated at this multiple of v by default.
 GAUSSIAN_TRUNCATION_FACTOR = 8.0
-# Interferers per block of the MMSE Gram (and of the QR route): a 2L x 2L x
-# 256 dgemm stays below OpenBLAS's multithreading threshold (m*n*k <= 262,144)
-# for L <= 16, so BLAS stays single-threaded inside each campaign worker process.
+# Share of the 95% Kolmogorov-Smirnov critical value, KS_CRITICAL_95 /
+# sqrt(trials), that truncating the simulation disk may add to the CDF the
+# campaign samples from.
+TRUNCATION_KS_SHARE = 0.01
+KS_CRITICAL_95 = 1.36
+# Nodes per decade of the gamma grid on which the truncation error is bounded,
+# and the Gamma(L) quantiles (q, 1 - q) of psi + sigma2*gamma the grid spans.
+# The bound holds for every gamma > 0 whatever the grid; the grid only sets
+# how tight it is.
+TRUNCATION_GRID_PER_DECADE = 128
+TRUNCATION_GRID_QUANTILE = 1e-12
+# Radii the budget search spans, and the relative width at which its
+# bisection stops.
+TRUNCATION_RADIUS_RANGE = (1e-20, 1e20)
+TRUNCATION_RADIUS_RTOL = 1e-3
+# Largest number of interferers per block of the MMSE Gram (and of the QR
+# route), and OpenBLAS's multithreading threshold on m*n*k: blocks stay below
+# it (see _gram_block), so BLAS stays single-threaded inside each worker process.
 GRAM_BLOCK = 256
+BLAS_THREAD_THRESHOLD = 262_144
 # Bound on LAPACK's estimate of the 1-norm condition number of the MMSE
 # covariance above which the trial switches to the QR route.
 CONDITION_LIMIT = 1e8
@@ -183,12 +204,22 @@ def draw_channels(n: int, L: int, rng):
     return g_t, G
 
 
+def _gram_block(L: int) -> int:
+    """Interferers per Gram block at L antennas: min(GRAM_BLOCK, 262144 // 4L^2).
+
+    A 2L x 2L x block dgemm then stays at or below OpenBLAS's threading
+    threshold; the block is GRAM_BLOCK for every L <= 16.
+    """
+    return max(1, min(GRAM_BLOCK, BLAS_THREAD_THRESHOLD // (4 * L * L)))
+
+
 def _interference_covariance(powers, G, sigma2: float) -> np.ndarray:
     """G P G^H + sigma2 I from a real Gram accumulated over column blocks."""
     L, n = G.shape
     M = np.zeros((2 * L, 2 * L))
-    for start in range(0, n, GRAM_BLOCK):
-        cols = slice(start, start + GRAM_BLOCK)
+    block = _gram_block(L)
+    for start in range(0, n, block):
+        cols = slice(start, start + block)
         S = np.concatenate((G.real[:, cols], G.imag[:, cols]))
         M += (S * powers[cols]) @ S.T
     # with S = [Re G; Im G], G P G^H = (M_rr + M_ii) + i (M_ir - M_ri)
@@ -226,13 +257,14 @@ def _qr_quadratic_form(powers, g_t, G, sigma2: float) -> float:
     A = np.vstack(
         ((G[:, order] * np.sqrt(powers[order])).conj().T, math.sqrt(sigma2) * np.eye(L))
     )
-    # factor GRAM_BLOCK rows at a time beneath the R of the rows before them:
-    # the same R up to the phases of its rows, and every zgeqrf stays small
-    # enough that OpenBLAS never wakes threads that would spin on the cores of
-    # the other campaign workers
+    # factor _gram_block(L) rows at a time beneath the R of the rows before
+    # them: the same R up to the phases of its rows, and every zgeqrf stays
+    # small enough that OpenBLAS never wakes threads that would spin on the
+    # cores of the other campaign workers
     R = A[:0]
-    for start in range(0, A.shape[0], GRAM_BLOCK):
-        block = np.vstack((R, A[start : start + GRAM_BLOCK]))
+    step = _gram_block(L)
+    for start in range(0, A.shape[0], step):
+        block = np.vstack((R, A[start : start + step]))
         R = np.triu(scipy.linalg.lapack.zgeqrf(block)[0][:L])
     if not np.all(np.diag(R) != 0.0):
         raise ArithmeticError(
@@ -249,7 +281,7 @@ def mmse_sinr(radii, g_t, G, link: LinkConfig) -> float:
     Computes r_T^-alpha * g_T^H (G P G^H + sigma2 I)^{-1} g_T with
     P = diag(r_i^-alpha). The L x L covariance comes from the real Gram
     S P S^T of the stacked S = [Re G; Im G] (2L x n), accumulated over
-    column blocks of GRAM_BLOCK in block order, so thousands of interferers
+    column blocks of _gram_block(L) in block order, so thousands of interferers
     cost O(n L^2). The blocks keep each temporary in cache and each dgemm
     below OpenBLAS's multithreading threshold, so a trial never starts BLAS
     threads of its own inside the campaign's worker processes.
@@ -353,6 +385,19 @@ def run_campaign(sim: SimConfig, workers: int = 1) -> EmpiricalDistribution:
     return EmpiricalDistribution(_run_arrays(sim, workers)[0])
 
 
+def _fixed_truncation_radius(model: IntensityModel):
+    """The radius of the families whose rule needs no link or trial count.
+
+    Piecewise models return their exact support; Gaussian clusters use 8v,
+    since nearly all their mass lies within 5v. None for the other families.
+    """
+    if isinstance(model, PiecewisePowerLaw):
+        return model.support_radius
+    if isinstance(model, GaussianCluster):
+        return GAUSSIAN_TRUNCATION_FACTOR * model.v
+    return None
+
+
 def default_truncation_radius(
     model: IntensityModel,
     alpha: float,
@@ -366,7 +411,8 @@ def default_truncation_radius(
     total. Piecewise models return their exact support; Gaussian clusters use
     8v (the mass beyond is astronomically small); power laws solve the tail
     bound analytically; polynomial tails expand by doubling against the
-    closed-form outer term.
+    closed-form outer term. The CLI sizes its campaigns with
+    budget_truncation_radius instead.
     """
     if not alpha > 2:
         raise ValueError(f"alpha must exceed 2, got {alpha}")
@@ -375,10 +421,9 @@ def default_truncation_radius(
     if not 0 < tail_fraction < 1:
         raise ValueError(f"tail_fraction must be in (0, 1), got {tail_fraction}")
 
-    if isinstance(model, PiecewisePowerLaw):
-        return model.support_radius
-    if isinstance(model, GaussianCluster):
-        return GAUSSIAN_TRUNCATION_FACTOR * model.v
+    fixed = _fixed_truncation_radius(model)
+    if fixed is not None:
+        return fixed
     if isinstance(model, PowerLaw):
         c = (2.0 + model.eps) / alpha
         # bound: psi tail beyond R <= 2 pi rho gamma R^(2+eps-alpha)/(alpha-2-eps),
@@ -401,3 +446,126 @@ def default_truncation_radius(
             radius *= 2.0
         raise ValueError("failed to bound the polynomial tail; check parameters")
     raise TypeError(f"unsupported model type: {type(model).__name__}")
+
+
+def _algebraic_tail(model: IntensityModel):
+    """(rho, eps, r0) when the model is beta * rho * r**eps beyond r0, else None."""
+    if isinstance(model, PowerLaw):
+        return model.rho, model.eps, 0.0
+    if isinstance(model, PolynomialWithTail):
+        return model.rho0, model.eps_tail, model.R0
+    return None
+
+
+def _gamma_density_peak(L: int, lo, hi):
+    """Largest Gamma(L, 1) density on [lo, hi]; the density peaks at L - 1."""
+    t = np.clip(L - 1.0, lo, hi)
+    return np.exp(scipy.special.xlogy(L - 1.0, t) - t - math.lgamma(L))
+
+
+def _truncation_error_bound(model: IntensityModel, link: LinkConfig):
+    """R -> an upper bound on sup over gamma > 0 of P(L, x) - P(L, x_R).
+
+    For a model with an algebraic tail (see truncation_cdf_bound). psi is
+    evaluated once, on a log grid gamma_0 < ... < gamma_N whose x = psi +
+    sigma2*gamma runs from the TRUNCATION_GRID_QUANTILE to the 1 -
+    TRUNCATION_GRID_QUANTILE quantile of Gamma(L); each call then costs one
+    closed-form tail Delta_R on the grid. Between two nodes, x and
+    x_R = x - Delta_R rise with gamma and Delta_R does too, so the error
+    P(L, x) - P(L, x_R) there is at most Delta_R(gamma_{i+1}) times the peak of
+    the Gamma(L) density on [x_R(gamma_i), x(gamma_{i+1})]. Below gamma_0 the
+    same holds on [0, x(gamma_0)], and above gamma_N the error is at most
+    Q(L, x_R(gamma_N)). The bound falls as R grows.
+    """
+    rho, eps, r0 = _algebraic_tail(model)
+    L, alpha = link.L, link.alpha
+    evaluator = PsiEvaluator(model, alpha)
+
+    def x_of(gamma):
+        return evaluator.value(gamma) + link.sigma2 * gamma
+
+    # the decades that bracket the two quantiles of x, within 10^(+-60)
+    decades = 10.0 ** np.arange(-60.0, 61.0)
+    x_dec = x_of(decades)
+    q = TRUNCATION_GRID_QUANTILE
+    lo = max(np.searchsorted(x_dec, scipy.special.gammaincinv(L, q), "right") - 1, 0)
+    hi = min(np.searchsorted(x_dec, scipy.special.gammainccinv(L, q)), decades.size - 1)
+    gamma = np.geomspace(decades[lo], decades[hi], TRUNCATION_GRID_PER_DECADE * (hi - lo) + 1)
+    x = x_of(gamma)
+
+    def bound(radius: float) -> float:
+        delta = model.beta * _outer_term(rho, eps, alpha, gamma, max(radius, r0))
+        if radius < r0:
+            # the polynomial part on (radius, r0]: the kernel is below 1
+            delta += model.cumulative_count(r0) - model.cumulative_count(radius)
+        x_r = np.maximum(x - delta, 0.0)
+        head = delta[0] * _gamma_density_peak(L, 0.0, x[0])
+        gaps = delta[1:] * _gamma_density_peak(L, x_r[:-1], x[1:])
+        top = regularized_upper_gamma(L, x_r[-1])
+        return float(max(head, gaps.max(initial=0.0), top))
+
+    return bound
+
+
+def truncation_cdf_bound(model: IntensityModel, link: LinkConfig, radius: float) -> float:
+    """Bound on the largest CDF error that truncating the disk at radius leaves.
+
+    The analytic CDF is F(gamma) = P(L, x) with x = psi(gamma) + sigma2*gamma
+    for any intensity, the one cut off at radius included, so a campaign on
+    the disk samples exactly P(L, x_R) with x_R = x - Delta_R, Delta_R being
+    the part of psi from beyond radius. This returns an upper bound on
+    sup over gamma > 0 of F - P(L, x_R): for algebraic tails from the exact
+    closed-form Delta_R on a log grid in gamma (see _truncation_error_bound);
+    for the other families the kernel is below 1, so Delta_R is at most the
+    mean count beyond radius and the bound is that count times the peak of
+    the Gamma(L) density (0.0 for a piecewise model cut at its support).
+    A bound above 1 says nothing, and is reported as 1.
+    """
+    if _algebraic_tail(model) is not None:
+        bound = _truncation_error_bound(model, link)(radius)
+    else:
+        beyond = mean_count(model, FULL_PLANE) - mean_count(model, DiskRegion(radius))
+        bound = max(beyond, 0.0) * float(_gamma_density_peak(link.L, 0.0, math.inf))
+    return min(bound, 1.0)
+
+
+def budget_truncation_radius(model: IntensityModel, link: LinkConfig, trials: int) -> float:
+    """Simulation disk radius sized by an error budget on the sampled CDF.
+
+    Algebraic-tail families (power law, polynomial with tail) take the
+    smallest R >= r0 (0 for the power law, R0 for the polynomial) at which
+    truncation_cdf_bound stays within TRUNCATION_KS_SHARE * 1.36 /
+    sqrt(trials), a hundredth of the 95% Kolmogorov-Smirnov critical value
+    of the campaign; the search bisects in log R over
+    TRUNCATION_RADIUS_RANGE down to a relative TRUNCATION_RADIUS_RTOL.
+    Piecewise models keep their exact support and Gaussian clusters 8v, as
+    in default_truncation_radius.
+    """
+    if not trials >= 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    fixed = _fixed_truncation_radius(model)
+    if fixed is not None:
+        return fixed
+    tail = _algebraic_tail(model)
+    if tail is None:
+        raise TypeError(f"unsupported model type: {type(model).__name__}")
+    r0 = tail[2]
+    budget = TRUNCATION_KS_SHARE * KS_CRITICAL_95 / math.sqrt(trials)
+    bound = _truncation_error_bound(model, link)
+
+    def fits(radius):
+        return bound(radius) <= budget
+
+    # bisection in log R between the smallest and the largest radius searched
+    lo, hi = max(r0, TRUNCATION_RADIUS_RANGE[0]), TRUNCATION_RADIUS_RANGE[1]
+    if fits(lo):
+        return lo
+    if not fits(hi):
+        raise ArithmeticError("truncation error never falls within its budget")
+    while hi > lo * (1.0 + TRUNCATION_RADIUS_RTOL):
+        mid = math.sqrt(lo * hi)
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -13,7 +13,13 @@ import pytest
 
 import sinrdist.distribution
 import sinrdist.simulator
-from sinrdist import GaussianCluster, PiecewisePowerLaw, PowerLaw
+from sinrdist import (
+    GaussianCluster,
+    LinkConfig,
+    PiecewisePowerLaw,
+    PowerLaw,
+    truncation_cdf_bound,
+)
 from sinrdist.cli import (
     ConfigError,
     main,
@@ -242,6 +248,20 @@ def test_workers_do_not_change_bytes(tmp_path):
     out2 = run_experiment(parse_config(json.dumps(cfg)))
     # the sim block differs (workers), the numbers must not
     assert out2.read_bytes() == serial
+
+
+def test_explicit_truncation_radius_is_honoured(tmp_path):
+    def sidecar(cfg):
+        return json.loads(sidecar_path(run_experiment(parse_config(json.dumps(cfg)))).read_text())
+
+    cfg = _cdf_config(tmp_path)
+    cfg["sim"] = {"trials": 20, "seed": 2}
+    assert sidecar(cfg)["truncation_radius"] != 250.0
+    cfg["sim"]["truncation_radius"] = 250.0
+    meta = sidecar(cfg)
+    assert meta["truncation_radius"] == meta["config"]["sim"]["truncation_radius"] == 250.0
+    model, link = PowerLaw(rho=0.023, eps=-0.5), LinkConfig(alpha=4.0, sigma2=1e-12, r_T=10.0, L=10)
+    assert meta["truncation_cdf_bound"] == truncation_cdf_bound(model, link, 250.0)
 
 
 def test_sidecar_round_trips(tmp_path):
@@ -477,6 +497,21 @@ def _pool_cdf_config(tmp_path):
 
 
 @needs_fork
+def test_power_law_campaign_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = _cdf_config(tmp_path)
+    cfg["sim"] = {"trials": 24, "seed": 5}
+    serial = run_experiment(parse_config(json.dumps(cfg)))
+    cfg["sim"]["workers"] = 2
+    cfg["output_path"] = str(tmp_path / "pooled.csv")
+    pooled = run_experiment(parse_config(json.dumps(cfg)))
+    assert pooled.read_bytes() == serial.read_bytes()
+    first, second = (json.loads(sidecar_path(p).read_text()) for p in (serial, pooled))
+    for key in ("truncation_radius", "truncation_cdf_bound", "ks_distance"):
+        assert first[key] == second[key]
+
+
+@needs_fork
 def test_main_worker_numerical_error_exits_2(tmp_path, capsys, monkeypatch):
     # no noise and fewer interferers than antennas: singular in every worker
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -516,6 +551,10 @@ def test_bundled_figures_reproduce_golden_bytes(tmp_path, name):
         argv += ["--trials", "800"]
     assert main(argv) == 0
     assert out.read_bytes() == golden.read_bytes()
+    # the sidecar's run summary too; "versions" depends on the host
+    meta, golden_meta = (json.loads(sidecar_path(p).read_text()) for p in (out, golden))
+    for key in ("truncation_radius", "ks_distance", "truncation_cdf_bound"):
+        assert meta.get(key) == golden_meta.get(key), key
 
 
 def test_main_seed_override_changes_samples(tmp_path):

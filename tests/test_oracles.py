@@ -1,26 +1,32 @@
 """Independent high-precision oracles (mpmath) for the special functions, the
-Gaussian-cluster panel rule and the MMSE combiner on near-singular
-covariances.
+Gaussian-cluster panel rule and sampler, the truncation budget and the MMSE
+combiner on near-singular covariances.
 
 mpmath is a test-only dependency: the whole module is skipped without it.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from sinrdist import (
     DEFAULT_QUADRATURE,
+    DiskRegion,
     GaussianCluster,
     LinkConfig,
+    PolynomialWithTail,
     PowerLaw,
     PsiEvaluator,
     SinrDistribution,
+    budget_truncation_radius,
     cdf_gamma,
     draw_channels,
     hyp2f1_first_unit,
     mmse_sinr,
     regularized_lower_gamma,
     regularized_upper_gamma,
+    sample_location,
     trial_rng,
 )
 
@@ -60,6 +66,102 @@ def test_gaussian_panel_route_matches_mpmath():
             got = PsiEvaluator(GaussianCluster(rho=1.0, v=v), alpha).value(gammas)
             ref = [_psi_gaussian_mpmath(v, alpha, g) for g in gammas]
             np.testing.assert_allclose(got, ref, rtol=rel_tol, atol=0.0, err_msg=f"v={v} alpha={alpha}")
+
+
+class _FixedUniforms:
+    """Generator stand-in whose radial uniforms u = 1 - random() are chosen."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def uniform(self, low, high, size):
+        return np.full(size, low)
+
+    def random(self, size):
+        return 1.0 - self.u[:size]
+
+
+def test_gaussian_sampler_near_origin_matches_mpmath():
+    """Radii drawn at u <= 1e-6 sit where the Maxwell radial CDF equals u."""
+    mp.mp.dps = 30
+    v, R = 500.0, 4000.0
+    rng = _FixedUniforms([1e-15, 1e-12, 1e-10, 1e-9, 1e-8, 1e-6])
+    u = 1.0 - rng.random(rng.u.size)  # the uniforms the sampler inverts
+    r, _ = sample_location(GaussianCluster(rho=1.0, v=v), DiskRegion(R), rng, size=u.size)
+
+    def maxwell_cdf(x):
+        return mp.gammainc(1.5, 0, mp.mpf(x) ** 2 / (2 * v**2), regularized=True)
+
+    ref = [float(maxwell_cdf(x) / maxwell_cdf(R)) for x in r]
+    np.testing.assert_allclose(ref, u, rtol=1e-12, atol=0.0)
+
+
+def _truncation_error_mpmath(model, link, psi, radius, gamma):
+    """P(L, x) - P(L, x - tail) at gamma, the tail of psi beyond radius by mpmath.quad.
+
+    psi is the untruncated functional at gamma (beta = 1 models only); the
+    tail integrates 2 pi rho r^(1+eps) gamma / (r^alpha + gamma) over (radius, inf).
+    """
+    if isinstance(model, PowerLaw):
+        rho, eps = model.rho, model.eps
+    else:
+        rho, eps = model.rho0, model.eps_tail
+    rho, eps, alpha, g = mp.mpf(rho), mp.mpf(eps), mp.mpf(link.alpha), mp.mpf(gamma)
+    knee = g ** (1 / alpha)
+
+    def integrand(r):
+        return 2 * mp.pi * rho * r ** (1 + eps) * g / (r**alpha + g)
+
+    edges = sorted({mp.mpf(radius), max(mp.mpf(radius), knee), 10 * max(mp.mpf(radius), knee)})
+    tail = mp.quad(integrand, [*edges, mp.inf])
+    x = mp.mpf(psi) + mp.mpf(link.sigma2) * g
+    L = link.L
+    return mp.gammainc(L, 0, x, regularized=True) - mp.gammainc(L, 0, x - tail, regularized=True)
+
+
+def _power_law_psi_mpmath(model, alpha, gamma):
+    c = (2 + mp.mpf(model.eps)) / alpha
+    return 2 * mp.pi**2 * model.rho / alpha * mp.mpf(gamma) ** c / mp.sin(mp.pi * c)
+
+
+FIELD_LINK = LinkConfig(alpha=4.0, sigma2=1e-12, r_T=10.0, L=10)
+TAIL_POLYNOMIAL = PolynomialWithTail(
+    coeffs=(0.005, 0.0), R0=110.0, rho0=0.005 * 110.0**1.5, eps_tail=-1.5
+)
+
+
+@pytest.mark.parametrize(
+    "model, trials",
+    [
+        (PowerLaw(rho=0.023, eps=-0.5), 60),
+        (PowerLaw(rho=0.023, eps=-0.5), 1000),
+        (PowerLaw(rho=0.023, eps=-0.5), 20000),
+        (TAIL_POLYNOMIAL, 1000),
+    ],
+    ids=["power_law-60", "power_law-1000", "power_law-20000", "polynomial-1000"],
+)
+def test_budget_truncation_radius_meets_its_budget(model, trials):
+    """At the budget radius the CDF error stays within 1% of 1.36/sqrt(trials),
+    and at 0.9 of it the error exceeds that budget."""
+    mp.mp.dps = 30
+    link = FIELD_LINK
+    budget = 0.01 * 1.36 / math.sqrt(trials)
+    R = budget_truncation_radius(model, link, trials)
+    evaluator = PsiEvaluator(model, link.alpha)
+
+    # the whole functional: mpmath's cosecant form for the power law, the
+    # polynomial's closed form (checked against quadrature elsewhere); the
+    # truncated part is always mpmath's integral
+    def psi(g):
+        if isinstance(model, PowerLaw):
+            return _power_law_psi_mpmath(model, link.alpha, g)
+        return evaluator.value(g)
+
+    gammas = np.geomspace(1e2, 1e10, 33)
+    errors = [_truncation_error_mpmath(model, link, psi(g), R, g) for g in gammas]
+    assert max(errors) <= budget
+    worst = float(gammas[np.argmax(errors)])
+    assert _truncation_error_mpmath(model, link, psi(worst), 0.9 * R, worst) > budget
 
 
 def test_lower_gamma_small_argument_matches_mpmath():

@@ -17,10 +17,12 @@ from sinrdist import (
     GaussianCluster,
     LinkConfig,
     PiecewisePowerLaw,
+    PolynomialWithTail,
     PowerLaw,
     PsiEvaluator,
     SimConfig,
     SinrDistribution,
+    budget_truncation_radius,
     cdf_gamma,
     default_truncation_radius,
     draw_channels,
@@ -33,6 +35,7 @@ from sinrdist import (
     run_trial,
     run_trials,
     trial_rng,
+    truncation_cdf_bound,
     DiskRegion,
 )
 
@@ -386,6 +389,27 @@ def test_dead_worker_is_a_child_process_error(monkeypatch):
         run_campaign(_small_sim(trials=8), workers=2)
 
 
+def test_gram_block_shrinks_with_the_antenna_count():
+    block = sinrdist.simulator._gram_block
+    assert [block(L) for L in (1, 4, 10, 16)] == [256] * 4
+    assert [block(L) for L in (17, 32, 64, 256, 1024)] == [226, 64, 16, 1, 1]
+    for L in (17, 32, 64, 256):
+        assert 2 * L * 2 * L * block(L) <= 262_144
+
+
+@needs_fork
+def test_wide_array_campaign_through_the_pool(monkeypatch):
+    """L = 32 takes 64-column Gram blocks; the pool gives the serial bytes."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    link = LinkConfig(alpha=3.0, sigma2=1e-10, r_T=20.0, L=32)
+    model = GaussianCluster.with_total_count(150.0, v=50.0)
+    sim = SimConfig(trials=6, truncation_radius=400.0, seed=8, link=link, model=model)
+    serial = run_trials(sim, workers=1)
+    pooled = run_trials(sim, workers=2)
+    assert [t.sinr for t in serial] == [t.sinr for t in pooled]
+    assert min(t.n_interferers for t in serial) > sinrdist.simulator._gram_block(32)
+
+
 def test_campaign_seed_sensitivity():
     a = run_campaign(_small_sim(seed=19))
     b = run_campaign(_small_sim(seed=20))
@@ -496,3 +520,52 @@ def test_truncation_validation():
         default_truncation_radius(model, 4.0, 1e4, tail_fraction=1.5)
     with pytest.raises(TypeError):
         default_truncation_radius(object(), 4.0, 1e4)
+
+
+# ---------------------------------------------------------------------------
+# budget truncation radius
+
+
+TAIL_POLYNOMIAL = PolynomialWithTail(
+    coeffs=(0.005, 0.0), R0=110.0, rho0=0.005 * 110.0**1.5, eps_tail=-1.5
+)
+
+
+@pytest.mark.parametrize("model", [FIELD_MODEL, TAIL_POLYNOMIAL], ids=["power_law", "polynomial"])
+def test_budget_radius_grows_with_the_trial_count(model):
+    radii = [budget_truncation_radius(model, FIELD_LINK, n) for n in (10, 100, 1000, 10_000)]
+    assert all(a < b for a, b in zip(radii, radii[1:]))
+    for n, R in zip((10, 100, 1000, 10_000), radii):
+        assert truncation_cdf_bound(model, FIELD_LINK, R) <= 0.01 * 1.36 / math.sqrt(n)
+
+
+def test_budget_radius_of_the_field_shape():
+    # far inside the radius the old rule gives for the grid maximum 1e8
+    R = budget_truncation_radius(FIELD_MODEL, FIELD_LINK, 1000)
+    assert 350.0 < R < 365.0
+    assert truncation_cdf_bound(FIELD_MODEL, FIELD_LINK, 1172.2876300701066) < 2.3e-5
+
+
+def test_budget_radius_keeps_the_fixed_rules():
+    piecewise = PiecewisePowerLaw(segments=((0.5, -0.5, 100.0), (0.2, -2.5, 1000.0)))
+    cluster = GaussianCluster(rho=1.0, v=500.0)
+    for model in (piecewise, cluster):
+        assert budget_truncation_radius(model, FIELD_LINK, 1000) == default_truncation_radius(
+            model, FIELD_LINK.alpha, 1e8
+        )
+    with pytest.raises(TypeError):
+        budget_truncation_radius(object(), FIELD_LINK, 1000)
+
+
+def test_truncation_cdf_bound_of_the_fixed_families():
+    peak = scipy.stats.gamma.pdf(FIELD_LINK.L - 1, FIELD_LINK.L)
+    piecewise = PiecewisePowerLaw(segments=((0.5, -0.5, 100.0), (0.2, -2.5, 1000.0)))
+    assert truncation_cdf_bound(piecewise, FIELD_LINK, 1000.0) == 0.0
+    beyond = piecewise.cumulative_count(1000.0) - piecewise.cumulative_count(300.0)
+    assert truncation_cdf_bound(piecewise, FIELD_LINK, 300.0) == pytest.approx(
+        min(1.0, peak * beyond), rel=1e-12
+    )
+    cluster = GaussianCluster(rho=1e-3, v=50.0)
+    beyond = cluster.total_count - cluster.cumulative_count(150.0)
+    bound = truncation_cdf_bound(cluster, FIELD_LINK, 150.0)
+    assert bound == pytest.approx(peak * beyond, rel=1e-9)
