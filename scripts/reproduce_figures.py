@@ -8,18 +8,19 @@ for a smoke run. The committed outputs/ were made with --trials 800.
 
 --check regenerates the figures into a temporary directory instead, with the
 Monte-Carlo runs at 800 trials, compares each CSV byte for byte with the one
-in outputs/ and the sidecar's truncation_radius, ks_distance and
-truncation_cdf_bound with the committed sidecar, and exits with status 1 if
-any differs.
+in outputs/ and each sidecar's text with the committed one (all but its
+"versions" block, which depends on the host), prints the first line that
+differs, and exits with status 1 if any run differs.
 
 Usage:
     python3 scripts/reproduce_figures.py [--only fig2 fig3] [--trials N] [--check]
 """
 
 import argparse
-import filecmp
+import itertools
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -34,14 +35,27 @@ FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5")
 SUMMARY_KEYS = ("count", "ks_distance", "sinr_limit_db", "mean_interferers")
 # Monte-Carlo trial count the committed outputs/ were generated with
 GOLDEN_TRIALS = 800
-# sidecar keys --check compares exactly ("versions" depends on the host)
-CHECKED_KEYS = ("truncation_radius", "ks_distance", "truncation_cdf_bound")
+# the sidecar's library versions, the one block --check does not compare
+VERSIONS_BLOCK = re.compile(r'"versions": \{[^}]*\}')
 
 
-def sidecar_mismatch(new_csv: Path, golden_csv: Path) -> list:
-    """The CHECKED_KEYS whose values differ between two runs' sidecars."""
-    new, golden = (json.loads(sidecar_path(p).read_text()) for p in (new_csv, golden_csv))
-    return [key for key in CHECKED_KEYS if new.get(key) != golden.get(key)]
+def first_difference(new: str, golden: str, label: str):
+    """The first line where two texts differ, as a printable report, or None."""
+    pairs = itertools.zip_longest(golden.splitlines(True), new.splitlines(True))
+    for number, (old, now) in enumerate(pairs, 1):
+        if old != now:
+            return f"{label} line {number}:\n  golden: {old!r}\n  new:    {now!r}"
+    return None
+
+
+def run_difference(new_csv: Path, golden_csv: Path):
+    """The first differing CSV line, else the first differing sidecar line, or None."""
+    csv_texts = (p.read_bytes().decode() for p in (new_csv, golden_csv))
+    meta_texts = (
+        VERSIONS_BLOCK.sub('"versions": {}', sidecar_path(p).read_text())
+        for p in (new_csv, golden_csv)
+    )
+    return first_difference(*csv_texts, "csv") or first_difference(*meta_texts, "sidecar")
 
 
 def run_one(name: str, trials, workers, root: Path = ROOT) -> int:
@@ -83,12 +97,9 @@ def check(names, workers) -> int:
             if code != 0:
                 return code
             rel = json.loads((ROOT / "configs" / f"{name}.json").read_text())["output_path"]
-            new, golden = Path(tmp) / rel, ROOT / rel
-            keys = sidecar_mismatch(new, golden)
-            if not filecmp.cmp(new, golden, shallow=False):
-                keys.insert(0, "csv")
-            if keys:
-                differ.append(f"{rel} ({', '.join(keys)})")
+            difference = run_difference(Path(tmp) / rel, ROOT / rel)
+            if difference:
+                differ.append(f"{rel}: {difference}")
     for entry in differ:
         print(f"DIFFERS: {entry}", file=sys.stderr)
     print(f"{len(names) - len(differ)} of {len(names)} runs identical to outputs/")

@@ -24,12 +24,14 @@ Exit codes: 0 success, 1 config/validation error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
+import functools
+import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +58,7 @@ from .intensity import (
     mean_count,
     sample_location,
 )
-from .interference import PsiEvaluator, psi_polynomial, psi_quadrature_radial
+from .interference import PsiEvaluator, psi_polynomial, psi_power_law, psi_quadrature_radial
 from .simulator import (
     SimConfig,
     budget_truncation_radius,
@@ -303,16 +305,11 @@ class ExperimentConfig:
         if self.model is not None:
             out["model"] = _model_to_dict(self.model)
         if self.link is not None:
-            out["link"] = {
-                "alpha": self.link.alpha,
-                "sigma2": self.link.sigma2,
-                "r_T": self.link.r_T,
-                "L": self.link.L,
-            }
+            out["link"] = dataclasses.asdict(self.link)
         if self.gamma_grid is not None:
-            out["gamma_grid"] = {"values": [float(g) for g in self.gamma_grid]}
+            out["gamma_grid"] = {"values": self.gamma_grid.tolist()}
         if self.eps_grid is not None:
-            out["eps_grid"] = {"values": [float(e) for e in self.eps_grid]}
+            out["eps_grid"] = {"values": self.eps_grid.tolist()}
         if self.L_values is not None:
             out["L_values"] = list(self.L_values)
         for key in ("tau", "q", "R_c", "mu", "R0", "region_radius"):
@@ -332,43 +329,20 @@ class ExperimentConfig:
             if self.workers != 1:
                 sim["workers"] = self.workers
             out["sim"] = sim
-        out["tolerances"] = {
-            "rel_tol": self.quad.rel_tol,
-            "abs_tol": self.quad.abs_tol,
-            "max_subdivisions": self.quad.max_subdivisions,
-        }
+        out["tolerances"] = dataclasses.asdict(self.quad)
         return out
 
 
+_FAMILY_NAMES = {
+    PowerLaw: "power_law",
+    PiecewisePowerLaw: "piecewise_power_law",
+    PolynomialWithTail: "polynomial_with_tail",
+    GaussianCluster: "gaussian_cluster",
+}
+
+
 def _model_to_dict(model: IntensityModel) -> dict:
-    if isinstance(model, PowerLaw):
-        return {
-            "family": "power_law",
-            "rho": model.rho,
-            "eps": model.eps,
-            "beta": model.beta,
-        }
-    if isinstance(model, PiecewisePowerLaw):
-        return {
-            "family": "piecewise_power_law",
-            "segments": [list(s) for s in model.segments],
-            "beta": model.beta,
-        }
-    if isinstance(model, PolynomialWithTail):
-        return {
-            "family": "polynomial_with_tail",
-            "coeffs": list(model.coeffs),
-            "R0": model.R0,
-            "rho0": model.rho0,
-            "eps_tail": model.eps_tail,
-            "beta": model.beta,
-        }
-    return {
-        "family": "gaussian_cluster",
-        "rho": model.rho,
-        "v": model.v,
-        "beta": model.beta,
-    }
+    return {"family": _FAMILY_NAMES[type(model)], **dataclasses.asdict(model)}
 
 
 _TOP_LEVEL_KEYS = {
@@ -573,6 +547,12 @@ def _sinr_scale(link: LinkConfig) -> float:
     return link.r_T ** (-link.alpha)
 
 
+def _db(values: np.ndarray) -> np.ndarray:
+    # math.log10, not np.log10: numpy's SIMD log10 differs from libm's in
+    # the last bit for a few percent of inputs, which would move the CSV
+    return np.array([10.0 * math.log10(x) for x in values.tolist()])
+
+
 def _analytic_sinr_cdf(dist: SinrDistribution):
     scale = _sinr_scale(dist.link)
     return lambda s: cdf_gamma(dist, s / scale)
@@ -619,63 +599,64 @@ def _run_distribution(config: ExperimentConfig, include_pdf: bool):
 
     gammas = config.gamma_grid
     sinr = gammas * scale
-    header = ["gamma", "sinr_db", "analytic_cdf"]
-    sinr_db = [10.0 * math.log10(x) for x in sinr.tolist()]
-    columns = [gammas, sinr_db, cdf_gamma(dist, gammas)]
+    columns = {
+        "gamma": gammas,
+        "sinr_db": _db(sinr),
+        "analytic_cdf": cdf_gamma(dist, gammas),
+    }
     if include_pdf:
-        header.append("analytic_pdf")
-        columns.append(pdf_gamma(dist, gammas))
+        columns["analytic_pdf"] = pdf_gamma(dist, gammas)
     if empirical is not None:
-        header.append("empirical_cdf")
-        columns.append(empirical.cdf(sinr))
-    return header, list(zip(*columns)), extra
-
-
-def _run_cdf(config):
-    return _run_distribution(config, include_pdf=False)
-
-
-def _run_pdf(config):
-    return _run_distribution(config, include_pdf=True)
+        columns["empirical_cdf"] = empirical.cdf(sinr)
+    return columns, extra
 
 
 def _run_outage_sweep(config: ExperimentConfig):
     # rho re-solved at each exponent so the mean count over the radius-R_c
-    # disk stays at mu: rho(eps) = mu * (2 + eps) / (2 pi R_c^(2+eps))
+    # disk stays at mu: rho(eps) = mu * (2 + eps) / (2 pi R_c^(2+eps)).
+    # R_c ** p by Python's pow: numpy's SIMD pow differs from libm's in the
+    # last bit for a few percent of inputs.
     link = config.link
     gamma = config.tau * link.r_T**link.alpha
-    rows = []
-    for eps in config.eps_grid:
-        eps = float(eps)
-        rho = config.mu * (2.0 + eps) / (TWO_PI * config.R_c ** (2.0 + eps))
-        model = PowerLaw(rho=rho, eps=eps)
-        evaluator = PsiEvaluator(model, link.alpha, config.quad)
-        # the outage is the CDF at gamma, P(L, psi + sigma2*gamma): psi is
-        # shared by every antenna count, so one P call covers them all
-        x = evaluator.value(gamma) + link.sigma2 * gamma
-        outage = regularized_lower_gamma(np.asarray(config.L_values), x)
-        rows += [[eps, L, rho, p] for L, p in zip(config.L_values, outage)]
-    return ["epsilon", "L", "rho_adjusted", "outage"], rows, {}
+    eps = config.eps_grid
+    disk = np.array([config.R_c**p for p in (2.0 + eps).tolist()])
+    rho = config.mu * (2.0 + eps) / (TWO_PI * disk)
+    # the outage is the CDF at gamma, P(L, psi + sigma2*gamma), over the
+    # (eps, L) grid: one psi call for every eps, one P call for the grid
+    x = psi_power_law(rho, eps, link.alpha, gamma) + link.sigma2 * gamma
+    L = np.asarray(config.L_values)
+    outage = regularized_lower_gamma(L[None, :], x[:, None])
+    return {
+        "epsilon": np.repeat(eps, L.size),
+        "L": np.tile(L, eps.size),
+        "rho_adjusted": np.repeat(rho, L.size),
+        "outage": outage.ravel(),
+    }, {}
 
 
 def _run_scaling(config: ExperimentConfig):
     link = config.link
     nominal = config.model
     limit = scaling_limit(nominal, config.q, link.alpha, link.r_T, config.quad)
-    rows = []
+    cdfs = []
     for L in config.L_values:
-        beta = config.q * L
-        model = dataclasses.replace(nominal, beta=nominal.beta * beta)
+        model = dataclasses.replace(nominal, beta=nominal.beta * (config.q * L))
         evaluator = PsiEvaluator(model, link.alpha, config.quad)
         dist = SinrDistribution(evaluator, dataclasses.replace(link, L=L))
-        cdf = cdf_gamma(dist, config.gamma_grid)
-        rows += [[L, beta, g, c] for g, c in zip(config.gamma_grid, cdf)]
+        cdfs.append(cdf_gamma(dist, config.gamma_grid))
+    L = np.asarray(config.L_values)
+    n = config.gamma_grid.size
     extra = {
         "sinr_limit": limit,
         "sinr_limit_db": 10.0 * math.log10(limit),
         "q": config.q,
     }
-    return ["L", "beta", "gamma", "cdf"], rows, extra
+    return {
+        "L": np.repeat(L, n),
+        "beta": np.repeat(config.q * L, n),
+        "gamma": np.tile(config.gamma_grid, L.size),
+        "cdf": np.concatenate(cdfs),
+    }, extra
 
 
 def _require_quantile(dist: SinrDistribution, p_hi: float) -> None:
@@ -698,11 +679,10 @@ def _run_simulate(config: ExperimentConfig):
     if config.truncation_radius is None:
         _require_quantile(dist, 1.0 - min(1e-4, 1.0 / (10.0 * config.trials)))
     empirical, extra = _run_sim(config, dist)
-    rows = [[s, 10.0 * math.log10(s)] for s in empirical.samples]
     extra["mean_interferers"] = mean_count(
         config.model, DiskRegion(config.truncation_radius)
     )
-    return ["sinr", "sinr_db"], rows, extra
+    return {"sinr": empirical.samples, "sinr_db": _db(empirical.samples)}, extra
 
 
 def _run_fit_poly(config: ExperimentConfig):
@@ -721,22 +701,21 @@ def _run_fit_poly(config: ExperimentConfig):
         return regularized_lower_gamma(link.L, psi + link.sigma2 * g)
 
     ref = np.asarray([reference_cdf(float(g)) for g in config.gamma_grid])
-    rows = []
-    fits = {}
+    residuals, sup_errors, fits = [], [], {}
     for m in config.degrees:
         coeffs, residual = fit_polynomial(profile, m, R0)
         psi = psi_polynomial(coeffs, R0, rho0, eps_tail, link.alpha, config.gamma_grid)
         # low-degree fits can dip a hair negative at tiny gamma
         x = np.maximum(0.0, psi + link.sigma2 * config.gamma_grid)
         approx = regularized_lower_gamma(link.L, x)
-        sup_error = float(np.max(np.abs(approx - ref)))
-        rows.append([m, residual, sup_error])
-        fits[str(m)] = [float(a) for a in coeffs]
-    return (
-        ["degree", "fit_sup_residual", "cdf_sup_error"],
-        rows,
-        {"fitted_coefficients": fits},
-    )
+        residuals.append(residual)
+        sup_errors.append(np.max(np.abs(approx - ref)))
+        fits[str(m)] = coeffs
+    return {
+        "degree": np.asarray(config.degrees),
+        "fit_sup_residual": np.asarray(residuals, dtype=float),
+        "cdf_sup_error": np.asarray(sup_errors, dtype=float),
+    }, {"fitted_coefficients": fits}
 
 
 def _run_sample_points(config: ExperimentConfig):
@@ -744,17 +723,16 @@ def _run_sample_points(config: ExperimentConfig):
     rng = trial_rng(config.seed, 0)
     mu = mean_count(config.model, region)
     n = int(rng.poisson(mu)) if mu > 0 else 0
-    rows = []
+    r = theta = np.empty(0)
     if n > 0:
         r, theta = sample_location(config.model, region, rng, size=n)
-        rows = [[ri * math.cos(ti), ri * math.sin(ti)] for ri, ti in zip(r, theta)]
     extra = {"mean_count": mu, "count": n, "seed": config.seed}
-    return ["x", "y"], rows, extra
+    return {"x": r * np.cos(theta), "y": r * np.sin(theta)}, extra
 
 
 _RUNNERS = {
-    "cdf": _run_cdf,
-    "pdf": _run_pdf,
+    "cdf": functools.partial(_run_distribution, include_pdf=False),
+    "pdf": functools.partial(_run_distribution, include_pdf=True),
     "outage-sweep": _run_outage_sweep,
     "scaling": _run_scaling,
     "simulate": _run_simulate,
@@ -767,32 +745,48 @@ _RUNNERS = {
 # output
 
 
-def _format_field(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+# Rows rendered per %-format call, which bounds the text held at once.
+CSV_CHUNK_ROWS = 4096
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(path: Path, columns: dict) -> None:
+    """Write named, equal-length columns as CSV.
+
+    Integer columns print with %d and float columns with %.17g, which
+    round-trips every double; the header and the \r\n line ends are what
+    csv.writer writes.
+    """
+    arrays = [np.asarray(col) for col in columns.values()]
+    line = ",".join("%d" if a.dtype.kind in "iu" else "%.17g" for a in arrays) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_field(v) for v in row])
+        fh.write(",".join(columns) + "\r\n")
+        for start in range(0, len(arrays[0]), CSV_CHUNK_ROWS):
+            chunk = [a[start : start + CSV_CHUNK_ROWS].tolist() for a in arrays]
+            fh.write(line * len(chunk[0]) % tuple(itertools.chain.from_iterable(zip(*chunk))))
 
 
-def _jsonable(value):
+def _json_text(value, pad: str = "") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), taking numpy scalars and
+    arrays as the Python values they hold; a list of floats is one join."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return json.dumps(value)
+    inner = pad + "  "
+    sep = ",\n" + inner
     if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
+        items = (
+            f"{encode_basestring_ascii(k)}: {_json_text(value[k], inner)}" for k in sorted(value)
+        )
+        return "{\n" + inner + sep.join(items) + "\n" + pad + "}"
+    if all(type(v) is float for v in value):
+        body = sep.join(map(float.__repr__, value))
+        # json's spellings of nan and +-inf; no finite repr contains an "n"
+        if "n" in body:
+            body = body.replace("nan", "NaN").replace("inf", "Infinity")
+    else:
+        body = sep.join(_json_text(v, inner) for v in value)
+    return "[\n" + inner + body + "\n" + pad + "]"
 
 
 def sidecar_path(output_path) -> Path:
@@ -801,9 +795,9 @@ def sidecar_path(output_path) -> Path:
 
 def run_experiment(config: ExperimentConfig) -> Path:
     """Execute one experiment: write the CSV and its metadata sidecar."""
-    header, rows, extra = _RUNNERS[config.kind](config)
+    columns, extra = _RUNNERS[config.kind](config)
     out = Path(config.output_path)
-    _write_csv(out, header, rows)
+    _write_csv(out, columns)
     meta = {
         "config": config.resolved(),
         "seed": config.seed,
@@ -814,9 +808,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
         },
     }
     meta.update(extra)
-    with open(sidecar_path(out), "w") as fh:
-        json.dump(_jsonable(meta), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    sidecar_path(out).write_text(_json_text(meta) + "\n")
     return out
 
 

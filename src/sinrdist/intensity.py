@@ -50,12 +50,15 @@ TWO_PI = 2.0 * math.pi
 NONNEGATIVITY_GRID = 1024
 # Knot count of the tabulated inverse radial CDF used by table-driven samplers.
 INVERSE_CDF_KNOTS = 4096
-# Below the CDF value at this knot of its table a Gaussian-cluster radius is
-# drawn by the exact inverse. Near the origin the radius goes like u^(1/3),
-# which the cubic table follows badly: on the default 8v disk it is 24% off at
-# u = 1e-9, and above knot 32 its relative error is still 1.9e-7, while above
-# knot 64 (u = 5.2e-4 there) it is at most 1.3e-8, whatever the disk radius.
-GAUSSIAN_EXACT_KNOTS = 64
+# Below the CDF value at this knot of its table a Gaussian-cluster or
+# polynomial radius is drawn by the exact inverse. Near the origin the radius
+# goes like u^(1/3) or u^(1/2), which the cubic table follows badly: 24% and
+# 91% off at u = 1e-9 on the 8v disk and for a0 = 0.005 on R = 400, while
+# above knot 64 (u = 5.2e-4 and 7.0e-4 there) at most 1.3e-8 and 3.0e-8.
+EXACT_INVERSE_KNOTS = 64
+# Step cap of the exact polynomial inverse, and the relative step it stops at.
+POLYNOMIAL_NEWTON_STEPS = 60
+NEWTON_RTOL = 4.0 * np.finfo(float).eps
 # Beyond this degree the monomial representation is too ill-conditioned.
 FIT_DEGREE_CAP = 30
 # Sampling truncation, in units of v, when a Gaussian cluster is drawn over the
@@ -445,14 +448,35 @@ def _maxwell_radii(v: float, r_max: float, u: np.ndarray) -> np.ndarray:
     return v * np.sqrt(2.0 * scipy.special.gammaincinv(1.5, u * mass))
 
 
+def _polynomial_radii(model: PolynomialWithTail, r_max: float, u, guess) -> np.ndarray:
+    """Exact inverse radial CDF of a polynomial profile on [0, r_max]: Newton
+    steps from the table's guess in (log r, log cumulative_count), exact for a
+    pure power of r, bisecting the bracket round the root where one leaves it."""
+    target = u * model.cumulative_count(r_max)
+    lo, hi = np.zeros_like(u), np.full_like(u, r_max)
+    r = guess
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(POLYNOMIAL_NEWTON_STEPS):
+            mass = model.cumulative_count(r)
+            lo = np.where(mass < target, r, lo)
+            hi = np.where(mass > target, r, hi)
+            slope = TWO_PI * r * r * model.radial_intensity(r) / mass
+            step = r * np.exp(np.log(target / mass) / slope)
+            done = np.abs(step - r) <= NEWTON_RTOL * r
+            if done.all():
+                return step
+            r = np.where(done | ((lo < step) & (step < hi)), step, 0.5 * (lo + hi))
+    return r
+
+
 def sample_location(model: IntensityModel, region: DiskRegion, rng, size=None):
     """Draw point locations (r, theta) from the normalized intensity.
 
     theta is uniform on [0, 2*pi); r follows the radial marginal, inverted
     analytically for the power-law families and through a precomputed
-    4096-knot inverse-CDF table for the polynomial and Gaussian ones (the
-    Gaussian draws below the table's GAUSSIAN_EXACT_KNOTS-th knot take the
-    exact inverse instead). Pass size=None for one (float, float) pair, or
+    4096-knot inverse-CDF table for the polynomial and Gaussian ones (their
+    draws below the table's EXACT_INVERSE_KNOTS-th knot take the exact
+    inverse instead). Pass size=None for one (float, float) pair, or
     an integer for arrays.
 
     rng must be an exclusive numpy Generator (one per thread).
@@ -479,10 +503,12 @@ def sample_location(model: IntensityModel, region: DiskRegion, rng, size=None):
         table = _inverse_cdf_table(model, float(r_max))
         x = table.x
         r = np.asarray(table(np.clip(u, x[0], x[-1])), dtype=float)
-        if isinstance(model, GaussianCluster):
-            near = u < x[GAUSSIAN_EXACT_KNOTS]
-            if near.any():
+        near = u < x[EXACT_INVERSE_KNOTS]
+        if near.any():
+            if isinstance(model, GaussianCluster):
                 r[near] = _maxwell_radii(model.v, r_max, u[near])
+            else:
+                r[near] = _polynomial_radii(model, r_max, u[near], r[near])
 
     if size is None:
         return float(r[0]), float(theta[0])

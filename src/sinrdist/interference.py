@@ -270,23 +270,29 @@ def _psi_panels(model, alpha: float, gamma: np.ndarray, spec: QuadratureSpec, de
     return values
 
 
-def psi_power_law(rho: float, eps: float, alpha: float, gamma):
+def psi_power_law(rho, eps, alpha: float, gamma):
     """Closed form for the unbounded power law rho * r**eps.
 
     psi(gamma) = (2 pi^2 rho / alpha) * gamma^((eps+2)/alpha) / sin(pi (eps+2)/alpha),
     valid for -2 < eps < alpha - 2 (the open constraint keeps the cosecant
-    away from its poles).
+    away from its poles). rho and eps may be arrays too, broadcast against
+    gamma; the result is a float only when all three are scalars.
     """
     _check_alpha(alpha)
-    g, scalar, gp = _gamma_array(gamma)
-    if not rho >= 0:
+    g, _, gp = _gamma_array(gamma)
+    rho, eps = np.asarray(rho, dtype=float), np.asarray(eps, dtype=float)
+    if not np.all(rho >= 0):
         raise ValueError(f"rho must be >= 0, got {rho}")
-    if not -2.0 < eps < alpha - 2.0:
+    if not np.all((-2.0 < eps) & (eps < alpha - 2.0)):
         raise DivergenceError(
             f"power-law interference requires -2 < eps < alpha - 2, got eps={eps}"
         )
     c = (eps + 2.0) / alpha
-    return _finish(g, scalar, (2.0 * math.pi**2 * rho / alpha) * gp**c / math.sin(math.pi * c))
+    # numpy takes x ** 0.5 as sqrt(x) for a scalar exponent only; c = 1/2
+    # entries use sqrt too, so a point's value does not depend on its batch
+    power = np.where(c == 0.5, np.sqrt(gp), gp**c)
+    out = _finish(g, False, (2.0 * math.pi**2 * rho / alpha) * power / np.sin(math.pi * c))
+    return float(out) if out.ndim == 0 else out
 
 
 def _disk_term(rho: float, eps: float, alpha: float, gamma, radius: float):

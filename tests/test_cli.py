@@ -6,10 +6,13 @@ import json
 import math
 import multiprocessing
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sinrdist.distribution
 import sinrdist.simulator
@@ -18,10 +21,15 @@ from sinrdist import (
     LinkConfig,
     PiecewisePowerLaw,
     PowerLaw,
+    PsiEvaluator,
+    regularized_lower_gamma,
     truncation_cdf_bound,
 )
 from sinrdist.cli import (
+    CSV_CHUNK_ROWS,
     ConfigError,
+    _json_text,
+    _write_csv,
     main,
     parse_config,
     run_experiment,
@@ -304,6 +312,34 @@ def test_run_outage_sweep(tmp_path):
     assert by_key[(-0.5, 4.0)][3] > 10.0 * by_key[(0.0, 4.0)][3]
 
 
+def test_outage_sweep_batch_matches_scalar_route(tmp_path):
+    """The (eps x L) batch writes, bit for bit, what one PsiEvaluator and one
+    P(L, x) call per eps give; eps = 0 at alpha = 4 is numpy's sqrt path."""
+    eps_values = [-1.9, -1.5, -1.0, -0.5, -0.25, 0.0, 0.3, 1.0, 1.5, 1.95]
+    L_values = [1, 2, 3, 4, 8, 12, 16]
+    link = {"alpha": 4.0, "sigma2": 1e-12, "r_T": 5.0, "L": 1}
+    tau, R_c, mu = 10.0, 1000.0, 3142.0
+    cfg = {
+        "experiment": "outage-sweep",
+        "link": link,
+        "tau": tau,
+        "R_c": R_c,
+        "mu": mu,
+        "eps_grid": {"values": eps_values},
+        "L_values": L_values,
+        "output_path": str(tmp_path / "outage.csv"),
+    }
+    _, rows = _read_csv(run_experiment(parse_config(json.dumps(cfg))))
+    gamma = tau * link["r_T"] ** link["alpha"]
+    expected = []
+    for eps in eps_values:
+        rho = mu * (2.0 + eps) / (2.0 * math.pi * R_c ** (2.0 + eps))
+        psi = PsiEvaluator(PowerLaw(rho=rho, eps=eps), link["alpha"]).value(gamma)
+        outage = regularized_lower_gamma(np.asarray(L_values), psi + link["sigma2"] * gamma)
+        expected += [[eps, L, rho, p] for L, p in zip(L_values, outage.tolist())]
+    assert rows == expected
+
+
 def test_outage_sweep_eps_grid_bounds(tmp_path):
     cfg = {
         "experiment": "outage-sweep",
@@ -401,6 +437,105 @@ def test_run_sample_points(tmp_path):
     meta = json.loads(sidecar_path(out).read_text())
     assert meta["count"] == len(rows)
     assert meta["mean_count"] == pytest.approx(mu, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# output writers against the standard library paths they replace
+
+
+def _plain(value):
+    """numpy scalars and arrays as the Python values json.dumps accepts."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [_plain(v) for v in value.tolist()]
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    return value
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    _FLOATS,
+    st.text(),  # non-ASCII too: json escapes it as \uXXXX
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    _FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.lists(_FLOATS).map(np.array),
+    st.lists(st.integers(-(2**63), 2**63 - 1)).map(lambda v: np.array(v, dtype=np.int64)),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(_FLOATS),  # the all-float fast path
+        st.lists(inner).map(tuple),
+        st.dictionaries(st.text(), inner),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(deadline=None)
+@given(_JSON_VALUES)
+def test_sidecar_encoder_matches_json_dumps(value):
+    assert _json_text(value) == json.dumps(_plain(value), indent=2, sort_keys=True)
+
+
+def test_sidecar_encoder_fixed_cases():
+    meta = {
+        "b": [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324],
+        "a": {},
+        "c": [],
+        "d": "\u00e9\U0001f600",
+    }
+    assert _json_text(meta) == json.dumps(meta, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        _json_text({"x": object()})
+
+
+def _csv_reference(path, header, rows):
+    """The csv.writer path, one format(.17g) or str(int) per field."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                [
+                    str(int(v)) if isinstance(v, (int, np.integer)) else format(float(v), ".17g")
+                    for v in row
+                ]
+            )
+
+
+def test_csv_writer_matches_csv_module(tmp_path):
+    n = 2 * CSV_CHUNK_ROWS + 7
+    rng = np.random.default_rng(5)
+    # every bit pattern: subnormals, nans and infinities included
+    bits = rng.integers(0, 2**64, size=n, dtype=np.uint64).view(np.float64)
+    special = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308, 0.1]
+    bits[: len(special)] = special
+    columns = {
+        "L": rng.integers(-(2**62), 2**62, size=n),
+        "value": bits,
+        "gamma": np.geomspace(1e-300, 1e300, n),
+        "count": np.arange(n, dtype=np.int32),
+    }
+    _write_csv(tmp_path / "new.csv", columns)
+    _csv_reference(tmp_path / "old.csv", list(columns), zip(*columns.values()))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    # no rows: the header alone
+    empty = {"x": np.empty(0), "y": np.empty(0)}
+    _write_csv(tmp_path / "empty.csv", empty)
+    _csv_reference(tmp_path / "old_empty.csv", list(empty), [])
+    assert (tmp_path / "empty.csv").read_bytes() == (tmp_path / "old_empty.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -551,10 +686,20 @@ def test_bundled_figures_reproduce_golden_bytes(tmp_path, name):
         argv += ["--trials", "800"]
     assert main(argv) == 0
     assert out.read_bytes() == golden.read_bytes()
-    # the sidecar's run summary too; "versions" depends on the host
-    meta, golden_meta = (json.loads(sidecar_path(p).read_text()) for p in (out, golden))
-    for key in ("truncation_radius", "ks_distance", "truncation_cdf_bound"):
-        assert meta.get(key) == golden_meta.get(key), key
+    # the whole sidecar text too, but for the host's library versions and the
+    # output path, which points into tmp_path here
+    masks = (
+        (r'"versions": \{[^}]*\}', '"versions": {}'),
+        (r'"output_path": "[^"]*"', '"output_path": ""'),
+    )
+    texts = []
+    for path in (out, golden):
+        text = sidecar_path(path).read_text()
+        for pattern, blank in masks:
+            text, count = re.subn(pattern, blank, text)
+            assert count == 1, pattern
+        texts.append(text)
+    assert texts[0] == texts[1]
 
 
 def test_main_seed_override_changes_samples(tmp_path):

@@ -79,6 +79,11 @@ def test_power_law_validation():
         psi_power_law(1.0, 0.0, 2.0, 1.0)  # alpha must exceed 2
     with pytest.raises(DivergenceError):
         psi_quadrature(PowerLaw(rho=1.0, eps=2.1), 4.0, 1.0)
+    # arrays of rho and eps are checked entry by entry
+    with pytest.raises(DivergenceError):
+        psi_power_law(1.0, np.array([0.0, 2.0]), 4.0, 1.0)
+    with pytest.raises(ValueError):
+        psi_power_law(np.array([1.0, -1.0]), 0.0, 4.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

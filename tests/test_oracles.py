@@ -1,6 +1,7 @@
-"""Independent high-precision oracles (mpmath) for the special functions, the
-Gaussian-cluster panel rule and sampler, the truncation budget and the MMSE
-combiner on near-singular covariances.
+"""Independent high-precision oracles (mpmath, and a brentq root) for the
+special functions, the Gaussian-cluster panel rule, the Gaussian and
+polynomial samplers, the truncation budget and the MMSE combiner on
+near-singular covariances.
 
 mpmath is a test-only dependency: the whole module is skipped without it.
 """
@@ -94,6 +95,27 @@ def test_gaussian_sampler_near_origin_matches_mpmath():
 
     ref = [float(maxwell_cdf(x) / maxwell_cdf(R)) for x in r]
     np.testing.assert_allclose(ref, u, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "coeffs, rho0",  # profiles continuous at R0 = 110
+    [((0.005, 0.0), 0.005 * 110**1.5), ((0.0, 1e-4), 1e-4 * 110**2.5)],
+)
+def test_polynomial_sampler_near_origin_matches_root(coeffs, rho0):
+    """Radii drawn at u <= 1e-9 sit at the root of the closed-form count."""
+    from scipy.optimize import brentq
+
+    R = 400.0
+    model = PolynomialWithTail(coeffs=coeffs, R0=110.0, rho0=rho0, eps_tail=-1.5)
+    rng = _FixedUniforms([1e-15, 1e-12, 1e-10, 1e-9])
+    u = 1.0 - rng.random(rng.u.size)  # the uniforms the sampler inverts
+    r, _ = sample_location(model, DiskRegion(R), rng, size=u.size)
+    total = model.cumulative_count(R)
+    roots = [
+        brentq(lambda x: model.cumulative_count(x) - ui * total, 0.0, R, xtol=1e-300, rtol=1e-15)
+        for ui in u
+    ]
+    np.testing.assert_allclose(r, roots, rtol=1e-12, atol=0.0)
 
 
 def _truncation_error_mpmath(model, link, psi, radius, gamma):
