@@ -48,12 +48,13 @@ from .distribution import (
 )
 from .intensity import (
     TWO_PI,
+    ConfigError,
     DiskRegion,
-    GaussianCluster,
+    DivergenceError,
     IntensityModel,
-    PiecewisePowerLaw,
-    PolynomialWithTail,
-    PowerLaw,
+    _check_keys,
+    _number,
+    _require_object,
     fit_polynomial,
     mean_count,
     sample_location,
@@ -86,35 +87,8 @@ KINDS = (
 )
 
 
-class ConfigError(ValueError):
-    """A configuration document failed validation."""
-
-
 # ---------------------------------------------------------------------------
 # config parsing
-
-
-def _require_object(raw, where):
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {type(raw).__name__}")
-
-
-def _check_keys(raw, where, required, optional=()):
-    _require_object(raw, where)
-    allowed = set(required) | set(optional)
-    for key in raw:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{key}' in {where}")
-    for key in required:
-        if key not in raw:
-            raise ConfigError(f"missing key '{key}' in {where}")
-
-
-def _number(raw, key, where):
-    value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"'{key}' in {where} must be a number, got {value!r}")
-    return float(value)
 
 
 def _integer(raw, key, where):
@@ -134,78 +108,6 @@ def _int_list(raw, key, where):
             raise ConfigError(f"'{key}' in {where} must contain only integers")
         out.append(int(item))
     return tuple(out)
-
-
-def _parse_model(raw, where="model") -> IntensityModel:
-    _require_object(raw, where)
-    family = raw.get("family")
-    if family is None:
-        raise ConfigError(f"missing key 'family' in {where}")
-    try:
-        if family == "power_law":
-            _check_keys(raw, where, ("family", "rho", "eps"), ("beta",))
-            return PowerLaw(
-                rho=_number(raw, "rho", where),
-                eps=_number(raw, "eps", where),
-                beta=_number(raw, "beta", where) if "beta" in raw else 1.0,
-            )
-        if family == "piecewise_power_law":
-            _check_keys(raw, where, ("family", "segments"), ("beta",))
-            segs = raw["segments"]
-            if not isinstance(segs, list) or not segs:
-                raise ConfigError(
-                    f"'segments' in {where} must be a nonempty list of "
-                    "[rho, eps, R] triples"
-                )
-            triples = []
-            for i, seg in enumerate(segs):
-                if not isinstance(seg, list) or len(seg) != 3:
-                    raise ConfigError(
-                        f"segment {i} in {where} must be a [rho, eps, R] triple"
-                    )
-                triples.append(tuple(float(x) for x in seg))
-            return PiecewisePowerLaw(
-                segments=tuple(triples),
-                beta=_number(raw, "beta", where) if "beta" in raw else 1.0,
-            )
-        if family == "polynomial_with_tail":
-            _check_keys(
-                raw, where, ("family", "coeffs", "R0", "rho0", "eps_tail"), ("beta",)
-            )
-            coeffs = raw["coeffs"]
-            if not isinstance(coeffs, list) or not coeffs:
-                raise ConfigError(f"'coeffs' in {where} must be a nonempty list")
-            return PolynomialWithTail(
-                coeffs=tuple(float(a) for a in coeffs),
-                R0=_number(raw, "R0", where),
-                rho0=_number(raw, "rho0", where),
-                eps_tail=_number(raw, "eps_tail", where),
-                beta=_number(raw, "beta", where) if "beta" in raw else 1.0,
-            )
-        if family == "gaussian_cluster":
-            _check_keys(raw, where, ("family", "v"), ("rho", "total_count", "beta"))
-            has_rho, has_total = "rho" in raw, "total_count" in raw
-            if has_rho == has_total:
-                raise ConfigError(
-                    f"{where} needs exactly one of 'rho' or 'total_count'"
-                )
-            beta = _number(raw, "beta", where) if "beta" in raw else 1.0
-            if has_total:
-                return GaussianCluster.with_total_count(
-                    _number(raw, "total_count", where),
-                    _number(raw, "v", where),
-                    beta=beta,
-                )
-            return GaussianCluster(
-                rho=_number(raw, "rho", where),
-                v=_number(raw, "v", where),
-                beta=beta,
-            )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {where}: {exc}") from exc
-    raise ConfigError(f"unknown model family {family!r} in {where}")
 
 
 def _parse_link(raw, where="link") -> LinkConfig:
@@ -303,7 +205,7 @@ class ExperimentConfig:
         """Canonical JSON-ready form; reparsing it reproduces this experiment."""
         out = {"experiment": self.kind, "output_path": str(self.output_path)}
         if self.model is not None:
-            out["model"] = _model_to_dict(self.model)
+            out["model"] = self.model.to_dict()
         if self.link is not None:
             out["link"] = dataclasses.asdict(self.link)
         if self.gamma_grid is not None:
@@ -331,18 +233,6 @@ class ExperimentConfig:
             out["sim"] = sim
         out["tolerances"] = dataclasses.asdict(self.quad)
         return out
-
-
-_FAMILY_NAMES = {
-    PowerLaw: "power_law",
-    PiecewisePowerLaw: "piecewise_power_law",
-    PolynomialWithTail: "polynomial_with_tail",
-    GaussianCluster: "gaussian_cluster",
-}
-
-
-def _model_to_dict(model: IntensityModel) -> dict:
-    return {"family": _FAMILY_NAMES[type(model)], **dataclasses.asdict(model)}
 
 
 _TOP_LEVEL_KEYS = {
@@ -426,7 +316,7 @@ def parse_config(source, kind=None, overrides=None) -> ExperimentConfig:
     if "tolerances" in raw:
         config.quad = _parse_tolerances(raw["tolerances"])
     if "model" in raw:
-        config.model = _parse_model(raw["model"])
+        config.model = IntensityModel.from_dict(raw["model"])
     if "link" in raw:
         config.link = _parse_link(raw["link"])
     if "gamma_grid" in raw:
@@ -511,16 +401,11 @@ def _validate_semantics(config: ExperimentConfig) -> None:
         raise ConfigError(
             f"'region_radius' must be positive and finite, got {config.region_radius}"
         )
-    if (
-        config.kind in ("cdf", "pdf", "scaling", "simulate")
-        and isinstance(config.model, PowerLaw)
-        and config.link is not None
-        and not config.model.eps < config.link.alpha - 2.0
-    ):
-        raise ConfigError(
-            "power-law interference is finite only for eps < alpha - 2; got "
-            f"eps={config.model.eps} with alpha={config.link.alpha}"
-        )
+    if config.kind in ("cdf", "pdf", "scaling", "simulate"):
+        try:
+            config.model.check_alpha(config.link.alpha)
+        except DivergenceError as exc:
+            raise ConfigError(str(exc)) from exc
     if config.kind == "outage-sweep" and config.link is not None:
         lo = float(config.eps_grid[0])
         hi = float(config.eps_grid[-1])

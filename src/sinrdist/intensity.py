@@ -10,6 +10,10 @@ Each model carries a universal scale factor beta (the effective intensity is
 beta times the nominal profile), which is how interferer density is swept
 without touching the shape parameters.
 
+Everything that depends on the family lives on its class (see
+IntensityModel). The raw closed forms of psi sit beside the families; they
+take nominal parameters, so a coefficient set needs no model object.
+
 Models are frozen, hashable dataclasses. The table-driven samplers cache their
 precomputed inverse-CDF tables per (model, radius) pair, so model objects stay
 immutable and safely shareable across threads.
@@ -17,31 +21,37 @@ immutable and safely shareable across threads.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.special
 from scipy.interpolate import PchipInterpolator
 
-from .specfun import _as_array
+from .specfun import _as_array, hyp2f1_first_unit
 
 __all__ = [
+    "ConfigError",
     "DivergenceError",
     "DiskRegion",
     "FULL_PLANE",
+    "FAMILIES",
+    "IntensityModel",
     "PowerLaw",
     "PiecewisePowerLaw",
     "PolynomialWithTail",
     "GaussianCluster",
-    "IntensityModel",
     "mean_count",
     "location_pdf",
     "sample_location",
     "fit_polynomial",
+    "psi_power_law",
+    "psi_piecewise",
+    "psi_polynomial",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -50,24 +60,225 @@ TWO_PI = 2.0 * math.pi
 NONNEGATIVITY_GRID = 1024
 # Knot count of the tabulated inverse radial CDF used by table-driven samplers.
 INVERSE_CDF_KNOTS = 4096
-# Below the CDF value at this knot of its table a Gaussian-cluster or
-# polynomial radius is drawn by the exact inverse. Near the origin the radius
-# goes like u^(1/3) or u^(1/2), which the cubic table follows badly: 24% and
-# 91% off at u = 1e-9 on the 8v disk and for a0 = 0.005 on R = 400, while
-# above knot 64 (u = 5.2e-4 and 7.0e-4 there) at most 1.3e-8 and 3.0e-8.
+# Below the CDF value at this knot of its table a Gaussian-cluster radius is
+# drawn by the exact (Maxwell) inverse. Near the origin the radius goes like
+# u^(1/3), which the cubic table follows badly: 24% off at u = 1e-9 on the 8v
+# disk, while above knot 64 (u = 5.2e-4 there) at most 1.3e-8.
 EXACT_INVERSE_KNOTS = 64
 # Step cap of the exact polynomial inverse, and the relative step it stops at.
 POLYNOMIAL_NEWTON_STEPS = 60
 NEWTON_RTOL = 4.0 * np.finfo(float).eps
 # Beyond this degree the monomial representation is too ill-conditioned.
 FIT_DEGREE_CAP = 30
-# Sampling truncation, in units of v, when a Gaussian cluster is drawn over the
-# whole plane; the mass beyond 12v is ~1e-32 of the total.
+# The Gaussian cluster's three scales, in units of v: adaptive quadrature
+# splits the bulk from the exponential tail at 6v; simulations truncate at 8v
+# (nearly all the mass lies within 5v); the panel rule and whole-plane
+# sampling stop at 12v, beyond which the mass is ~1e-32 of the total.
+GAUSSIAN_SPLIT_FACTOR = 6.0
+GAUSSIAN_TRUNCATION_FACTOR = 8.0
 GAUSSIAN_SUPPORT_FACTOR = 12.0
+# Where the log-r integrand decays exponentially past the knee and the
+# model's scales, the panel rule stops after this many e-folds (e^-40 ~ 4e-18).
+PANEL_TAIL_EFOLDS = 40.0
+# Piecewise segments closer than this to the outer-form pole at eps = alpha-2
+# are evaluated with the disk form instead.
+_POLE_MARGIN = 0.01
 
 
 class DivergenceError(ValueError):
     """The requested integral of the intensity function diverges."""
+
+
+class ConfigError(ValueError):
+    """A configuration document failed validation."""
+
+
+# ---------------------------------------------------------------------------
+# config-form checks, shared with the CLI's parser
+
+
+def _require_object(raw, where):
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(raw).__name__}")
+
+
+def _check_keys(raw, where, required, optional=()):
+    _require_object(raw, where)
+    allowed = set(required) | set(optional)
+    for key in raw:
+        if key not in allowed:
+            raise ConfigError(f"unknown key '{key}' in {where}")
+    for key in required:
+        if key not in raw:
+            raise ConfigError(f"missing key '{key}' in {where}")
+
+
+def _as_number(value, key, where):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"'{key}' in {where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _number(raw, key, where):
+    return _as_number(raw[key], key, where)
+
+
+def _numbers(value, key, where):
+    """A nonempty list of numbers, or of such lists, as nested float tuples."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"'{key}' in {where} must be a nonempty list, got {value!r}")
+    return tuple(
+        _numbers(v, key, where) if isinstance(v, (list, tuple)) else _as_number(v, key, where)
+        for v in value
+    )
+
+
+# ---------------------------------------------------------------------------
+# closed forms of psi, on nominal parameters
+
+
+def _check_alpha(alpha: float) -> None:
+    if not alpha > 2:
+        raise ValueError(f"path-loss exponent alpha must exceed 2, got {alpha}")
+
+
+def _gamma_array(gamma):
+    """gamma as a float array, whether it was a scalar, and a positive stand-in.
+
+    The stand-in replaces gamma = 0 by 1 so closed forms stay finite there;
+    callers zero those entries afterwards (psi(0) = 0).
+    """
+    g = np.asarray(gamma, dtype=float)
+    if not np.all(g >= 0):
+        raise ValueError(f"gamma must be >= 0, got {gamma!r}")
+    return g, g.ndim == 0, np.where(g > 0, g, 1.0)
+
+
+def _finish(g, scalar, values):
+    out = np.where(g > 0, values, 0.0)
+    return float(out) if scalar else out
+
+
+def psi_power_law(rho, eps, alpha: float, gamma):
+    """Closed form for the unbounded power law rho * r**eps.
+
+    psi(gamma) = (2 pi^2 rho / alpha) * gamma^((eps+2)/alpha) / sin(pi (eps+2)/alpha),
+    valid for -2 < eps < alpha - 2 (the open constraint keeps the cosecant
+    away from its poles). rho and eps may be arrays too, broadcast against
+    gamma; the result is a float only when all three are scalars.
+    """
+    _check_alpha(alpha)
+    g, _, gp = _gamma_array(gamma)
+    rho, eps = np.asarray(rho, dtype=float), np.asarray(eps, dtype=float)
+    if not np.all(rho >= 0):
+        raise ValueError(f"rho must be >= 0, got {rho}")
+    if not np.all((-2.0 < eps) & (eps < alpha - 2.0)):
+        raise DivergenceError(
+            f"power-law interference requires -2 < eps < alpha - 2, got eps={eps}"
+        )
+    c = (eps + 2.0) / alpha
+    # numpy takes x ** 0.5 as sqrt(x) for a scalar exponent only; c = 1/2
+    # entries use sqrt too, so a point's value does not depend on its batch
+    power = np.where(c == 0.5, np.sqrt(gp), gp**c)
+    out = _finish(g, False, (2.0 * math.pi**2 * rho / alpha) * power / np.sin(math.pi * c))
+    return float(out) if out.ndim == 0 else out
+
+
+def _disk_term(rho: float, eps: float, alpha: float, gamma, radius: float):
+    """Contribution of rho*r**eps over the disk (0, radius]; needs eps > -2."""
+    b = (2.0 + eps) / alpha
+    return (
+        TWO_PI
+        * rho
+        * radius ** (2.0 + eps)
+        / (2.0 + eps)
+        * hyp2f1_first_unit(b, radius**alpha / gamma)
+    )
+
+
+def _outer_term(rho: float, eps: float, alpha: float, gamma, radius: float):
+    """Contribution of rho*r**eps over (radius, inf); needs eps < alpha - 2."""
+    c = (alpha - 2.0 - eps) / alpha
+    return (
+        TWO_PI
+        * rho
+        * gamma
+        * radius ** (2.0 + eps - alpha)
+        / (alpha - 2.0 - eps)
+        * hyp2f1_first_unit(c, gamma * radius ** (-alpha))
+    )
+
+
+def psi_polynomial(
+    coeffs: Sequence[float],
+    R0: float,
+    rho0: float,
+    eps_tail: float,
+    alpha: float,
+    gamma,
+):
+    """Closed form for a polynomial profile on [0, R0] plus a power-law tail.
+
+    The disk part contributes one hypergeometric term per coefficient,
+    2*pi*a_k*R0^(2+k)/(2+k) * 2F1(1,(2+k)/alpha;(2+k)/alpha+1;-R0^alpha/gamma),
+    and the tail rho0*r**eps_tail over (R0, inf) contributes the outer-region
+    term. rho0 = 0 is allowed and drops the tail (a purely disk-supported
+    profile).
+    """
+    _check_alpha(alpha)
+    g, scalar, gp = _gamma_array(gamma)
+    if not R0 > 0:
+        raise ValueError(f"R0 must be > 0, got {R0}")
+    if not rho0 >= 0:
+        raise ValueError(f"rho0 must be >= 0, got {rho0}")
+    if rho0 > 0 and not -2.0 < eps_tail < -1.0:
+        raise ValueError(
+            f"eps_tail must lie strictly inside (-2, -1), got {eps_tail}"
+        )
+    x = R0**alpha / gp
+    disk = 0.0
+    for k, a in enumerate(coeffs):
+        if a == 0.0:
+            continue
+        b = (2.0 + k) / alpha
+        disk += a * R0 ** (2.0 + k) / (2.0 + k) * hyp2f1_first_unit(b, x)
+    disk *= TWO_PI
+    tail = 0.0
+    if rho0 > 0:
+        tail = _outer_term(rho0, eps_tail, alpha, gp, R0)
+    return _finish(g, scalar, disk + tail)
+
+
+def psi_piecewise(segments, alpha: float, gamma):
+    """Closed form for concentric power-law annuli (zero beyond the support).
+
+    segments is a sequence of (rho, eps, R) triples. Each annulus (a, b] is
+    expressed as a difference of two hypergeometric terms, using the disk
+    form when the exponent sits near or above the outer form's pole at
+    eps = alpha - 2 and the outer form elsewhere; the two assemblies are
+    algebraically identical where both converge.
+    """
+    _check_alpha(alpha)
+    g, scalar, gp = _gamma_array(gamma)
+    segs = PiecewisePowerLaw(tuple(segments)).segments
+    total = 0.0
+    inner = 0.0
+    for k, (rho, eps, outer) in enumerate(segs):
+        if k == 0 or eps >= alpha - 2.0 - _POLE_MARGIN:
+            term = _disk_term(rho, eps, alpha, gp, outer)
+            if inner > 0.0:
+                term -= _disk_term(rho, eps, alpha, gp, inner)
+        else:
+            term = _outer_term(rho, eps, alpha, gp, inner) - _outer_term(
+                rho, eps, alpha, gp, outer
+            )
+        total += term
+        inner = outer
+    return _finish(g, scalar, total)
+
+
+# ---------------------------------------------------------------------------
+# the families
 
 
 def _check_beta(beta: float) -> None:
@@ -93,14 +304,107 @@ class DiskRegion:
 FULL_PLANE = DiskRegion(math.inf)
 
 
+class IntensityModel:
+    """The protocol every intensity family implements, with its defaults.
+
+    A family is a frozen dataclass subclass with float or tuple fields (beta
+    last) and a `family` config name, a key of FAMILIES. It must provide
+    radial_intensity(r) and cumulative_count(r) (beta included),
+    sample_radii(u, r_max), the radial inverse CDF on [0, r_max] at uniforms
+    u in (0, 1] (r_max is math.inf for the whole plane), and
+    panel_layout(alpha, knee), the (small-r exponent of Lambda, inner scale,
+    upper radius, breakpoints) of the log-r panel rule. It overrides the
+    defaults below where they do not hold.
+    """
+
+    # where Lambda ends, and the radii adaptive quadrature splits at
+    support_radius = math.inf
+    quadrature_breakpoints = ()
+    # psi_closed_form(alpha, gamma), psi of the nominal (beta = 1) profile,
+    # and dpsi_closed_form(alpha, gamma, psi), d psi / d gamma from psi (beta
+    # included); None sends either to the panel rule
+    psi_closed_form = None
+    dpsi_closed_form = None
+    # (rho, eps, r0) when Lambda is beta * rho * r**eps beyond r0
+    algebraic_tail = None
+
+    def check_alpha(self, alpha: float) -> None:
+        """Raise DivergenceError where psi diverges at this alpha."""
+
+    @property
+    def fixed_truncation_radius(self):
+        """A simulation radius that needs no link or trial count, for a family
+        without an algebraic tail: by default its finite support."""
+        return self.support_radius if math.isfinite(self.support_radius) else None
+
+    def plane_count(self) -> float:
+        """Mean count over the whole plane, finite only for a finite support."""
+        if math.isfinite(self.support_radius):
+            return float(self.cumulative_count(self.support_radius))
+        raise DivergenceError(
+            f"{type(self).__name__} intensity has infinite mean count over the "
+            "plane; use a finite region"
+        )
+
+    def _tail_panel_end(self, alpha: float, knee):
+        """Where, past the knee and r0, the log-r integrand of an algebraic
+        tail (like r^(2 + eps - alpha)) has lost PANEL_TAIL_EFOLDS e-folds."""
+        _, eps, r0 = self.algebraic_tail
+        return np.maximum(knee, r0) * math.exp(PANEL_TAIL_EFOLDS / (alpha - 2.0 - eps))
+
+    def to_dict(self) -> dict:
+        """The config form: the family name and every field."""
+        return {"family": self.family, **dataclasses.asdict(self)}
+
+    @classmethod
+    def from_dict(cls, raw, where="model"):
+        """The model a config's model object describes; the inverse of to_dict.
+
+        Dispatches on raw["family"] through FAMILIES. Every number, in scalar
+        fields and list entries alike, must be a JSON number (not a boolean
+        or a string). Raises ConfigError.
+        """
+        _require_object(raw, where)
+        if "family" not in raw:
+            raise ConfigError(f"missing key 'family' in {where}")
+        family = raw["family"]
+        family_cls = FAMILIES.get(family) if isinstance(family, str) else None
+        if family_cls is None or not issubclass(family_cls, cls):
+            raise ConfigError(f"unknown model family {family!r} in {where}")
+        try:
+            return family_cls._from_fields(raw, where)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid {where}: {exc}") from exc
+
+    @classmethod
+    def _from_fields(cls, raw, where):
+        fields = dataclasses.fields(cls)
+        required = [f.name for f in fields if f.default is dataclasses.MISSING]
+        _check_keys(raw, where, ["family", *required], [f.name for f in fields])
+        parse = {"float": _as_number, "tuple": _numbers}
+        given = [f for f in fields if f.name in raw]
+        return cls(**{f.name: parse[f.type](raw[f.name], f.name, where) for f in given})
+
+
+def _table_radii(model, r_max: float, u: np.ndarray):
+    """Radii from the model's cached inverse-CDF table, and the table's knots."""
+    table = _inverse_cdf_table(model, float(r_max))
+    x = table.x
+    return np.asarray(table(np.clip(u, x[0], x[-1])), dtype=float), x
+
+
 @dataclass(frozen=True)
-class PowerLaw:
+class PowerLaw(IntensityModel):
     """Intensity beta * rho * r**eps over the whole plane.
 
     eps > -2 keeps the mean count near the origin finite. The mean count over
     the whole plane always diverges for this family, so mean counts and
     samplers require a finite region.
     """
+
+    family = "power_law"
 
     rho: float
     eps: float
@@ -115,10 +419,6 @@ class PowerLaw:
             )
         _check_beta(self.beta)
 
-    @property
-    def support_radius(self) -> float:
-        return math.inf
-
     def radial_intensity(self, r):
         r, scalar = _as_array(r)
         with np.errstate(divide="ignore"):
@@ -132,9 +432,33 @@ class PowerLaw:
         out = TWO_PI * self.beta * self.rho * np.power(r, p) / p
         return float(out) if scalar else out
 
+    def check_alpha(self, alpha: float) -> None:
+        if not self.eps < alpha - 2:
+            raise DivergenceError(
+                "power-law interference is finite only for eps < alpha - 2; got "
+                f"eps={self.eps} with alpha={alpha}"
+            )
+
+    def psi_closed_form(self, alpha: float, gamma):
+        return psi_power_law(self.rho, self.eps, alpha, gamma)
+
+    def dpsi_closed_form(self, alpha: float, gamma, psi):
+        # psi is a power of gamma, (2 + eps) / alpha
+        return psi * (self.eps + 2.0) / (alpha * gamma)
+
+    @property
+    def algebraic_tail(self):
+        return self.rho, self.eps, 0.0
+
+    def panel_layout(self, alpha: float, knee):
+        return self.eps, math.inf, self._tail_panel_end(alpha, knee), ()
+
+    def sample_radii(self, u, r_max: float):
+        return r_max * np.power(u, 1.0 / (2.0 + self.eps))
+
 
 @dataclass(frozen=True)
-class PiecewisePowerLaw:
+class PiecewisePowerLaw(IntensityModel):
     """Concentric power-law annuli, zero intensity beyond the outermost radius.
 
     segments is an ordered sequence of (rho_k, eps_k, R_k) triples with
@@ -143,14 +467,19 @@ class PiecewisePowerLaw:
     the origin, so any exponent is integrable there).
     """
 
+    family = "piecewise_power_law"
+
     segments: tuple
     beta: float = 1.0
 
     def __post_init__(self):
-        segs = tuple(
-            (float(rho), float(eps), float(radius))
-            for rho, eps, radius in self.segments
-        )
+        try:
+            segs = tuple(
+                (float(rho), float(eps), float(radius))
+                for rho, eps, radius in self.segments
+            )
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"segments must be (rho, eps, R) triples: {exc}") from exc
         if not segs:
             raise ValueError("segments must be nonempty")
         prev = 0.0
@@ -173,6 +502,10 @@ class PiecewisePowerLaw:
     @property
     def support_radius(self) -> float:
         return self.segments[-1][2]
+
+    @property
+    def quadrature_breakpoints(self):
+        return tuple(s[2] for s in self.segments[:-1])
 
     def radial_intensity(self, r):
         r, scalar = _as_array(r)
@@ -205,9 +538,49 @@ class PiecewisePowerLaw:
         out *= self.beta
         return float(out) if scalar else out
 
+    def psi_closed_form(self, alpha: float, gamma):
+        return psi_piecewise(self.segments, alpha, gamma)
+
+    def panel_layout(self, alpha: float, knee):
+        _, eps, inner = self.segments[0]
+        return eps, inner, self.support_radius, self.quadrature_breakpoints
+
+    def sample_radii(self, u, r_max: float):
+        """Invert the piecewise radial CDF analytically, segment by segment."""
+        r_max = min(r_max, self.support_radius)
+        edges = [0.0, *(outer for _, _, outer in self.segments)]
+        masses = []
+        for (rho, eps, outer), lo in zip(self.segments, edges):
+            hi = min(outer, r_max)
+            if hi <= lo:
+                masses.append(0.0)
+            elif eps == -2.0:
+                masses.append(TWO_PI * rho * math.log(hi / lo))
+            else:
+                p = 2.0 + eps
+                masses.append(TWO_PI * rho * (hi**p - lo**p) / p)
+        cum = np.cumsum(masses)
+        target = u * cum[-1]
+        # segment k owns targets in (cum[k-1], cum[k]]
+        idx = np.searchsorted(cum, target, side="left")
+        idx = np.minimum(idx, len(masses) - 1)
+        out = np.empty_like(u)
+        for k, (rho, eps, outer) in enumerate(self.segments):
+            mask = idx == k
+            if not np.any(mask):
+                continue
+            lo = edges[k]
+            residual = target[mask] - (cum[k - 1] if k > 0 else 0.0)
+            if eps == -2.0:
+                out[mask] = lo * np.exp(residual / (TWO_PI * rho))
+            else:
+                p = 2.0 + eps
+                out[mask] = np.power(lo**p + residual * p / (TWO_PI * rho), 1.0 / p)
+        return np.minimum(out, r_max)
+
 
 @dataclass(frozen=True)
-class PolynomialWithTail:
+class PolynomialWithTail(IntensityModel):
     """Polynomial radial profile on [0, R0] with a decaying power-law tail.
 
     Intensity is beta * sum_k a_k r^k for r <= R0 and beta * rho0 * r**eps_tail
@@ -216,6 +589,8 @@ class PolynomialWithTail:
     certificate is out of scope); continuity at R0 is not required, but a
     mismatch above 10% of the tail's boundary value triggers a warning.
     """
+
+    family = "polynomial_with_tail"
 
     coeffs: tuple
     R0: float
@@ -257,8 +632,12 @@ class PolynomialWithTail:
             )
 
     @property
-    def support_radius(self) -> float:
-        return math.inf
+    def quadrature_breakpoints(self):
+        return (self.R0,)
+
+    @property
+    def algebraic_tail(self):
+        return self.rho0, self.eps_tail, self.R0
 
     def radial_intensity(self, r):
         r, scalar = _as_array(r)
@@ -280,15 +659,47 @@ class PolynomialWithTail:
         out = self.beta * (inner + np.where(r > self.R0, tail, 0.0))
         return float(out) if scalar else out
 
+    def psi_closed_form(self, alpha: float, gamma):
+        return psi_polynomial(self.coeffs, self.R0, self.rho0, self.eps_tail, alpha, gamma)
+
+    def panel_layout(self, alpha: float, knee):
+        small = next((k for k, a in enumerate(self.coeffs) if a != 0.0), 0)
+        return small, self.R0, self._tail_panel_end(alpha, knee), (self.R0,)
+
+    def sample_radii(self, u, r_max: float):
+        """Exact inverse radial CDF on [0, r_max]: Newton steps from the
+        table's guess in (log r, log cumulative_count), exact for a pure power
+        of r, bisecting the bracket round the root where one leaves it. Every
+        draw is polished, since the table is off both near the origin, where
+        r goes like u^(1/2), and across the kink of the CDF at R0."""
+        r, _ = _table_radii(self, r_max, u)
+        target = u * self.cumulative_count(r_max)
+        lo, hi = np.zeros_like(u), np.full_like(u, r_max)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(POLYNOMIAL_NEWTON_STEPS):
+                mass = self.cumulative_count(r)
+                lo = np.where(mass < target, r, lo)
+                hi = np.where(mass > target, r, hi)
+                slope = TWO_PI * r * r * self.radial_intensity(r) / mass
+                step = r * np.exp(np.log(target / mass) / slope)
+                done = np.abs(step - r) <= NEWTON_RTOL * r
+                if done.all():
+                    return step
+                r = np.where(done | ((lo < step) & (step < hi)), step, 0.5 * (lo + hi))
+        return r
+
 
 @dataclass(frozen=True)
-class GaussianCluster:
+class GaussianCluster(IntensityModel):
     """Cluster profile beta * rho * (r / v**2) * exp(-r**2 / (2 v**2)).
 
     The radial point density is then r**2 * exp(-r**2 / (2 v**2)) up to
     normalization, and the mean count over the whole plane is finite:
-    2 * pi * rho * v * sqrt(pi / 2).
+    2 * pi * rho * v * sqrt(pi / 2). It has no closed-form psi: the panel
+    rule evaluates it.
     """
+
+    family = "gaussian_cluster"
 
     rho: float
     v: float
@@ -307,14 +718,32 @@ class GaussianCluster:
         rho = total / (TWO_PI * v * math.sqrt(math.pi / 2.0))
         return cls(rho=rho, v=v, beta=beta)
 
-    @property
-    def support_radius(self) -> float:
-        return math.inf
+    @classmethod
+    def _from_fields(cls, raw, where):
+        """rho, or instead a whole-plane total_count, besides v and beta."""
+        if ("rho" in raw) == ("total_count" in raw):
+            raise ConfigError(f"{where} needs exactly one of 'rho' or 'total_count'")
+        if "rho" in raw:
+            return super()._from_fields(raw, where)
+        _check_keys(raw, where, ("family", "v", "total_count"), ("beta",))
+        kwargs = {key: _number(raw, key, where) for key in raw if key != "family"}
+        return cls.with_total_count(kwargs.pop("total_count"), **kwargs)
 
     @property
     def total_count(self) -> float:
         """Mean number of points over the whole plane."""
         return TWO_PI * self.beta * self.rho * self.v * math.sqrt(math.pi / 2.0)
+
+    @property
+    def quadrature_breakpoints(self):
+        return (GAUSSIAN_SPLIT_FACTOR * self.v,)
+
+    @property
+    def fixed_truncation_radius(self) -> float:
+        return GAUSSIAN_TRUNCATION_FACTOR * self.v
+
+    def plane_count(self) -> float:
+        return self.total_count
 
     def radial_intensity(self, r):
         r, scalar = _as_array(r)
@@ -336,8 +765,27 @@ class GaussianCluster:
         )
         return float(out) if scalar else out
 
+    def panel_layout(self, alpha: float, knee):
+        return 1.0, self.v, GAUSSIAN_SUPPORT_FACTOR * self.v, ()
 
-IntensityModel = Union[PowerLaw, PiecewisePowerLaw, PolynomialWithTail, GaussianCluster]
+    def sample_radii(self, u, r_max: float):
+        """The table, with draws below its EXACT_INVERSE_KNOTS-th knot taken
+        by the exact inverse: the radial density is proportional to
+        r^2 exp(-r^2 / 2v^2), so the CDF is P(3/2, r^2/2v^2) /
+        P(3/2, r_max^2/2v^2), P the regularized lower incomplete gamma."""
+        if math.isinf(r_max):
+            r_max = GAUSSIAN_SUPPORT_FACTOR * self.v
+        r, knots = _table_radii(self, r_max, u)
+        near = u < knots[EXACT_INVERSE_KNOTS]
+        if near.any():
+            mass = scipy.special.gammainc(1.5, 0.5 * (r_max / self.v) ** 2)
+            r[near] = self.v * np.sqrt(2.0 * scipy.special.gammaincinv(1.5, u[near] * mass))
+        return r
+
+
+FAMILIES = {
+    cls.family: cls for cls in (PowerLaw, PiecewisePowerLaw, PolynomialWithTail, GaussianCluster)
+}
 
 
 def mean_count(model: IntensityModel, region: DiskRegion) -> float:
@@ -348,19 +796,7 @@ def mean_count(model: IntensityModel, region: DiskRegion) -> float:
     support is bounded); otherwise a DivergenceError is raised.
     """
     if not region.is_finite:
-        if isinstance(model, PowerLaw):
-            raise DivergenceError(
-                "power-law intensity has infinite mean count over the plane; "
-                "use a finite region"
-            )
-        if isinstance(model, PolynomialWithTail):
-            raise DivergenceError(
-                "tail exponent above -2 gives an infinite mean count over the "
-                "plane; use a finite region"
-            )
-        if isinstance(model, GaussianCluster):
-            return model.total_count
-        return float(model.cumulative_count(model.support_radius))
+        return model.plane_count()
     return float(model.cumulative_count(min(region.radius, model.support_radius)))
 
 
@@ -384,44 +820,6 @@ def location_pdf(model: IntensityModel, region: DiskRegion, r, theta=0.0):
     return float(val) if scalar else val
 
 
-def _piecewise_radii(model: PiecewisePowerLaw, r_max: float, u: np.ndarray) -> np.ndarray:
-    """Invert the piecewise radial CDF analytically, segment by segment."""
-    edges = [0.0]
-    masses = []
-    for rho, eps, outer in model.segments:
-        lo = edges[-1]
-        hi = min(outer, r_max)
-        if hi <= lo:
-            masses.append(0.0)
-            edges.append(outer)
-            continue
-        if eps == -2.0:
-            masses.append(TWO_PI * rho * math.log(hi / lo))
-        else:
-            p = 2.0 + eps
-            masses.append(TWO_PI * rho * (hi**p - lo**p) / p)
-        edges.append(outer)
-    cum = np.cumsum(masses)
-    total = cum[-1]
-    target = u * total
-    # segment k owns targets in (cum[k-1], cum[k]]
-    idx = np.searchsorted(cum, target, side="left")
-    idx = np.minimum(idx, len(masses) - 1)
-    out = np.empty_like(u)
-    for k, (rho, eps, outer) in enumerate(model.segments):
-        mask = idx == k
-        if not np.any(mask):
-            continue
-        lo = edges[k]
-        residual = target[mask] - (cum[k - 1] if k > 0 else 0.0)
-        if eps == -2.0:
-            out[mask] = lo * np.exp(residual / (TWO_PI * rho))
-        else:
-            p = 2.0 + eps
-            out[mask] = np.power(lo**p + residual * p / (TWO_PI * rho), 1.0 / p)
-    return np.minimum(out, r_max)
-
-
 @functools.lru_cache(maxsize=64)
 def _inverse_cdf_table(model: IntensityModel, r_max: float) -> PchipInterpolator:
     """Monotone-cubic interpolant of the inverse radial CDF on [0, r_max]."""
@@ -437,47 +835,14 @@ def _inverse_cdf_table(model: IntensityModel, r_max: float) -> PchipInterpolator
     return PchipInterpolator(cdf, grid[keep])
 
 
-def _maxwell_radii(v: float, r_max: float, u: np.ndarray) -> np.ndarray:
-    """Exact inverse radial CDF of a Gaussian cluster on [0, r_max].
-
-    The radial density is proportional to r^2 exp(-r^2 / 2v^2), so the CDF is
-    P(3/2, r^2/2v^2) / P(3/2, r_max^2/2v^2) with P the regularized lower
-    incomplete gamma function.
-    """
-    mass = scipy.special.gammainc(1.5, 0.5 * (r_max / v) ** 2)
-    return v * np.sqrt(2.0 * scipy.special.gammaincinv(1.5, u * mass))
-
-
-def _polynomial_radii(model: PolynomialWithTail, r_max: float, u, guess) -> np.ndarray:
-    """Exact inverse radial CDF of a polynomial profile on [0, r_max]: Newton
-    steps from the table's guess in (log r, log cumulative_count), exact for a
-    pure power of r, bisecting the bracket round the root where one leaves it."""
-    target = u * model.cumulative_count(r_max)
-    lo, hi = np.zeros_like(u), np.full_like(u, r_max)
-    r = guess
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(POLYNOMIAL_NEWTON_STEPS):
-            mass = model.cumulative_count(r)
-            lo = np.where(mass < target, r, lo)
-            hi = np.where(mass > target, r, hi)
-            slope = TWO_PI * r * r * model.radial_intensity(r) / mass
-            step = r * np.exp(np.log(target / mass) / slope)
-            done = np.abs(step - r) <= NEWTON_RTOL * r
-            if done.all():
-                return step
-            r = np.where(done | ((lo < step) & (step < hi)), step, 0.5 * (lo + hi))
-    return r
-
-
 def sample_location(model: IntensityModel, region: DiskRegion, rng, size=None):
     """Draw point locations (r, theta) from the normalized intensity.
 
-    theta is uniform on [0, 2*pi); r follows the radial marginal, inverted
-    analytically for the power-law families and through a precomputed
-    4096-knot inverse-CDF table for the polynomial and Gaussian ones (their
-    draws below the table's EXACT_INVERSE_KNOTS-th knot take the exact
-    inverse instead). Pass size=None for one (float, float) pair, or
-    an integer for arrays.
+    theta is uniform on [0, 2*pi); r follows the radial marginal, drawn by
+    the family's sample_radii: analytic inversion for the power-law
+    families, a 4096-knot inverse-CDF table polished by an exact inverse for
+    the polynomial and Gaussian ones. Pass size=None for one (float, float)
+    pair, or an integer for arrays.
 
     rng must be an exclusive numpy Generator (one per thread).
     """
@@ -488,28 +853,7 @@ def sample_location(model: IntensityModel, region: DiskRegion, rng, size=None):
     theta = rng.uniform(0.0, TWO_PI, size=n)
     # open at 0 so inverted radii stay strictly positive
     u = 1.0 - rng.random(n)
-
-    if isinstance(model, PowerLaw):
-        radius = region.radius  # guaranteed finite by the mean_count guard
-        r = radius * np.power(u, 1.0 / (2.0 + model.eps))
-    elif isinstance(model, PiecewisePowerLaw):
-        r = _piecewise_radii(model, min(region.radius, model.support_radius), u)
-    else:
-        if region.is_finite:
-            r_max = region.radius
-        else:
-            # only reachable for the Gaussian cluster (others diverge above)
-            r_max = GAUSSIAN_SUPPORT_FACTOR * model.v
-        table = _inverse_cdf_table(model, float(r_max))
-        x = table.x
-        r = np.asarray(table(np.clip(u, x[0], x[-1])), dtype=float)
-        near = u < x[EXACT_INVERSE_KNOTS]
-        if near.any():
-            if isinstance(model, GaussianCluster):
-                r[near] = _maxwell_radii(model.v, r_max, u[near])
-            else:
-                r[near] = _polynomial_radii(model, r_max, u[near], r[near])
-
+    r = model.sample_radii(u, region.radius)
     if size is None:
         return float(r[0]), float(theta[0])
     return r, theta

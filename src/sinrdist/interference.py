@@ -14,14 +14,16 @@ point at a time. The fast routes must match adaptive quadrature; the test
 suite enforces the agreement.
 
 Every psi helper takes gamma as a scalar (float result) or an array. The
-closed-form helpers take raw nominal parameters (not model objects), so
-workflows that produce coefficient sets directly, like the polynomial-fit
-pipeline, can call them without building a model. PsiEvaluator wraps a model
-object, applies its beta scale, and picks the route.
+closed forms live beside their families in intensity and are re-exported
+here; this module holds what does not depend on the family: the kernels, the
+adaptive reference, the panel rule, and PsiEvaluator, which wraps a model
+object, applies its beta scale, and takes the model's closed form where it
+has one and the panel rule where it has none.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -30,19 +32,19 @@ import numpy as np
 from scipy.special import expit
 
 from .intensity import (
-    GAUSSIAN_SUPPORT_FACTOR,
+    PANEL_TAIL_EFOLDS,
     TWO_PI,
-    DivergenceError,
     GaussianCluster,
     IntensityModel,
-    PiecewisePowerLaw,
-    PolynomialWithTail,
-    PowerLaw,
+    _check_alpha,
+    _gamma_array,
+    psi_piecewise,
+    psi_polynomial,
+    psi_power_law,
 )
 from .specfun import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
-    hyp2f1_first_unit,
     integrate_log_panels,
     integrate_radial,
 )
@@ -58,44 +60,13 @@ __all__ = [
     "psi_derivative",
 ]
 
-# Split radius (in units of v) separating the Gaussian bulk from its
-# exponential tail during quadrature.
-GAUSSIAN_SPLIT_FACTOR = 6.0
-# Piecewise segments closer than this to the outer-form pole at eps = alpha-2
-# are evaluated with the disk form instead.
-_POLE_MARGIN = 0.01
 # Above this value of alpha*log(r), r**alpha is treated as dominating gamma.
 _LOG_HUGE = 700.0
-# Where the log-r integrand decays exponentially past the knee and the
-# model's scales, the panel rule stops after this many e-folds (e^-40 ~ 4e-18).
-_PANEL_TAIL_EFOLDS = 40.0
-
-
-def _check_alpha(alpha: float) -> None:
-    if not alpha > 2:
-        raise ValueError(f"path-loss exponent alpha must exceed 2, got {alpha}")
 
 
 def _check_gamma(gamma: float) -> None:
     if not gamma >= 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-
-
-def _gamma_array(gamma):
-    """gamma as a float array, whether it was a scalar, and a positive stand-in.
-
-    The stand-in replaces gamma = 0 by 1 so closed forms stay finite there;
-    callers zero those entries afterwards (psi(0) = 0).
-    """
-    g = np.asarray(gamma, dtype=float)
-    if not np.all(g >= 0):
-        raise ValueError(f"gamma must be >= 0, got {gamma!r}")
-    return g, g.ndim == 0, np.where(g > 0, g, 1.0)
-
-
-def _finish(g, scalar, values):
-    out = np.where(g > 0, values, 0.0)
-    return float(out) if scalar else out
 
 
 def _sinr_kernel(r: float, alpha: float, gamma: float) -> float:
@@ -161,18 +132,6 @@ def _integrate_kernel(radial_fn, kernel, alpha, gamma, spec, breakpoints, upper)
     )
 
 
-def _model_breakpoints(model: IntensityModel):
-    """Natural integration split points and the support bound for a model."""
-    if isinstance(model, PiecewisePowerLaw):
-        edges = [s[2] for s in model.segments[:-1]]
-        return edges, model.support_radius
-    if isinstance(model, PolynomialWithTail):
-        return [model.R0], math.inf
-    if isinstance(model, GaussianCluster):
-        return [GAUSSIAN_SPLIT_FACTOR * model.v], math.inf
-    return [], math.inf
-
-
 def psi_quadrature(
     model: IntensityModel,
     alpha: float,
@@ -181,20 +140,14 @@ def psi_quadrature(
 ) -> float:
     """Interference functional of a model by adaptive quadrature.
 
-    The reference route: every closed form below is validated against this.
-    Raises DivergenceError when the integral cannot converge (power law with
-    eps >= alpha - 2).
+    The reference route: every closed form is validated against this.
+    Raises DivergenceError where the model's check_alpha says the integral
+    cannot converge (power law with eps >= alpha - 2).
     """
     _check_alpha(alpha)
-    if isinstance(model, PowerLaw) and not model.eps < alpha - 2:
-        raise DivergenceError(
-            f"power-law interference diverges unless eps < alpha - 2 "
-            f"(eps={model.eps}, alpha={alpha})"
-        )
-    breakpoints, upper = _model_breakpoints(model)
-    return psi_quadrature_radial(
-        model.radial_intensity, alpha, gamma, spec, breakpoints, upper
-    )
+    model.check_alpha(alpha)
+    layout = model.quadrature_breakpoints, model.support_radius
+    return psi_quadrature_radial(model.radial_intensity, alpha, gamma, spec, *layout)
 
 
 def _dpsi_quadrature(model, alpha: float, gamma: float, spec: QuadratureSpec) -> float:
@@ -204,41 +157,10 @@ def _dpsi_quadrature(model, alpha: float, gamma: float, spec: QuadratureSpec) ->
     (r^alpha+gamma)^2 (differentiation under the integral sign; dominated
     convergence applies under the same constraints that make psi finite).
     """
-    breakpoints, upper = _model_breakpoints(model)
+    layout = model.quadrature_breakpoints, model.support_radius
     return _integrate_kernel(
-        model.radial_intensity, _sinr_kernel_derivative, alpha, gamma, spec, breakpoints, upper
+        model.radial_intensity, _sinr_kernel_derivative, alpha, gamma, spec, *layout
     )
-
-
-def _panel_range(model, alpha: float, gamma: np.ndarray, derivative: bool):
-    """Per-point radii [lower, upper] for the panel rule, and its breakpoints.
-
-    Below the smallest of the knee gamma^(1/alpha) and the model's inner scale
-    the log-r integrand 2*pi*Lambda(r)*r^2*kernel decays like r^rate, with
-    rate = 2 + (small-r exponent of Lambda), plus alpha for the derivative
-    kernel; the lower limit leaves _PANEL_TAIL_EFOLDS of that decay. Above
-    the knee and the outer breakpoint, the polynomial tail decays like
-    r^(2 + eps_tail - alpha); Gaussian clusters stop at
-    GAUSSIAN_SUPPORT_FACTOR * v and piecewise models at their support.
-    """
-    knee = gamma ** (1.0 / alpha)
-    if isinstance(model, GaussianCluster):
-        small, inner, breakpoints = 1.0, model.v, ()
-        upper = GAUSSIAN_SUPPORT_FACTOR * model.v
-    elif isinstance(model, PiecewisePowerLaw):
-        breakpoints = tuple(seg[2] for seg in model.segments[:-1])
-        small, inner = model.segments[0][1], model.segments[0][2]
-        upper = model.support_radius
-    elif isinstance(model, PolynomialWithTail):
-        small = next((k for k, a in enumerate(model.coeffs) if a != 0.0), 0)
-        inner, breakpoints = model.R0, (model.R0,)
-        decay = alpha - 2.0 - model.eps_tail
-        upper = np.maximum(knee, model.R0) * math.exp(_PANEL_TAIL_EFOLDS / decay)
-    else:
-        raise TypeError(f"no panel layout for {type(model).__name__}")
-    rate = 2.0 + small + (alpha if derivative else 0.0)
-    lower = np.minimum(knee, inner) * math.exp(-_PANEL_TAIL_EFOLDS / rate)
-    return lower, upper, breakpoints
 
 
 def _psi_panels(model, alpha: float, gamma: np.ndarray, spec: QuadratureSpec, derivative: bool):
@@ -247,9 +169,13 @@ def _psi_panels(model, alpha: float, gamma: np.ndarray, spec: QuadratureSpec, de
     With s = log r the integrand is 2*pi*Lambda(r)*r^2 times the kernel
     gamma/(r^alpha+gamma) = expit(-t) or, for the derivative,
     r^alpha/(r^alpha+gamma)^2 = expit(t)*expit(-t)/gamma, where
-    t = alpha*s - log(gamma). Points whose embedded error estimate misses the
-    spec fall back to adaptive quadrature, which raises AccuracyError when it
-    cannot converge either.
+    t = alpha*s - log(gamma). The model's panel_layout gives the upper radius
+    and the breakpoints; below the smallest of the knee gamma^(1/alpha) and
+    the model's inner scale the integrand decays like r^rate, with rate = 2 +
+    (small-r exponent of Lambda), plus alpha for the derivative kernel, and
+    the lower radius leaves PANEL_TAIL_EFOLDS of that decay. Points whose
+    embedded error estimate misses the spec fall back to adaptive
+    quadrature, which raises AccuracyError when it cannot converge either.
     """
     log_gamma = np.log(gamma)
 
@@ -262,7 +188,10 @@ def _psi_panels(model, alpha: float, gamma: np.ndarray, spec: QuadratureSpec, de
             kernel = expit(-t)
         return TWO_PI * model.radial_intensity(r) * (r * r) * kernel
 
-    lower, upper, breakpoints = _panel_range(model, alpha, gamma, derivative)
+    knee = gamma ** (1.0 / alpha)
+    small, inner, upper, breakpoints = model.panel_layout(alpha, knee)
+    rate = 2.0 + small + (alpha if derivative else 0.0)
+    lower = np.minimum(knee, inner) * math.exp(-PANEL_TAIL_EFOLDS / rate)
     values, converged = integrate_log_panels(integrand, lower, upper, breakpoints, spec)
     adaptive = _dpsi_quadrature if derivative else psi_quadrature
     for i in np.flatnonzero(~converged):
@@ -270,129 +199,80 @@ def _psi_panels(model, alpha: float, gamma: np.ndarray, spec: QuadratureSpec, de
     return values
 
 
-def psi_power_law(rho, eps, alpha: float, gamma):
-    """Closed form for the unbounded power law rho * r**eps.
+@dataclass(frozen=True)
+class PsiEvaluator:
+    """Bundles a model with alpha and an evaluation route.
 
-    psi(gamma) = (2 pi^2 rho / alpha) * gamma^((eps+2)/alpha) / sin(pi (eps+2)/alpha),
-    valid for -2 < eps < alpha - 2 (the open constraint keeps the cosecant
-    away from its poles). rho and eps may be arrays too, broadcast against
-    gamma; the result is a float only when all three are scalars.
+    method is one of "auto", "closed_form", "quadrature". Auto and closed_form
+    use the model's psi_closed_form where it has one (power law, piecewise,
+    polynomial) and the log-r panel rule where it has none (Gaussian
+    cluster); quadrature is the adaptive reference, one point at a time.
+    value and derivative take a scalar gamma (float result) or an array,
+    through the same code, so a point's value does not depend on the batch
+    it is evaluated in.
+
+    Immutable and shareable across threads; evaluations are pure.
     """
-    _check_alpha(alpha)
-    g, _, gp = _gamma_array(gamma)
-    rho, eps = np.asarray(rho, dtype=float), np.asarray(eps, dtype=float)
-    if not np.all(rho >= 0):
-        raise ValueError(f"rho must be >= 0, got {rho}")
-    if not np.all((-2.0 < eps) & (eps < alpha - 2.0)):
-        raise DivergenceError(
-            f"power-law interference requires -2 < eps < alpha - 2, got eps={eps}"
-        )
-    c = (eps + 2.0) / alpha
-    # numpy takes x ** 0.5 as sqrt(x) for a scalar exponent only; c = 1/2
-    # entries use sqrt too, so a point's value does not depend on its batch
-    power = np.where(c == 0.5, np.sqrt(gp), gp**c)
-    out = _finish(g, False, (2.0 * math.pi**2 * rho / alpha) * power / np.sin(math.pi * c))
-    return float(out) if out.ndim == 0 else out
 
+    model: IntensityModel
+    alpha: float
+    spec: QuadratureSpec = DEFAULT_QUADRATURE
+    method: str = "auto"
 
-def _disk_term(rho: float, eps: float, alpha: float, gamma, radius: float):
-    """Contribution of rho*r**eps over the disk (0, radius]; needs eps > -2."""
-    b = (2.0 + eps) / alpha
-    return (
-        TWO_PI
-        * rho
-        * radius ** (2.0 + eps)
-        / (2.0 + eps)
-        * hyp2f1_first_unit(b, radius**alpha / gamma)
-    )
-
-
-def _outer_term(rho: float, eps: float, alpha: float, gamma, radius: float):
-    """Contribution of rho*r**eps over (radius, inf); needs eps < alpha - 2."""
-    c = (alpha - 2.0 - eps) / alpha
-    return (
-        TWO_PI
-        * rho
-        * gamma
-        * radius ** (2.0 + eps - alpha)
-        / (alpha - 2.0 - eps)
-        * hyp2f1_first_unit(c, gamma * radius ** (-alpha))
-    )
-
-
-def psi_polynomial(
-    coeffs: Sequence[float],
-    R0: float,
-    rho0: float,
-    eps_tail: float,
-    alpha: float,
-    gamma,
-):
-    """Closed form for a polynomial profile on [0, R0] plus a power-law tail.
-
-    The disk part contributes one hypergeometric term per coefficient,
-    2*pi*a_k*R0^(2+k)/(2+k) * 2F1(1,(2+k)/alpha;(2+k)/alpha+1;-R0^alpha/gamma),
-    and the tail rho0*r**eps_tail over (R0, inf) contributes the outer-region
-    term. rho0 = 0 is allowed and drops the tail (a purely disk-supported
-    profile).
-    """
-    _check_alpha(alpha)
-    g, scalar, gp = _gamma_array(gamma)
-    if not R0 > 0:
-        raise ValueError(f"R0 must be > 0, got {R0}")
-    if not rho0 >= 0:
-        raise ValueError(f"rho0 must be >= 0, got {rho0}")
-    if rho0 > 0 and not -2.0 < eps_tail < -1.0:
-        raise ValueError(
-            f"eps_tail must lie strictly inside (-2, -1), got {eps_tail}"
-        )
-    x = R0**alpha / gp
-    disk = 0.0
-    for k, a in enumerate(coeffs):
-        if a == 0.0:
-            continue
-        b = (2.0 + k) / alpha
-        disk += a * R0 ** (2.0 + k) / (2.0 + k) * hyp2f1_first_unit(b, x)
-    disk *= TWO_PI
-    tail = 0.0
-    if rho0 > 0:
-        tail = _outer_term(rho0, eps_tail, alpha, gp, R0)
-    return _finish(g, scalar, disk + tail)
-
-
-def psi_piecewise(segments, alpha: float, gamma):
-    """Closed form for concentric power-law annuli (zero beyond the support).
-
-    Accepts a PiecewisePowerLaw or a raw sequence of (rho, eps, R) triples.
-    Each annulus (a, b] is expressed as a difference of two hypergeometric
-    terms, using the disk form when the exponent sits near or above the
-    outer form's pole at eps = alpha - 2 and the outer form elsewhere; the
-    two assemblies are algebraically identical where both converge.
-    """
-    _check_alpha(alpha)
-    g, scalar, gp = _gamma_array(gamma)
-    if isinstance(segments, PiecewisePowerLaw):
-        if segments.beta != 1.0:
+    def __post_init__(self):
+        _check_alpha(self.alpha)
+        if self.method not in ("auto", "closed_form", "quadrature"):
             raise ValueError(
-                "psi_piecewise takes nominal segments; apply beta via PsiEvaluator"
+                f"method must be auto, closed_form or quadrature, got {self.method!r}"
             )
-        segs = segments.segments
-    else:
-        segs = PiecewisePowerLaw(tuple(segments)).segments
-    total = 0.0
-    inner = 0.0
-    for k, (rho, eps, outer) in enumerate(segs):
-        if k == 0 or eps >= alpha - 2.0 - _POLE_MARGIN:
-            term = _disk_term(rho, eps, alpha, gp, outer)
-            if inner > 0.0:
-                term -= _disk_term(rho, eps, alpha, gp, inner)
+        self.model.check_alpha(self.alpha)
+
+    def _adaptive(self, fn, g, scalar):
+        out = np.array([fn(self.model, self.alpha, x, self.spec) for x in g.ravel().tolist()])
+        return float(out[0]) if scalar else out.reshape(g.shape)
+
+    def value(self, gamma):
+        """psi(gamma) via the configured route (includes the model's beta)."""
+        g, scalar, _ = _gamma_array(gamma)
+        m = self.model
+        if self.method == "quadrature":
+            return self._adaptive(psi_quadrature, g, scalar)
+        if m.psi_closed_form is not None:
+            return m.beta * m.psi_closed_form(self.alpha, g)
+        # the panel rule on the nominal profile, scaled after the sum
+        nominal = dataclasses.replace(m, beta=1.0)
+        out = np.zeros(g.shape)
+        pos = g > 0
+        out[pos] = _psi_panels(nominal, self.alpha, g[pos], self.spec, False)
+        return m.beta * (float(out) if scalar else out)
+
+    __call__ = value
+
+    def derivative(self, gamma):
+        """d psi / d gamma at gamma > 0 (scalar or array).
+
+        Analytic where the model has a dpsi_closed_form (the power law);
+        every other family integrates the gamma-differentiated kernel
+        2*pi*Lambda(r)*r*r^alpha/(r^alpha+gamma)^2 with the log-r panel rule,
+        or adaptively under method="quadrature".
+        """
+        g = np.asarray(gamma, dtype=float)
+        if not np.all(g > 0):
+            raise ValueError(f"derivative requires gamma > 0, got {gamma!r}")
+        scalar = g.ndim == 0
+        m = self.model
+        if self.method == "quadrature":
+            return self._adaptive(_dpsi_quadrature, g, scalar)
+        if m.dpsi_closed_form is not None:
+            out = m.dpsi_closed_form(self.alpha, g, self.value(g))
         else:
-            term = _outer_term(rho, eps, alpha, gp, inner) - _outer_term(
-                rho, eps, alpha, gp, outer
-            )
-        total += term
-        inner = outer
-    return _finish(g, scalar, total)
+            out = _psi_panels(m, self.alpha, g.reshape(-1), self.spec, True).reshape(g.shape)
+        return float(out) if scalar else out
+
+
+def psi_derivative(evaluator: PsiEvaluator, gamma):
+    """Derivative of the interference functional at gamma (> 0)."""
+    return evaluator.derivative(gamma)
 
 
 def psi_gaussian(
@@ -409,88 +289,4 @@ def psi_gaussian(
     family, with adaptive quadrature (split at 6v) for any point whose
     embedded error estimate misses spec.
     """
-    _check_alpha(alpha)
-    g, scalar, _ = _gamma_array(gamma)
-    out = np.zeros(g.shape)
-    pos = g > 0
-    out[pos] = _psi_panels(GaussianCluster(rho=rho, v=v), alpha, g[pos], spec, False)
-    return float(out) if scalar else out
-
-
-@dataclass(frozen=True)
-class PsiEvaluator:
-    """Bundles a model with alpha and an evaluation route.
-
-    method is one of "auto", "closed_form", "quadrature". Auto and closed_form
-    use the closed form where one exists (power law, piecewise, polynomial)
-    and the log-r panel rule for the Gaussian cluster; quadrature is the
-    adaptive reference, one point at a time. value and derivative take a
-    scalar gamma (float result) or an array, through the same code, so a
-    point's value does not depend on the batch it is evaluated in.
-
-    Immutable and shareable across threads; evaluations are pure.
-    """
-
-    model: IntensityModel
-    alpha: float
-    spec: QuadratureSpec = DEFAULT_QUADRATURE
-    method: str = "auto"
-
-    def __post_init__(self):
-        _check_alpha(self.alpha)
-        if self.method not in ("auto", "closed_form", "quadrature"):
-            raise ValueError(
-                f"method must be auto, closed_form or quadrature, got {self.method!r}"
-            )
-        if isinstance(self.model, PowerLaw) and not self.model.eps < self.alpha - 2:
-            raise DivergenceError(
-                "power-law interference requires eps < alpha - 2, got "
-                f"eps={self.model.eps}, alpha={self.alpha}"
-            )
-
-    def _adaptive(self, fn, g, scalar):
-        out = np.array([fn(self.model, self.alpha, x, self.spec) for x in g.ravel().tolist()])
-        return float(out[0]) if scalar else out.reshape(g.shape)
-
-    def value(self, gamma):
-        """psi(gamma) via the configured route (includes the model's beta)."""
-        g, scalar, _ = _gamma_array(gamma)
-        m = self.model
-        if self.method == "quadrature":
-            return self._adaptive(psi_quadrature, g, scalar)
-        if isinstance(m, PowerLaw):
-            out = psi_power_law(m.rho, m.eps, self.alpha, g)
-        elif isinstance(m, PiecewisePowerLaw):
-            out = psi_piecewise(m.segments, self.alpha, g)
-        elif isinstance(m, PolynomialWithTail):
-            out = psi_polynomial(m.coeffs, m.R0, m.rho0, m.eps_tail, self.alpha, g)
-        else:
-            out = psi_gaussian(m.rho, m.v, self.alpha, g, self.spec)
-        return m.beta * out
-
-    __call__ = value
-
-    def derivative(self, gamma):
-        """d psi / d gamma at gamma > 0 (scalar or array).
-
-        Analytic for the power law; every other family integrates the
-        gamma-differentiated kernel 2*pi*Lambda(r)*r*r^alpha/(r^alpha+gamma)^2
-        with the log-r panel rule, or adaptively under method="quadrature".
-        """
-        g = np.asarray(gamma, dtype=float)
-        if not np.all(g > 0):
-            raise ValueError(f"derivative requires gamma > 0, got {gamma!r}")
-        scalar = g.ndim == 0
-        m = self.model
-        if self.method == "quadrature":
-            return self._adaptive(_dpsi_quadrature, g, scalar)
-        if isinstance(m, PowerLaw):
-            out = self.value(g) * (m.eps + 2.0) / (self.alpha * g)
-        else:
-            out = _psi_panels(m, self.alpha, g.reshape(-1), self.spec, True).reshape(g.shape)
-        return float(out) if scalar else out
-
-
-def psi_derivative(evaluator: PsiEvaluator, gamma):
-    """Derivative of the interference functional at gamma (> 0)."""
-    return evaluator.derivative(gamma)
+    return PsiEvaluator(GaussianCluster(rho=rho, v=v), alpha, spec).value(gamma)

@@ -25,15 +25,12 @@ from .distribution import LinkConfig
 from .intensity import (
     FULL_PLANE,
     DiskRegion,
-    GaussianCluster,
     IntensityModel,
-    PiecewisePowerLaw,
-    PolynomialWithTail,
-    PowerLaw,
+    _outer_term,
     mean_count,
     sample_location,
 )
-from .interference import PsiEvaluator, _outer_term, psi_polynomial
+from .interference import PsiEvaluator
 from .specfun import regularized_upper_gamma
 
 __all__ = [
@@ -55,8 +52,6 @@ _MASK64 = (1 << 64) - 1
 # Default bound on the interference mass ignored by truncation: the tail of
 # psi beyond the simulation radius stays below this fraction of the total.
 DEFAULT_TAIL_FRACTION = 1e-3
-# Gaussian clusters are truncated at this multiple of v by default.
-GAUSSIAN_TRUNCATION_FACTOR = 8.0
 # Share of the 95% Kolmogorov-Smirnov critical value, KS_CRITICAL_95 /
 # sqrt(trials), that truncating the simulation disk may add to the CDF the
 # campaign samples from.
@@ -385,17 +380,12 @@ def run_campaign(sim: SimConfig, workers: int = 1) -> EmpiricalDistribution:
     return EmpiricalDistribution(_run_arrays(sim, workers)[0])
 
 
-def _fixed_truncation_radius(model: IntensityModel):
-    """The radius of the families whose rule needs no link or trial count.
-
-    Piecewise models return their exact support; Gaussian clusters use 8v,
-    since nearly all their mass lies within 5v. None for the other families.
-    """
-    if isinstance(model, PiecewisePowerLaw):
-        return model.support_radius
-    if isinstance(model, GaussianCluster):
-        return GAUSSIAN_TRUNCATION_FACTOR * model.v
-    return None
+def _truncation_data(model: IntensityModel):
+    """The model's fixed truncation radius and its algebraic tail (rho, eps,
+    r0), one of them None; TypeError for anything that is not a model."""
+    if not isinstance(model, IntensityModel):
+        raise TypeError(f"unsupported model type: {type(model).__name__}")
+    return model.fixed_truncation_radius, model.algebraic_tail
 
 
 def default_truncation_radius(
@@ -408,11 +398,12 @@ def default_truncation_radius(
 
     Chooses R so the part of the interference functional beyond R, at the
     largest normalized SINR of interest, stays below tail_fraction of the
-    total. Piecewise models return their exact support; Gaussian clusters use
-    8v (the mass beyond is astronomically small); power laws solve the tail
-    bound analytically; polynomial tails expand by doubling against the
-    closed-form outer term. The CLI sizes its campaigns with
-    budget_truncation_radius instead.
+    total. A model's fixed_truncation_radius wins (piecewise models: their
+    exact support; Gaussian clusters: 8v, the mass beyond is astronomically
+    small); an algebraic tail from the origin (power law) solves the tail
+    bound analytically; one from r0 > 0 (polynomial tail) expands by
+    doubling against the closed-form outer term. The CLI sizes its
+    campaigns with budget_truncation_radius instead.
     """
     if not alpha > 2:
         raise ValueError(f"alpha must exceed 2, got {alpha}")
@@ -421,40 +412,24 @@ def default_truncation_radius(
     if not 0 < tail_fraction < 1:
         raise ValueError(f"tail_fraction must be in (0, 1), got {tail_fraction}")
 
-    fixed = _fixed_truncation_radius(model)
+    fixed, tail = _truncation_data(model)
     if fixed is not None:
         return fixed
-    if isinstance(model, PowerLaw):
-        c = (2.0 + model.eps) / alpha
+    rho, eps, r0 = tail
+    if r0 == 0.0:
+        c = (2.0 + eps) / alpha
         # bound: psi tail beyond R <= 2 pi rho gamma R^(2+eps-alpha)/(alpha-2-eps),
         # compared against the closed-form total psi
-        factor = (
-            alpha
-            * math.sin(math.pi * c)
-            / (math.pi * tail_fraction * (alpha - 2.0 - model.eps))
-        )
-        return gamma_max ** (1.0 / alpha) * factor ** (1.0 / (alpha - 2.0 - model.eps))
-    if isinstance(model, PolynomialWithTail):
-        total = psi_polynomial(
-            model.coeffs, model.R0, model.rho0, model.eps_tail, alpha, gamma_max
-        )
-        radius = max(model.R0, gamma_max ** (1.0 / alpha))
-        for _ in range(200):
-            tail = _outer_term(model.rho0, model.eps_tail, alpha, gamma_max, radius)
-            if tail <= tail_fraction * total:
-                return radius
-            radius *= 2.0
-        raise ValueError("failed to bound the polynomial tail; check parameters")
-    raise TypeError(f"unsupported model type: {type(model).__name__}")
-
-
-def _algebraic_tail(model: IntensityModel):
-    """(rho, eps, r0) when the model is beta * rho * r**eps beyond r0, else None."""
-    if isinstance(model, PowerLaw):
-        return model.rho, model.eps, 0.0
-    if isinstance(model, PolynomialWithTail):
-        return model.rho0, model.eps_tail, model.R0
-    return None
+        factor = alpha * math.sin(math.pi * c) / (math.pi * tail_fraction * (alpha - 2.0 - eps))
+        return gamma_max ** (1.0 / alpha) * factor ** (1.0 / (alpha - 2.0 - eps))
+    total = model.psi_closed_form(alpha, gamma_max)
+    radius = max(r0, gamma_max ** (1.0 / alpha))
+    for _ in range(200):
+        tail = _outer_term(rho, eps, alpha, gamma_max, radius)
+        if tail <= tail_fraction * total:
+            return radius
+        radius *= 2.0
+    raise ValueError("failed to bound the algebraic tail; check parameters")
 
 
 def _gamma_density_peak(L: int, lo, hi):
@@ -477,7 +452,7 @@ def _truncation_error_bound(model: IntensityModel, link: LinkConfig):
     same holds on [0, x(gamma_0)], and above gamma_N the error is at most
     Q(L, x_R(gamma_N)). The bound falls as R grows.
     """
-    rho, eps, r0 = _algebraic_tail(model)
+    rho, eps, r0 = model.algebraic_tail
     L, alpha = link.L, link.alpha
     evaluator = PsiEvaluator(model, alpha)
 
@@ -521,7 +496,7 @@ def truncation_cdf_bound(model: IntensityModel, link: LinkConfig, radius: float)
     the Gamma(L) density (0.0 for a piecewise model cut at its support).
     A bound above 1 says nothing, and is reported as 1.
     """
-    if _algebraic_tail(model) is not None:
+    if model.algebraic_tail is not None:
         bound = _truncation_error_bound(model, link)(radius)
     else:
         beyond = mean_count(model, FULL_PLANE) - mean_count(model, DiskRegion(radius))
@@ -543,12 +518,9 @@ def budget_truncation_radius(model: IntensityModel, link: LinkConfig, trials: in
     """
     if not trials >= 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    fixed = _fixed_truncation_radius(model)
+    fixed, tail = _truncation_data(model)
     if fixed is not None:
         return fixed
-    tail = _algebraic_tail(model)
-    if tail is None:
-        raise TypeError(f"unsupported model type: {type(model).__name__}")
     r0 = tail[2]
     budget = TRUNCATION_KS_SHARE * KS_CRITICAL_95 / math.sqrt(trials)
     bound = _truncation_error_bound(model, link)

@@ -123,6 +123,33 @@ def test_parse_rejects_misordered_piecewise(tmp_path):
         parse_config(json.dumps(cfg))
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"family": "polynomial_with_tail", "coeffs": ["0.005", True], "R0": 110.0,
+         "rho0": 0.005 * 110**1.5, "eps_tail": -1.5},
+        {"family": "piecewise_power_law", "segments": [[True, "0", 100]]},
+        {"family": "power_law", "rho": 0.023, "eps": "-0.5"},
+    ],
+)
+def test_parse_model_numbers_are_strict(tmp_path, model):
+    """Booleans and strings are refused inside lists as in scalar fields."""
+    cfg = _cdf_config(tmp_path)
+    cfg["model"] = model
+    with pytest.raises(ConfigError, match="must be a number"):
+        parse_config(json.dumps(cfg))
+
+
+def test_parse_model_names_an_unknown_or_missing_family(tmp_path):
+    cfg = _cdf_config(tmp_path)
+    cfg["model"] = {"family": "spiral", "rho": 1.0}
+    with pytest.raises(ConfigError, match="unknown model family 'spiral'"):
+        parse_config(json.dumps(cfg))
+    cfg["model"] = {"rho": 1.0, "eps": 0.0}
+    with pytest.raises(ConfigError, match="missing key 'family' in model"):
+        parse_config(json.dumps(cfg))
+
+
 def test_parse_gaussian_needs_one_density(tmp_path):
     cfg = _cdf_config(tmp_path)
     cfg["model"] = {"family": "gaussian_cluster", "v": 500.0}

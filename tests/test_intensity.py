@@ -1,6 +1,7 @@
 """Tests for the radial intensity models, their sampling and the profile fit."""
 
 import dataclasses
+import json
 import math
 import warnings
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sinrdist import (
+    DEFAULT_QUADRATURE,
     DiskRegion,
     DivergenceError,
     FULL_PLANE,
@@ -18,12 +20,15 @@ from sinrdist import (
     PiecewisePowerLaw,
     PolynomialWithTail,
     PowerLaw,
+    PsiEvaluator,
     fit_polynomial,
     integrate_radial,
     location_pdf,
     mean_count,
     sample_location,
 )
+from sinrdist.intensity import FAMILIES, ConfigError, IntensityModel
+from sinrdist.interference import _psi_panels
 
 TWO_PI = 2.0 * math.pi
 
@@ -357,3 +362,129 @@ def test_fit_degree_limits():
         fit_polynomial(lambda r: 1.0, degree=-1, R0=10.0)
     with pytest.raises(ValueError):
         fit_polynomial(lambda r: 1.0, degree=2, R0=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the family protocol
+
+
+def _polynomial(coeffs, R0, rho0, eps_tail, beta=1.0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # continuity at R0 is not required
+        return PolynomialWithTail(coeffs=coeffs, R0=R0, rho0=rho0, eps_tail=eps_tail, beta=beta)
+
+
+PROTOCOL_MODELS = (
+    PowerLaw(rho=0.02, eps=-0.5, beta=3.0),
+    PiecewisePowerLaw(segments=((1e-3, 0.0, 50.0), (2e-2, -1.0, 300.0)), beta=0.5),
+    PolynomialWithTail((0.005, 0.0, 1e-6), 110.0, (0.005 + 1e-6 * 110**2) * 110**1.5, -1.5, 2.0),
+    GaussianCluster(rho=1.0, v=500.0, beta=4.0),
+)
+
+
+def test_registry_holds_every_family_once():
+    assert {type(m) for m in PROTOCOL_MODELS} == set(FAMILIES.values())
+    assert all(FAMILIES[cls.family] is cls for cls in FAMILIES.values())
+
+
+@pytest.mark.parametrize("model", PROTOCOL_MODELS, ids=lambda m: m.family)
+def test_every_family_answers_every_protocol_member(model):
+    alpha, R = 4.0, 1000.0
+    gammas = np.geomspace(1e2, 1e10, 9)
+    assert isinstance(model, IntensityModel)
+    assert IntensityModel.from_dict(model.to_dict()) == model
+    assert model.radial_intensity(1.0) > 0
+    assert model.support_radius > 0
+    assert all(0 < b < model.support_radius for b in model.quadrature_breakpoints)
+    model.check_alpha(alpha)
+    # the count over the plane is finite exactly when the region may be the plane
+    try:
+        plane = model.plane_count()
+    except DivergenceError:
+        assert model.algebraic_tail is not None
+    else:
+        assert plane == pytest.approx(model.cumulative_count(1e12), rel=1e-12)
+        assert np.all(np.isfinite(model.sample_radii(np.array([0.5, 1.0]), math.inf)))
+    # a family truncates either at a fixed radius or by its algebraic tail
+    assert (model.fixed_truncation_radius is None) != (model.algebraic_tail is None)
+    if model.algebraic_tail is not None:
+        rho, eps, r0 = model.algebraic_tail
+        far = max(r0, 1.0) * 10.0
+        assert model.radial_intensity(far) == pytest.approx(model.beta * rho * far**eps, rel=1e-12)
+    # the sampler inverts cumulative_count on the disk
+    u = np.linspace(0.01, 1.0, 25)
+    r = model.sample_radii(u, R)
+    cut = min(R, model.support_radius)
+    np.testing.assert_allclose(model.cumulative_count(r) / model.cumulative_count(cut), u, rtol=1e-6)
+    # the panel layout integrates psi, whether or not a closed form exists
+    knee = gammas ** (1.0 / alpha)
+    small, inner, upper, breakpoints = model.panel_layout(alpha, knee)
+    assert np.all(np.minimum(knee, inner) < upper) and all(b > 0 for b in breakpoints)
+    panels = _psi_panels(model, alpha, gammas, DEFAULT_QUADRATURE, False)
+    np.testing.assert_allclose(panels, PsiEvaluator(model, alpha).value(gammas), rtol=1e-8)
+    if model.psi_closed_form is not None:
+        nominal = model.psi_closed_form(alpha, gammas)
+        np.testing.assert_array_equal(model.beta * nominal, PsiEvaluator(model, alpha).value(gammas))
+    if model.dpsi_closed_form is not None:
+        psi = PsiEvaluator(model, alpha).value(gammas)
+        slope = _psi_panels(model, alpha, gammas, DEFAULT_QUADRATURE, True)
+        np.testing.assert_allclose(model.dpsi_closed_form(alpha, gammas, psi), slope, rtol=1e-8)
+
+
+_scale = st.floats(1e-6, 1e3)
+_betas = st.floats(0.0, 1e3)
+
+
+@st.composite
+def _piecewise(draw):
+    n = draw(st.integers(1, 4))
+    widths = draw(st.lists(st.floats(1e-2, 1e3), min_size=n, max_size=n))
+    radii = np.cumsum(widths).tolist()
+    eps = [draw(st.floats(-1.99, 3.0))] + draw(st.lists(st.floats(-5.0, 5.0), min_size=n - 1, max_size=n - 1))
+    rho = draw(st.lists(_scale, min_size=n, max_size=n))
+    return PiecewisePowerLaw(segments=tuple(zip(rho, eps, radii)), beta=draw(_betas))
+
+
+@st.composite
+def _polynomials(draw):
+    coeffs = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+    return _polynomial(
+        tuple(coeffs), draw(st.floats(1.0, 1e3)), draw(_scale), draw(st.floats(-1.99, -1.01)), draw(_betas)
+    )
+
+
+@st.composite
+def _gaussians_by_total(draw):
+    raw = {"family": "gaussian_cluster", "total_count": draw(_scale), "v": draw(_scale)}
+    if draw(st.booleans()):
+        raw["beta"] = draw(_betas)
+    return IntensityModel.from_dict(raw)
+
+
+_models = st.one_of(
+    st.builds(PowerLaw, rho=st.floats(0.0, 1e3), eps=st.floats(-1.99, 5.0), beta=_betas),
+    _piecewise(),
+    _polynomials(),
+    st.builds(GaussianCluster, rho=st.floats(0.0, 1e3), v=_scale, beta=_betas),
+    _gaussians_by_total(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_models)
+def test_config_form_round_trips(model):
+    raw = model.to_dict()
+    assert FAMILIES[raw["family"]] is type(model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert IntensityModel.from_dict(raw) == model
+        assert type(model).from_dict(json.loads(json.dumps(raw))) == model
+
+
+def test_config_form_names_an_unknown_or_missing_family():
+    with pytest.raises(ConfigError, match="'spiral'"):
+        IntensityModel.from_dict({"family": "spiral", "rho": 1.0})
+    with pytest.raises(ConfigError, match="missing key 'family' in model"):
+        IntensityModel.from_dict({"rho": 1.0, "eps": 0.0})
+    with pytest.raises(ConfigError, match="'gaussian_cluster'"):
+        PowerLaw.from_dict({"family": "gaussian_cluster", "rho": 1.0, "v": 1.0})

@@ -1,6 +1,6 @@
 """Independent high-precision oracles (mpmath, and a brentq root) for the
 special functions, the Gaussian-cluster panel rule, the Gaussian and
-polynomial samplers, the truncation budget and the MMSE combiner on
+polynomial samplers (near the origin and across the polynomial's kink), the truncation budget and the MMSE combiner on
 near-singular covariances.
 
 mpmath is a test-only dependency: the whole module is skipped without it.
@@ -111,6 +111,33 @@ def test_polynomial_sampler_near_origin_matches_root(coeffs, rho0):
     u = 1.0 - rng.random(rng.u.size)  # the uniforms the sampler inverts
     r, _ = sample_location(model, DiskRegion(R), rng, size=u.size)
     total = model.cumulative_count(R)
+    roots = [
+        brentq(lambda x: model.cumulative_count(x) - ui * total, 0.0, R, xtol=1e-300, rtol=1e-15)
+        for ui in u
+    ]
+    np.testing.assert_allclose(r, roots, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "coeffs, R0, rho0, R",  # profiles continuous at R0, where the CDF has a kink
+    [
+        ((0.0, 0.0, 1e-6), 50.0, 1e-6 * 50**3.5, 2000.0),
+        ((0.005, 0.0), 110.0, 0.005 * 110**1.5, 4000.0),
+    ],
+)
+def test_polynomial_sampler_across_the_kink_matches_root(coeffs, R0, rho0, R):
+    """Radii drawn round the CDF value at R0, and across (0, 1], sit at the
+    root of the closed-form count."""
+    from scipy.optimize import brentq
+
+    model = PolynomialWithTail(coeffs=coeffs, R0=R0, rho0=rho0, eps_tail=-1.5)
+    total = model.cumulative_count(R)
+    at_kink = model.cumulative_count(R0) / total
+    rng = _FixedUniforms(
+        np.concatenate([at_kink * np.linspace(0.8, 1.2, 81), np.linspace(1e-3, 1.0, 100)])
+    )
+    u = 1.0 - rng.random(rng.u.size)  # the uniforms the sampler inverts
+    r, _ = sample_location(model, DiskRegion(R), rng, size=u.size)
     roots = [
         brentq(lambda x: model.cumulative_count(x) - ui * total, 0.0, R, xtol=1e-300, rtol=1e-15)
         for ui in u
