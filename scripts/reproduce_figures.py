@@ -64,9 +64,11 @@ def run_one(name: str, trials, workers, root: Path = ROOT) -> int:
     out = root / config["output_path"]
     out.parent.mkdir(parents=True, exist_ok=True)
     argv = [config["experiment"], "--config", str(config_path)]
-    if trials is not None and "sim" in config and "trials" in config["sim"]:
+    # only a Monte-Carlo campaign takes a trial or worker count
+    campaign = "trials" in config.get("sim", {})
+    if campaign and trials is not None:
         argv += ["--trials", str(trials)]
-    if workers is not None:
+    if campaign and workers is not None:
         argv += ["--workers", str(workers)]
     # run from root so the sidecar records the config's relative output path
     cwd = os.getcwd()

@@ -1,17 +1,8 @@
 """Command-line interface: JSON experiment configs in, CSV + metadata out.
 
-Seven experiment kinds cover the library's workflows:
-
-    cdf / pdf      analytic distribution on a grid, optionally with an
-                   empirical column from the simulator
-    outage-sweep   outage vs. power-law exponent at fixed mean count, for a
-                   list of antenna counts
-    scaling        CDF family with density growing linearly in the antenna
-                   count (beta = q * L)
-    simulate       raw Monte-Carlo sample dump plus a KS summary
-    fit-poly       polynomial-approximation convergence table against the
-                   quadrature reference
-    sample-points  one network realization as (x, y) points
+Each experiment kind (cdf, pdf, outage-sweep, scaling, simulate, fit-poly,
+sample-points) is an ExperimentConfig dataclass registered in KINDS, which
+owns its config keys, their checks, its sidecar form and its run.
 
 Every run writes one CSV (17-significant-digit fields, so files round-trip
 bit-exactly) and a JSON sidecar holding the fully resolved config, the seed,
@@ -25,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import itertools
 import json
 import math
@@ -50,10 +40,12 @@ from .intensity import (
     TWO_PI,
     ConfigError,
     DiskRegion,
-    DivergenceError,
     IntensityModel,
+    _as_integer,
+    _as_number,
     _check_keys,
-    _number,
+    _FIELD_PARSERS,
+    _parse_fields,
     _require_object,
     fit_polynomial,
     mean_count,
@@ -74,68 +66,48 @@ from .specfun import (
     regularized_lower_gamma,
 )
 
-__all__ = ["ConfigError", "ExperimentConfig", "parse_config", "run_experiment", "main"]
-
-KINDS = (
-    "cdf",
-    "pdf",
-    "outage-sweep",
-    "scaling",
-    "simulate",
-    "fit-poly",
-    "sample-points",
-)
+__all__ = ["ConfigError", "ExperimentConfig", "KINDS", "parse_config", "run_experiment", "main"]
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config values
 
 
-def _integer(raw, key, where):
-    value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"'{key}' in {where} must be an integer, got {value!r}")
-    return int(value)
+def _require(ok, message):
+    if not ok:
+        raise ConfigError(message)
 
 
-def _int_list(raw, key, where):
-    value = raw[key]
+def _as_text(value, key, where):
+    if not isinstance(value, str):
+        raise ConfigError(f"'{key}' in {where} must be a string, got {value!r}")
+    return value
+
+
+def _integers(value, key, where):
+    """A nonempty list of integers, as a tuple."""
     if not isinstance(value, list) or not value:
         raise ConfigError(f"'{key}' in {where} must be a nonempty list of integers")
-    out = []
-    for item in value:
-        if isinstance(item, bool) or not isinstance(item, int):
-            raise ConfigError(f"'{key}' in {where} must contain only integers")
-        out.append(int(item))
-    return tuple(out)
+    return tuple(_as_integer(v, key, where) for v in value)
 
 
-def _parse_link(raw, where="link") -> LinkConfig:
-    _check_keys(raw, where, ("alpha", "sigma2", "r_T", "L"))
-    try:
-        return LinkConfig(
-            alpha=_number(raw, "alpha", where),
-            sigma2=_number(raw, "sigma2", where),
-            r_T=_number(raw, "r_T", where),
-            L=_integer(raw, "L", where),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid {where}: {exc}") from exc
+# The annotations of the two grid forms; SINR thresholds must be positive.
+Grid = PositiveGrid = np.ndarray
 
 
-def _parse_grid(raw, where, positive=True) -> np.ndarray:
+def _parse_grid(raw, where, positive) -> np.ndarray:
     _require_object(raw, where)
     if "values" in raw:
         _check_keys(raw, where, ("values",))
         values = raw["values"]
         if not isinstance(values, list) or not values:
             raise ConfigError(f"'values' in {where} must be a nonempty list")
-        grid = np.asarray([float(x) for x in values], dtype=float)
+        grid = np.asarray([_as_number(x, "values", where) for x in values], dtype=float)
     else:
         _check_keys(raw, where, ("min", "max", "points"), ("spacing",))
-        lo = _number(raw, "min", where)
-        hi = _number(raw, "max", where)
-        points = _integer(raw, "points", where)
+        lo = _as_number(raw["min"], "min", where)
+        hi = _as_number(raw["max"], "max", where)
+        points = _as_integer(raw["points"], "points", where)
         spacing = raw.get("spacing", "log")
         if spacing not in ("log", "linear"):
             raise ConfigError(f"'spacing' in {where} must be 'log' or 'linear'")
@@ -156,115 +128,453 @@ def _parse_grid(raw, where, positive=True) -> np.ndarray:
     return grid
 
 
-def _parse_tolerances(raw, where="tolerances") -> QuadratureSpec:
-    _check_keys(raw, where, (), ("rel_tol", "abs_tol", "max_subdivisions"))
-    try:
-        return QuadratureSpec(
-            rel_tol=_number(raw, "rel_tol", where)
-            if "rel_tol" in raw
-            else DEFAULT_QUADRATURE.rel_tol,
-            abs_tol=_number(raw, "abs_tol", where)
-            if "abs_tol" in raw
-            else DEFAULT_QUADRATURE.abs_tol,
-            max_subdivisions=_integer(raw, "max_subdivisions", where)
-            if "max_subdivisions" in raw
-            else DEFAULT_QUADRATURE.max_subdivisions,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid {where}: {exc}") from exc
+def _fields_form(obj) -> dict:
+    """A parsed dataclass's config form: every field that is set."""
+    return {
+        f.name: _config_form(value)
+        for f in dataclasses.fields(obj)
+        if (value := getattr(obj, f.name)) is not None
+    }
 
 
-@dataclass
-class ExperimentConfig:
-    """Fully validated experiment description, all defaults resolved."""
+def _config_form(value):
+    """The config form of a parsed value; parsing it gives the value back."""
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if isinstance(value, np.ndarray):
+        return {"values": value.tolist()}
+    if dataclasses.is_dataclass(value):
+        return _fields_form(value)
+    return value
 
-    kind: str
-    output_path: str | None
-    quad: QuadratureSpec = DEFAULT_QUADRATURE
-    model: IntensityModel | None = None
-    link: LinkConfig | None = None
-    gamma_grid: np.ndarray | None = None
-    eps_grid: np.ndarray | None = None
-    L_values: tuple | None = None
-    tau: float | None = None
-    q: float | None = None
-    R_c: float | None = None
-    mu: float | None = None
-    degrees: tuple | None = None
-    R0: float | None = None
-    tail_rho0: float | None = None
-    tail_eps: float | None = None
-    region_radius: float | None = None
-    sim_requested: bool = False
-    trials: int | None = None
+
+# ---------------------------------------------------------------------------
+# the nested blocks of a config
+
+
+@dataclass(frozen=True)
+class Seed:
+    """The sim block of a kind that draws one seeded sample."""
+
     seed: int = 0
+
+
+@dataclass(frozen=True)
+class Campaign(Seed):
+    """The sim block of a Monte-Carlo campaign. Without a truncation_radius
+    the run sizes the disk (see _run_sim)."""
+
+    trials: int | None = None
     truncation_radius: float | None = None
     workers: int = 1
 
-    def resolved(self) -> dict:
-        """Canonical JSON-ready form; reparsing it reproduces this experiment."""
-        out = {"experiment": self.kind, "output_path": str(self.output_path)}
-        if self.model is not None:
-            out["model"] = self.model.to_dict()
-        if self.link is not None:
-            out["link"] = dataclasses.asdict(self.link)
-        if self.gamma_grid is not None:
-            out["gamma_grid"] = {"values": self.gamma_grid.tolist()}
-        if self.eps_grid is not None:
-            out["eps_grid"] = {"values": self.eps_grid.tolist()}
-        if self.L_values is not None:
-            out["L_values"] = list(self.L_values)
-        for key in ("tau", "q", "R_c", "mu", "R0", "region_radius"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        if self.degrees is not None:
-            out["degrees"] = list(self.degrees)
-        if self.tail_rho0 is not None:
-            out["tail"] = {"rho0": self.tail_rho0, "eps_tail": self.tail_eps}
-        if self.sim_requested or self.kind in ("simulate", "sample-points"):
-            sim = {"seed": self.seed}
-            if self.trials is not None:
-                sim["trials"] = self.trials
-            if self.truncation_radius is not None:
-                sim["truncation_radius"] = self.truncation_radius
-            if self.workers != 1:
-                sim["workers"] = self.workers
-            out["sim"] = sim
-        out["tolerances"] = dataclasses.asdict(self.quad)
-        return out
+    def __post_init__(self):
+        _require(
+            self.trials is not None and self.trials >= 1,
+            "simulation requires 'trials' >= 1 (config sim block or --trials)",
+        )
+        _require(self.workers >= 1, f"'workers' must be >= 1, got {self.workers}")
+        _require(
+            self.truncation_radius is None or self.truncation_radius > 0,
+            f"'truncation_radius' must be > 0, got {self.truncation_radius}",
+        )
+
+    def to_dict(self) -> dict:
+        """The config form, without workers where it is the default 1."""
+        form = _fields_form(self)
+        if self.workers == 1:
+            del form["workers"]
+        return form
 
 
-_TOP_LEVEL_KEYS = {
-    "cdf": (
-        ("model", "link", "gamma_grid"),
-        ("experiment", "output_path", "sim", "tolerances"),
-    ),
-    "pdf": (
-        ("model", "link", "gamma_grid"),
-        ("experiment", "output_path", "sim", "tolerances"),
-    ),
-    "outage-sweep": (
-        ("link", "tau", "R_c", "mu", "eps_grid", "L_values"),
-        ("experiment", "output_path", "tolerances"),
-    ),
-    "scaling": (
-        ("model", "link", "q", "L_values", "gamma_grid"),
-        ("experiment", "output_path", "tolerances"),
-    ),
-    "simulate": (
-        ("model", "link", "sim"),
-        ("experiment", "output_path", "tolerances"),
-    ),
-    "fit-poly": (
-        ("model", "link", "R0", "degrees", "tail", "gamma_grid"),
-        ("experiment", "output_path", "tolerances"),
-    ),
-    "sample-points": (
-        ("model", "region_radius"),
-        ("experiment", "output_path", "sim", "tolerances"),
-    ),
+@dataclass(frozen=True)
+class Tail:
+    """fit-poly's reference profile beyond R0, rho0 * r**eps_tail."""
+
+    rho0: float
+    eps_tail: float
+
+    def __post_init__(self):
+        _require(self.rho0 >= 0, f"tail rho0 must be >= 0, got {self.rho0}")
+        _require(
+            self.rho0 == 0 or -2.0 < self.eps_tail < -1.0,
+            f"tail eps_tail must lie in (-2, -1), got {self.eps_tail}",
+        )
+
+
+def _block(cls):
+    """The parser of a config object that fills the dataclass cls."""
+    return lambda raw, key, where: _parse_fields(cls, raw, key, _PARSERS)
+
+
+# The parser of each annotation a config field carries: (value, key, where) -> value
+_PARSERS = {
+    **_FIELD_PARSERS,
+    "str": _as_text,
+    "tuple[int, ...]": _integers,
+    "Grid": lambda raw, key, where: _parse_grid(raw, key, positive=False),
+    "PositiveGrid": lambda raw, key, where: _parse_grid(raw, key, positive=True),
+    "IntensityModel": lambda raw, key, where: IntensityModel.from_dict(raw, key),
+    **{cls.__name__: _block(cls) for cls in (LinkConfig, QuadratureSpec, Seed, Campaign, Tail)},
 }
+
+
+# ---------------------------------------------------------------------------
+# experiment kinds
+
+
+@dataclass(kw_only=True)
+class ExperimentConfig:
+    """The protocol every experiment kind implements, and the keys all share.
+
+    A kind is a dataclass subclass with a `kind` name, a key of KINDS, and a
+    docstring whose first line is its CLI help. Its fields are its config
+    keys: those without a default are required, and each annotation names
+    the key's parser in _PARSERS. It checks its values in __post_init__,
+    raising ConfigError, and provides run(), which returns the CSV columns
+    and the sidecar's extra entries. --seed, --trials and --workers set keys
+    of the sim block, so only a kind with a sim field takes them.
+    """
+
+    kind = None
+    sim = None  # a field, the sim block, on the kinds that take one
+
+    output_path: str
+    tolerances: QuadratureSpec = DEFAULT_QUADRATURE
+
+    @property
+    def quad(self) -> QuadratureSpec:
+        return self.tolerances
+
+    @property
+    def seed(self) -> int:
+        """The sim block's seed, 0 without one."""
+        return 0 if self.sim is None else self.sim.seed
+
+    @property
+    def truncation_radius(self):
+        """The campaign's disk radius: None without a campaign, and until
+        run() sizes a disk the config leaves open."""
+        return getattr(self.sim, "truncation_radius", None)
+
+    def to_dict(self) -> dict:
+        """The config form, for the sidecar: reparsing it repeats this run."""
+        return {"experiment": self.kind, **_fields_form(self)}
+
+
+def _sinr_scale(link: LinkConfig) -> float:
+    return link.r_T ** (-link.alpha)
+
+
+def _db(values: np.ndarray) -> np.ndarray:
+    # math.log10, not np.log10: numpy's SIMD log10 differs from libm's in
+    # the last bit for a few percent of inputs, which would move the CSV
+    return np.array([10.0 * math.log10(x) for x in values.tolist()])
+
+
+def _run_sim(config: ExperimentConfig, dist: SinrDistribution):
+    """The campaign's empirical distribution and its sidecar entries.
+
+    Without an explicit sim.truncation_radius the disk is sized by
+    budget_truncation_radius, and the resolved radius is written back into
+    the sim block so the sidecar's config block replays the same campaign.
+    """
+    sim = config.sim
+    if sim.truncation_radius is None:
+        radius = float(budget_truncation_radius(config.model, config.link, sim.trials))
+        sim = config.sim = dataclasses.replace(sim, truncation_radius=radius)
+    radius = sim.truncation_radius
+    scale = _sinr_scale(config.link)
+    campaign = SimConfig(
+        trials=sim.trials,
+        truncation_radius=radius,
+        seed=sim.seed,
+        link=config.link,
+        model=config.model,
+    )
+    empirical = run_campaign(campaign, sim.workers)
+    extra = {
+        "trials": sim.trials,
+        "truncation_radius": radius,
+        "truncation_cdf_bound": truncation_cdf_bound(config.model, config.link, radius),
+        "ks_distance": empirical.ks_distance(lambda s: cdf_gamma(dist, s / scale)),
+    }
+    return empirical, extra
+
+
+@dataclass
+class Cdf(ExperimentConfig):
+    """analytic SINR CDF on a grid (optional empirical column)"""
+
+    kind = "cdf"
+    include_pdf = False
+
+    model: IntensityModel
+    link: LinkConfig
+    gamma_grid: PositiveGrid
+    sim: Campaign | None = None
+
+    def __post_init__(self):
+        self.model.check_alpha(self.link.alpha)
+
+    def run(self):
+        evaluator = PsiEvaluator(self.model, self.link.alpha, self.quad)
+        dist = SinrDistribution(evaluator, self.link)
+        extra = {}
+        empirical = None
+        if self.sim is not None:
+            empirical, extra = _run_sim(self, dist)
+        gammas = self.gamma_grid
+        sinr = gammas * _sinr_scale(self.link)
+        columns = {
+            "gamma": gammas,
+            "sinr_db": _db(sinr),
+            "analytic_cdf": cdf_gamma(dist, gammas),
+        }
+        if self.include_pdf:
+            columns["analytic_pdf"] = pdf_gamma(dist, gammas)
+        if empirical is not None:
+            columns["empirical_cdf"] = empirical.cdf(sinr)
+        return columns, extra
+
+
+@dataclass
+class Pdf(Cdf):
+    """analytic SINR CDF and PDF on a grid"""
+
+    kind = "pdf"
+    include_pdf = True
+
+
+@dataclass
+class OutageSweep(ExperimentConfig):
+    """outage vs. power-law exponent at fixed mean count"""
+
+    kind = "outage-sweep"
+
+    link: LinkConfig
+    tau: float
+    R_c: float
+    mu: float
+    eps_grid: Grid
+    L_values: tuple[int, ...]
+
+    def __post_init__(self):
+        _require(self.tau >= 0, f"'tau' must be >= 0, got {self.tau}")
+        _require(self.mu > 0, f"'mu' must be > 0, got {self.mu}")
+        _require(self.R_c > 0, f"'R_c' must be > 0, got {self.R_c}")
+        _require(min(self.L_values) >= 1, "'L_values' entries must all be >= 1")
+        lo = float(self.eps_grid[0])
+        hi = float(self.eps_grid[-1])
+        _require(
+            -2.0 < lo and hi < self.link.alpha - 2.0,
+            "eps_grid must stay strictly inside (-2, alpha-2) so the "
+            f"interference stays finite; got [{lo}, {hi}] with "
+            f"alpha={self.link.alpha}",
+        )
+
+    def run(self):
+        # rho re-solved at each exponent so the mean count over the radius-R_c
+        # disk stays at mu: rho(eps) = mu * (2 + eps) / (2 pi R_c^(2+eps)).
+        # R_c ** p by Python's pow: numpy's SIMD pow differs from libm's in the
+        # last bit for a few percent of inputs.
+        link = self.link
+        gamma = self.tau * link.r_T**link.alpha
+        eps = self.eps_grid
+        disk = np.array([self.R_c**p for p in (2.0 + eps).tolist()])
+        rho = self.mu * (2.0 + eps) / (TWO_PI * disk)
+        # the outage is the CDF at gamma, P(L, psi + sigma2*gamma), over the
+        # (eps, L) grid: one psi call for every eps, one P call for the grid
+        x = psi_power_law(rho, eps, link.alpha, gamma) + link.sigma2 * gamma
+        L = np.asarray(self.L_values)
+        outage = regularized_lower_gamma(L[None, :], x[:, None])
+        return {
+            "epsilon": np.repeat(eps, L.size),
+            "L": np.tile(L, eps.size),
+            "rho_adjusted": np.repeat(rho, L.size),
+            "outage": outage.ravel(),
+        }, {}
+
+
+@dataclass
+class Scaling(ExperimentConfig):
+    """CDF family with density tied to the antenna count"""
+
+    kind = "scaling"
+
+    model: IntensityModel
+    link: LinkConfig
+    q: float
+    L_values: tuple[int, ...]
+    gamma_grid: PositiveGrid
+
+    def __post_init__(self):
+        _require(self.q > 0, f"'q' must be > 0, got {self.q}")
+        _require(min(self.L_values) >= 1, "'L_values' entries must all be >= 1")
+        self.model.check_alpha(self.link.alpha)
+
+    def run(self):
+        link = self.link
+        nominal = self.model
+        limit = scaling_limit(nominal, self.q, link.alpha, link.r_T, self.quad)
+        cdfs = []
+        for L in self.L_values:
+            model = dataclasses.replace(nominal, beta=nominal.beta * (self.q * L))
+            evaluator = PsiEvaluator(model, link.alpha, self.quad)
+            dist = SinrDistribution(evaluator, dataclasses.replace(link, L=L))
+            cdfs.append(cdf_gamma(dist, self.gamma_grid))
+        L = np.asarray(self.L_values)
+        n = self.gamma_grid.size
+        extra = {
+            "sinr_limit": limit,
+            "sinr_limit_db": 10.0 * math.log10(limit),
+            "q": self.q,
+        }
+        return {
+            "L": np.repeat(L, n),
+            "beta": np.repeat(self.q * L, n),
+            "gamma": np.tile(self.gamma_grid, L.size),
+            "cdf": np.concatenate(cdfs),
+        }, extra
+
+
+def _require_quantile(dist: SinrDistribution, p_hi: float) -> None:
+    """Raise BracketingError unless the analytic CDF reaches p_hi.
+
+    A CDF that stays below p_hi leaves that much SINR mass at infinity, which
+    no finite campaign samples.
+    """
+    g = 1.0
+    while math.isfinite(g):
+        if cdf_gamma(dist, g) >= p_hi:
+            return
+        g *= 10.0
+    raise BracketingError("analytic CDF never reaches the requested quantile")
+
+
+@dataclass
+class Simulate(ExperimentConfig):
+    """Monte-Carlo sample dump with a KS summary"""
+
+    kind = "simulate"
+
+    model: IntensityModel
+    link: LinkConfig
+    sim: Campaign
+
+    def __post_init__(self):
+        self.model.check_alpha(self.link.alpha)
+
+    def run(self):
+        evaluator = PsiEvaluator(self.model, self.link.alpha, self.quad)
+        dist = SinrDistribution(evaluator, self.link)
+        if self.truncation_radius is None:
+            _require_quantile(dist, 1.0 - min(1e-4, 1.0 / (10.0 * self.sim.trials)))
+        empirical, extra = _run_sim(self, dist)
+        extra["mean_interferers"] = mean_count(self.model, DiskRegion(self.truncation_radius))
+        return {"sinr": empirical.samples, "sinr_db": _db(empirical.samples)}, extra
+
+
+@dataclass
+class FitPoly(ExperimentConfig):
+    """polynomial-approximation convergence table"""
+
+    kind = "fit-poly"
+
+    model: IntensityModel
+    link: LinkConfig
+    R0: float
+    degrees: tuple[int, ...]
+    tail: Tail
+    gamma_grid: PositiveGrid
+
+    def __post_init__(self):
+        _require(self.R0 > 0, f"'R0' must be > 0, got {self.R0}")
+        _require(min(self.degrees) >= 0, "'degrees' entries must all be >= 0")
+
+    def run(self):
+        link = self.link
+        profile = self.model.radial_intensity
+        R0 = self.R0
+        rho0, eps_tail = self.tail.rho0, self.tail.eps_tail
+
+        def reference_radial(r):
+            return profile(r) if r <= R0 else rho0 * r**eps_tail
+
+        def reference_cdf(g):
+            psi = psi_quadrature_radial(
+                reference_radial, link.alpha, g, self.quad, breakpoints=(R0,)
+            )
+            return regularized_lower_gamma(link.L, psi + link.sigma2 * g)
+
+        ref = np.asarray([reference_cdf(float(g)) for g in self.gamma_grid])
+        residuals, sup_errors, fits = [], [], {}
+        for m in self.degrees:
+            coeffs, residual = fit_polynomial(profile, m, R0)
+            psi = psi_polynomial(coeffs, R0, rho0, eps_tail, link.alpha, self.gamma_grid)
+            # low-degree fits can dip a hair negative at tiny gamma
+            x = np.maximum(0.0, psi + link.sigma2 * self.gamma_grid)
+            approx = regularized_lower_gamma(link.L, x)
+            residuals.append(residual)
+            sup_errors.append(np.max(np.abs(approx - ref)))
+            fits[str(m)] = coeffs
+        return {
+            "degree": np.asarray(self.degrees),
+            "fit_sup_residual": np.asarray(residuals, dtype=float),
+            "cdf_sup_error": np.asarray(sup_errors, dtype=float),
+        }, {"fitted_coefficients": fits}
+
+
+@dataclass
+class SamplePoints(ExperimentConfig):
+    """one network realization as (x, y) points"""
+
+    kind = "sample-points"
+
+    model: IntensityModel
+    region_radius: float
+    sim: Seed = Seed()
+
+    def __post_init__(self):
+        _require(
+            math.isfinite(self.region_radius) and self.region_radius > 0,
+            f"'region_radius' must be positive and finite, got {self.region_radius}",
+        )
+
+    def run(self):
+        region = DiskRegion(self.region_radius)
+        rng = trial_rng(self.seed, 0)
+        mu = mean_count(self.model, region)
+        n = int(rng.poisson(mu)) if mu > 0 else 0
+        r = theta = np.empty(0)
+        if n > 0:
+            r, theta = sample_location(self.model, region, rng, size=n)
+        return {"x": r * np.cos(theta), "y": r * np.sin(theta)}, {"mean_count": mu, "count": n}
+
+
+KINDS = {cls.kind: cls for cls in (Cdf, Pdf, OutageSweep, Scaling, Simulate, FitPoly, SamplePoints)}
+
+
+# ---------------------------------------------------------------------------
+# config parsing
+
+
+def _set_flags(raw: dict, cls, overrides: dict) -> None:
+    """Write the CLI flags into the config keys they set: --out into
+    output_path, --tol into tolerances.rel_tol, and --seed, --trials and
+    --workers into the sim block."""
+    for flag, value in overrides.items():
+        if value is None:
+            continue
+        if flag == "out":
+            raw["output_path"] = str(value)
+            continue
+        block, key = ("tolerances", "rel_tol") if flag == "tol" else ("sim", flag)
+        if block not in {f.name for f in dataclasses.fields(cls)}:
+            raise ConfigError(f"{cls.kind} takes no --{flag}")
+        current = raw.get(block, {})
+        _require_object(current, block)
+        raw[block] = {**current, key: value}
 
 
 def parse_config(source, kind=None, overrides=None) -> ExperimentConfig:
@@ -294,336 +604,16 @@ def parse_config(source, kind=None, overrides=None) -> ExperimentConfig:
         ) from exc
     _require_object(raw, "config")
 
-    declared = raw.get("experiment")
-    if declared is not None and declared not in KINDS:
+    name = raw.pop("experiment", kind)
+    if kind is not None and name != kind:
+        raise ConfigError(f"config declares experiment '{name}' but '{kind}' was requested")
+    cls = KINDS.get(name) if isinstance(name, str) else None
+    if cls is None:
         raise ConfigError(
-            f"unknown experiment kind {declared!r}; expected one of {', '.join(KINDS)}"
+            f"config must declare an 'experiment' kind, one of {', '.join(KINDS)}; got {name!r}"
         )
-    if kind is not None and declared is not None and kind != declared:
-        raise ConfigError(
-            f"config declares experiment '{declared}' but '{kind}' was requested"
-        )
-    resolved_kind = kind or declared
-    if resolved_kind is None:
-        raise ConfigError("config must declare an 'experiment' kind")
-
-    required, optional = _TOP_LEVEL_KEYS[resolved_kind]
-    _check_keys(raw, "config", required, optional)
-
-    config = ExperimentConfig(
-        kind=resolved_kind, output_path=raw.get("output_path")
-    )
-    if "tolerances" in raw:
-        config.quad = _parse_tolerances(raw["tolerances"])
-    if "model" in raw:
-        config.model = IntensityModel.from_dict(raw["model"])
-    if "link" in raw:
-        config.link = _parse_link(raw["link"])
-    if "gamma_grid" in raw:
-        config.gamma_grid = _parse_grid(raw["gamma_grid"], "gamma_grid", positive=True)
-    if "eps_grid" in raw:
-        config.eps_grid = _parse_grid(raw["eps_grid"], "eps_grid", positive=False)
-    if "L_values" in raw:
-        config.L_values = _int_list(raw, "L_values", "config")
-        if any(L < 1 for L in config.L_values):
-            raise ConfigError("'L_values' entries must all be >= 1")
-    if "degrees" in raw:
-        config.degrees = _int_list(raw, "degrees", "config")
-        if any(m < 0 for m in config.degrees):
-            raise ConfigError("'degrees' entries must all be >= 0")
-    for key in ("tau", "q", "R_c", "mu", "R0", "region_radius"):
-        if key in raw:
-            setattr(config, key, _number(raw, key, "config"))
-    if "tail" in raw:
-        _check_keys(raw["tail"], "tail", ("rho0", "eps_tail"))
-        config.tail_rho0 = _number(raw["tail"], "rho0", "tail")
-        config.tail_eps = _number(raw["tail"], "eps_tail", "tail")
-    if "sim" in raw:
-        _check_keys(
-            raw["sim"], "sim", (), ("trials", "seed", "truncation_radius", "workers")
-        )
-        sim = raw["sim"]
-        config.sim_requested = resolved_kind in ("cdf", "pdf", "simulate")
-        if "trials" in sim:
-            config.trials = _integer(sim, "trials", "sim")
-        if "seed" in sim:
-            config.seed = _integer(sim, "seed", "sim")
-        if "truncation_radius" in sim:
-            config.truncation_radius = _number(sim, "truncation_radius", "sim")
-        if "workers" in sim:
-            config.workers = _integer(sim, "workers", "sim")
-
-    overrides = overrides or {}
-    if overrides.get("seed") is not None:
-        config.seed = int(overrides["seed"])
-    if overrides.get("trials") is not None:
-        config.trials = int(overrides["trials"])
-        if resolved_kind in ("cdf", "pdf"):
-            config.sim_requested = True
-    if overrides.get("out") is not None:
-        config.output_path = str(overrides["out"])
-    if overrides.get("tol") is not None:
-        config.quad = dataclasses.replace(
-            config.quad, rel_tol=float(overrides["tol"])
-        )
-    if overrides.get("workers") is not None:
-        config.workers = int(overrides["workers"])
-
-    _validate_semantics(config)
-    return config
-
-
-def _validate_semantics(config: ExperimentConfig) -> None:
-    if config.output_path is None:
-        raise ConfigError("no output path: set 'output_path' or pass --out")
-    if config.kind == "simulate" or config.sim_requested:
-        if config.trials is None or config.trials < 1:
-            raise ConfigError("simulation requires 'trials' >= 1 (config sim block or --trials)")
-    if config.workers < 1:
-        raise ConfigError(f"'workers' must be >= 1, got {config.workers}")
-    if config.truncation_radius is not None and not config.truncation_radius > 0:
-        raise ConfigError(
-            f"'truncation_radius' must be > 0, got {config.truncation_radius}"
-        )
-    if config.tau is not None and not config.tau >= 0:
-        raise ConfigError(f"'tau' must be >= 0, got {config.tau}")
-    if config.q is not None and not config.q > 0:
-        raise ConfigError(f"'q' must be > 0, got {config.q}")
-    if config.mu is not None and not config.mu > 0:
-        raise ConfigError(f"'mu' must be > 0, got {config.mu}")
-    if config.R_c is not None and not config.R_c > 0:
-        raise ConfigError(f"'R_c' must be > 0, got {config.R_c}")
-    if config.R0 is not None and not config.R0 > 0:
-        raise ConfigError(f"'R0' must be > 0, got {config.R0}")
-    if config.region_radius is not None and not (
-        math.isfinite(config.region_radius) and config.region_radius > 0
-    ):
-        raise ConfigError(
-            f"'region_radius' must be positive and finite, got {config.region_radius}"
-        )
-    if config.kind in ("cdf", "pdf", "scaling", "simulate"):
-        try:
-            config.model.check_alpha(config.link.alpha)
-        except DivergenceError as exc:
-            raise ConfigError(str(exc)) from exc
-    if config.kind == "outage-sweep" and config.link is not None:
-        lo = float(config.eps_grid[0])
-        hi = float(config.eps_grid[-1])
-        if not (-2.0 < lo and hi < config.link.alpha - 2.0):
-            raise ConfigError(
-                "eps_grid must stay strictly inside (-2, alpha-2) so the "
-                f"interference stays finite; got [{lo}, {hi}] with "
-                f"alpha={config.link.alpha}"
-            )
-    if config.kind == "fit-poly":
-        if not config.tail_rho0 >= 0:
-            raise ConfigError(f"tail rho0 must be >= 0, got {config.tail_rho0}")
-        if config.tail_rho0 > 0 and not -2.0 < config.tail_eps < -1.0:
-            raise ConfigError(
-                f"tail eps_tail must lie in (-2, -1), got {config.tail_eps}"
-            )
-
-
-# ---------------------------------------------------------------------------
-# experiment runners
-
-
-def _sinr_scale(link: LinkConfig) -> float:
-    return link.r_T ** (-link.alpha)
-
-
-def _db(values: np.ndarray) -> np.ndarray:
-    # math.log10, not np.log10: numpy's SIMD log10 differs from libm's in
-    # the last bit for a few percent of inputs, which would move the CSV
-    return np.array([10.0 * math.log10(x) for x in values.tolist()])
-
-
-def _analytic_sinr_cdf(dist: SinrDistribution):
-    scale = _sinr_scale(dist.link)
-    return lambda s: cdf_gamma(dist, s / scale)
-
-
-def _run_sim(config: ExperimentConfig, dist: SinrDistribution):
-    """The campaign's empirical distribution and its sidecar entries.
-
-    Without an explicit sim.truncation_radius the disk is sized by
-    budget_truncation_radius, and the resolved radius is written back into
-    the config so the sidecar's config block replays the same campaign.
-    """
-    if config.truncation_radius is None:
-        config.truncation_radius = float(
-            budget_truncation_radius(config.model, config.link, config.trials)
-        )
-    radius = config.truncation_radius
-    sim = SimConfig(
-        trials=config.trials,
-        truncation_radius=radius,
-        seed=config.seed,
-        link=config.link,
-        model=config.model,
-    )
-    empirical = run_campaign(sim, config.workers)
-    extra = {
-        "trials": config.trials,
-        "seed": config.seed,
-        "truncation_radius": radius,
-        "truncation_cdf_bound": truncation_cdf_bound(config.model, config.link, radius),
-        "ks_distance": empirical.ks_distance(_analytic_sinr_cdf(dist)),
-    }
-    return empirical, extra
-
-
-def _run_distribution(config: ExperimentConfig, include_pdf: bool):
-    evaluator = PsiEvaluator(config.model, config.link.alpha, config.quad)
-    dist = SinrDistribution(evaluator, config.link)
-    scale = _sinr_scale(config.link)
-    extra = {}
-    empirical = None
-    if config.sim_requested:
-        empirical, extra = _run_sim(config, dist)
-
-    gammas = config.gamma_grid
-    sinr = gammas * scale
-    columns = {
-        "gamma": gammas,
-        "sinr_db": _db(sinr),
-        "analytic_cdf": cdf_gamma(dist, gammas),
-    }
-    if include_pdf:
-        columns["analytic_pdf"] = pdf_gamma(dist, gammas)
-    if empirical is not None:
-        columns["empirical_cdf"] = empirical.cdf(sinr)
-    return columns, extra
-
-
-def _run_outage_sweep(config: ExperimentConfig):
-    # rho re-solved at each exponent so the mean count over the radius-R_c
-    # disk stays at mu: rho(eps) = mu * (2 + eps) / (2 pi R_c^(2+eps)).
-    # R_c ** p by Python's pow: numpy's SIMD pow differs from libm's in the
-    # last bit for a few percent of inputs.
-    link = config.link
-    gamma = config.tau * link.r_T**link.alpha
-    eps = config.eps_grid
-    disk = np.array([config.R_c**p for p in (2.0 + eps).tolist()])
-    rho = config.mu * (2.0 + eps) / (TWO_PI * disk)
-    # the outage is the CDF at gamma, P(L, psi + sigma2*gamma), over the
-    # (eps, L) grid: one psi call for every eps, one P call for the grid
-    x = psi_power_law(rho, eps, link.alpha, gamma) + link.sigma2 * gamma
-    L = np.asarray(config.L_values)
-    outage = regularized_lower_gamma(L[None, :], x[:, None])
-    return {
-        "epsilon": np.repeat(eps, L.size),
-        "L": np.tile(L, eps.size),
-        "rho_adjusted": np.repeat(rho, L.size),
-        "outage": outage.ravel(),
-    }, {}
-
-
-def _run_scaling(config: ExperimentConfig):
-    link = config.link
-    nominal = config.model
-    limit = scaling_limit(nominal, config.q, link.alpha, link.r_T, config.quad)
-    cdfs = []
-    for L in config.L_values:
-        model = dataclasses.replace(nominal, beta=nominal.beta * (config.q * L))
-        evaluator = PsiEvaluator(model, link.alpha, config.quad)
-        dist = SinrDistribution(evaluator, dataclasses.replace(link, L=L))
-        cdfs.append(cdf_gamma(dist, config.gamma_grid))
-    L = np.asarray(config.L_values)
-    n = config.gamma_grid.size
-    extra = {
-        "sinr_limit": limit,
-        "sinr_limit_db": 10.0 * math.log10(limit),
-        "q": config.q,
-    }
-    return {
-        "L": np.repeat(L, n),
-        "beta": np.repeat(config.q * L, n),
-        "gamma": np.tile(config.gamma_grid, L.size),
-        "cdf": np.concatenate(cdfs),
-    }, extra
-
-
-def _require_quantile(dist: SinrDistribution, p_hi: float) -> None:
-    """Raise BracketingError unless the analytic CDF reaches p_hi.
-
-    A CDF that stays below p_hi leaves that much SINR mass at infinity, which
-    no finite campaign samples.
-    """
-    g = 1.0
-    while math.isfinite(g):
-        if cdf_gamma(dist, g) >= p_hi:
-            return
-        g *= 10.0
-    raise BracketingError("analytic CDF never reaches the requested quantile")
-
-
-def _run_simulate(config: ExperimentConfig):
-    evaluator = PsiEvaluator(config.model, config.link.alpha, config.quad)
-    dist = SinrDistribution(evaluator, config.link)
-    if config.truncation_radius is None:
-        _require_quantile(dist, 1.0 - min(1e-4, 1.0 / (10.0 * config.trials)))
-    empirical, extra = _run_sim(config, dist)
-    extra["mean_interferers"] = mean_count(
-        config.model, DiskRegion(config.truncation_radius)
-    )
-    return {"sinr": empirical.samples, "sinr_db": _db(empirical.samples)}, extra
-
-
-def _run_fit_poly(config: ExperimentConfig):
-    link = config.link
-    profile = config.model.radial_intensity
-    R0 = config.R0
-    rho0, eps_tail = config.tail_rho0, config.tail_eps
-
-    def reference_radial(r):
-        return profile(r) if r <= R0 else rho0 * r**eps_tail
-
-    def reference_cdf(g):
-        psi = psi_quadrature_radial(
-            reference_radial, link.alpha, g, config.quad, breakpoints=(R0,)
-        )
-        return regularized_lower_gamma(link.L, psi + link.sigma2 * g)
-
-    ref = np.asarray([reference_cdf(float(g)) for g in config.gamma_grid])
-    residuals, sup_errors, fits = [], [], {}
-    for m in config.degrees:
-        coeffs, residual = fit_polynomial(profile, m, R0)
-        psi = psi_polynomial(coeffs, R0, rho0, eps_tail, link.alpha, config.gamma_grid)
-        # low-degree fits can dip a hair negative at tiny gamma
-        x = np.maximum(0.0, psi + link.sigma2 * config.gamma_grid)
-        approx = regularized_lower_gamma(link.L, x)
-        residuals.append(residual)
-        sup_errors.append(np.max(np.abs(approx - ref)))
-        fits[str(m)] = coeffs
-    return {
-        "degree": np.asarray(config.degrees),
-        "fit_sup_residual": np.asarray(residuals, dtype=float),
-        "cdf_sup_error": np.asarray(sup_errors, dtype=float),
-    }, {"fitted_coefficients": fits}
-
-
-def _run_sample_points(config: ExperimentConfig):
-    region = DiskRegion(config.region_radius)
-    rng = trial_rng(config.seed, 0)
-    mu = mean_count(config.model, region)
-    n = int(rng.poisson(mu)) if mu > 0 else 0
-    r = theta = np.empty(0)
-    if n > 0:
-        r, theta = sample_location(config.model, region, rng, size=n)
-    extra = {"mean_count": mu, "count": n, "seed": config.seed}
-    return {"x": r * np.cos(theta), "y": r * np.sin(theta)}, extra
-
-
-_RUNNERS = {
-    "cdf": functools.partial(_run_distribution, include_pdf=False),
-    "pdf": functools.partial(_run_distribution, include_pdf=True),
-    "outage-sweep": _run_outage_sweep,
-    "scaling": _run_scaling,
-    "simulate": _run_simulate,
-    "fit-poly": _run_fit_poly,
-    "sample-points": _run_sample_points,
-}
+    _set_flags(raw, cls, overrides or {})
+    return _parse_fields(cls, raw, "config", _PARSERS)
 
 
 # ---------------------------------------------------------------------------
@@ -680,11 +670,11 @@ def sidecar_path(output_path) -> Path:
 
 def run_experiment(config: ExperimentConfig) -> Path:
     """Execute one experiment: write the CSV and its metadata sidecar."""
-    columns, extra = _RUNNERS[config.kind](config)
+    columns, extra = config.run()
     out = Path(config.output_path)
     _write_csv(out, columns)
     meta = {
-        "config": config.resolved(),
+        "config": config.to_dict(),
         "seed": config.seed,
         "versions": {
             "sinrdist": __version__,
@@ -710,17 +700,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="kind", required=True, metavar="KIND")
-    helps = {
-        "cdf": "analytic SINR CDF on a grid (optional empirical column)",
-        "pdf": "analytic SINR CDF and PDF on a grid",
-        "outage-sweep": "outage vs. power-law exponent at fixed mean count",
-        "scaling": "CDF family with density tied to the antenna count",
-        "simulate": "Monte-Carlo sample dump with a KS summary",
-        "fit-poly": "polynomial-approximation convergence table",
-        "sample-points": "one network realization as (x, y) points",
-    }
-    for kind in KINDS:
-        p = sub.add_parser(kind, help=helps[kind])
+    for kind, cls in KINDS.items():
+        p = sub.add_parser(kind, help=cls.__doc__.splitlines()[0])
         p.add_argument("--config", required=True, help="JSON config path or inline JSON")
         p.add_argument("--seed", type=int, help="override the simulation seed")
         p.add_argument("--trials", type=int, help="override the trial count")
@@ -737,16 +718,11 @@ def _fail(exc: BaseException, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    overrides = {
-        "seed": args.seed,
-        "trials": args.trials,
-        "out": args.out,
-        "tol": args.tol,
-        "workers": args.workers,
-    }
+    # every argument but the kind and the config is a flag that overrides a key
+    overrides = vars(_build_parser().parse_args(argv))
+    kind, source = overrides.pop("kind"), overrides.pop("config")
     try:
-        config = parse_config(args.config, kind=args.kind, overrides=overrides)
+        config = parse_config(source, kind=kind, overrides=overrides)
         out = run_experiment(config)
     except (ConfigError, OSError) as exc:
         return _fail(exc, 1)

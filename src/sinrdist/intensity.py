@@ -119,8 +119,10 @@ def _as_number(value, key, where):
     return float(value)
 
 
-def _number(raw, key, where):
-    return _as_number(raw[key], key, where)
+def _as_integer(value, key, where):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"'{key}' in {where} must be an integer, got {value!r}")
+    return value
 
 
 def _numbers(value, key, where):
@@ -131,6 +133,30 @@ def _numbers(value, key, where):
         _numbers(v, key, where) if isinstance(v, (list, tuple)) else _as_number(v, key, where)
         for v in value
     )
+
+
+# parsers of a config value by its field's annotation: (value, key, where) -> value
+_FIELD_PARSERS = {"float": _as_number, "int": _as_integer, "tuple": _numbers}
+
+
+def _parse_fields(cls, raw, where, parsers=_FIELD_PARSERS):
+    """The dataclass cls from the config object raw, whose keys are its fields
+    (those without a default required), each parsed by parsers[annotation]
+    (`X | None` reads as X). A ValueError from cls becomes a ConfigError."""
+    fields = dataclasses.fields(cls)
+    required = [f.name for f in fields if f.default is dataclasses.MISSING]
+    _check_keys(raw, where, required, [f.name for f in fields])
+    kwargs = {
+        f.name: parsers[f.type.removesuffix(" | None")](raw[f.name], f.name, where)
+        for f in fields
+        if f.name in raw
+    }
+    try:
+        return cls(**kwargs)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +397,9 @@ class IntensityModel:
         family_cls = FAMILIES.get(family) if isinstance(family, str) else None
         if family_cls is None or not issubclass(family_cls, cls):
             raise ConfigError(f"unknown model family {family!r} in {where}")
+        fields = {key: value for key, value in raw.items() if key != "family"}
         try:
-            return family_cls._from_fields(raw, where)
+            return family_cls._from_fields(fields, where)
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:
@@ -380,12 +407,8 @@ class IntensityModel:
 
     @classmethod
     def _from_fields(cls, raw, where):
-        fields = dataclasses.fields(cls)
-        required = [f.name for f in fields if f.default is dataclasses.MISSING]
-        _check_keys(raw, where, ["family", *required], [f.name for f in fields])
-        parse = {"float": _as_number, "tuple": _numbers}
-        given = [f for f in fields if f.name in raw]
-        return cls(**{f.name: parse[f.type](raw[f.name], f.name, where) for f in given})
+        """The model from its config object's keys other than family."""
+        return _parse_fields(cls, raw, where)
 
 
 def _table_radii(model, r_max: float, u: np.ndarray):
@@ -725,8 +748,8 @@ class GaussianCluster(IntensityModel):
             raise ConfigError(f"{where} needs exactly one of 'rho' or 'total_count'")
         if "rho" in raw:
             return super()._from_fields(raw, where)
-        _check_keys(raw, where, ("family", "v", "total_count"), ("beta",))
-        kwargs = {key: _number(raw, key, where) for key in raw if key != "family"}
+        _check_keys(raw, where, ("v", "total_count"), ("beta",))
+        kwargs = {key: _as_number(value, key, where) for key, value in raw.items()}
         return cls.with_total_count(kwargs.pop("total_count"), **kwargs)
 
     @property

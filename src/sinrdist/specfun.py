@@ -63,9 +63,9 @@ class QuadratureSpec:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if self.rel_tol <= 0:
+        if not self.rel_tol > 0:
             raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if self.abs_tol < 0:
+        if not self.abs_tol >= 0:
             raise ValueError(f"abs_tol must be >= 0, got {self.abs_tol}")
         if self.max_subdivisions < 1:
             raise ValueError(

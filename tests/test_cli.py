@@ -2,6 +2,7 @@
 kind against a temp directory, determinism of the outputs, and exit codes."""
 
 import csv
+import importlib.util
 import json
 import math
 import multiprocessing
@@ -57,6 +58,41 @@ def _cdf_config(tmp_path, **extra):
     return cfg
 
 
+def _outage_config(tmp_path):
+    return {
+        "experiment": "outage-sweep",
+        "link": {"alpha": 4.0, "sigma2": 1e-12, "r_T": 5.0, "L": 1},
+        "tau": 10.0,
+        "R_c": 1000.0,
+        "mu": 3142.0,
+        "eps_grid": {"values": [-0.5, 0.0]},
+        "L_values": [4, 12],
+        "output_path": str(tmp_path / "outage.csv"),
+    }
+
+
+def _fit_poly_config(tmp_path):
+    return {
+        "experiment": "fit-poly",
+        "model": {"family": "gaussian_cluster", "v": 500.0, "rho": 1.0},
+        "link": {"alpha": 3.0, "sigma2": 1e-14, "r_T": 20.0, "L": 4},
+        "R0": 1500.0,
+        "degrees": [2],
+        "tail": {"rho0": 1e-3, "eps_tail": -1.5},
+        "gamma_grid": {"min": 1e3, "max": 1e7, "points": 3},
+        "output_path": str(tmp_path / "fit.csv"),
+    }
+
+
+def _points_config(tmp_path):
+    return {
+        "experiment": "sample-points",
+        "model": {"family": "power_law", "rho": 0.1, "eps": -1.0},
+        "region_radius": 200.0,
+        "output_path": str(tmp_path / "points.csv"),
+    }
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -67,7 +103,7 @@ def test_parse_minimal_cdf(tmp_path):
     assert isinstance(config.model, PowerLaw)
     assert config.link.L == 10
     assert config.gamma_grid.shape == (9,)
-    assert config.seed == 0 and config.workers == 1
+    assert config.seed == 0 and config.sim is None
 
 
 def test_parse_from_file(tmp_path):
@@ -179,6 +215,11 @@ def test_parse_grid_validation(tmp_path):
     cfg = _cdf_config(tmp_path, gamma_grid={"values": [-1.0, 2.0]})
     with pytest.raises(ConfigError, match="> 0"):
         parse_config(json.dumps(cfg))
+    # grid values are numbers, as in the model: no booleans, strings or lists
+    for values in ([True, "1e3", 5000], [[1.0, 2.0]]):
+        cfg = _cdf_config(tmp_path, gamma_grid={"values": values})
+        with pytest.raises(ConfigError, match="must be a number"):
+            parse_config(json.dumps(cfg))
 
 
 def test_parse_overrides(tmp_path):
@@ -188,10 +229,64 @@ def test_parse_overrides(tmp_path):
         overrides={"seed": 9, "trials": 32, "out": str(tmp_path / "other.csv"), "workers": 2},
     )
     assert config.seed == 9
-    assert config.trials == 32
-    assert config.sim_requested  # --trials switches the cdf run to hybrid mode
+    # the flags fill a sim block, which switches the cdf run to hybrid mode
+    assert config.sim.trials == 32
     assert config.output_path.endswith("other.csv")
-    assert config.workers == 2
+    assert config.sim.workers == 2
+
+
+@pytest.mark.parametrize("key", ["rel_tol", "abs_tol"])
+def test_parse_nan_tolerance_is_a_config_error(tmp_path, key):
+    cfg = _cdf_config(tmp_path, tolerances={key: math.nan})  # json writes NaN
+    with pytest.raises(ConfigError, match=f"{key} must be"):
+        parse_config(json.dumps(cfg))
+
+
+def _cluster_pdf_config(tmp_path):
+    return _cdf_config(
+        tmp_path,
+        experiment="pdf",
+        model={"family": "gaussian_cluster", "v": 500.0, "total_count": 1000.0},
+        link={"alpha": 3.0, "sigma2": 1e-14, "r_T": 20.0, "L": 10},
+    )
+
+
+@pytest.mark.parametrize("make_config", [_cluster_pdf_config, _fit_poly_config])
+def test_main_nan_tol_flag_exits_1(tmp_path, capsys, make_config):
+    """A NaN rel_tol is refused before any quadrature runs with it."""
+    cfg = make_config(tmp_path)
+    assert main([cfg["experiment"], "--config", json.dumps(cfg), "--tol", "nan"]) == 1
+    assert "rel_tol must be > 0, got nan" in capsys.readouterr().err
+
+
+def _power_law_scaling_config(tmp_path):
+    return _scaling_config(tmp_path, {"family": "power_law", "rho": 1.0, "eps": 0.0}, 1.0)
+
+
+@pytest.mark.parametrize(
+    "make_config, sim, flags, named",
+    [
+        (_points_config, {"seed": 3, "trials": 10}, [], "'trials'"),
+        (_points_config, {"workers": 2}, [], "'workers'"),
+        (_points_config, {"truncation_radius": 50.0}, [], "'truncation_radius'"),
+        (_points_config, None, ["--trials", "10"], "'trials'"),
+        (_points_config, None, ["--workers", "2"], "'workers'"),
+        (_outage_config, None, ["--trials", "10"], "--trials"),
+        (_outage_config, None, ["--seed", "4"], "--seed"),
+        (_fit_poly_config, None, ["--workers", "2"], "--workers"),
+        (_power_law_scaling_config, None, ["--seed", "2"], "--seed"),
+    ],
+)
+def test_kind_refuses_keys_and_flags_it_does_not_use(
+    tmp_path, capsys, make_config, sim, flags, named
+):
+    """sample-points' sim block holds only a seed; outage-sweep, scaling and
+    fit-poly run no campaign, so take no campaign flag."""
+    cfg = make_config(tmp_path)
+    if sim is not None:
+        cfg["sim"] = sim
+    assert main([cfg["experiment"], "--config", json.dumps(cfg), *flags]) == 1
+    assert named in capsys.readouterr().err
 
 
 def test_parse_requires_output(tmp_path):
@@ -727,6 +822,16 @@ def test_bundled_figures_reproduce_golden_bytes(tmp_path, name):
             assert count == 1, pattern
         texts.append(text)
     assert texts[0] == texts[1]
+
+
+def test_reproduce_check_with_workers_matches_outputs(capsys):
+    """--workers goes only to the Monte-Carlo configs; fig1 and fig4 run none."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"
+    spec = importlib.util.spec_from_file_location("reproduce_figures", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.check(["fig1", "fig4"], workers=2) == 0
+    assert "2 of 2 runs identical to outputs/" in capsys.readouterr().out
 
 
 def test_main_seed_override_changes_samples(tmp_path):
