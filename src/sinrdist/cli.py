@@ -229,15 +229,14 @@ class ExperimentConfig:
 
     A kind is a dataclass subclass with a `kind` name, a key of KINDS, and a
     docstring whose first line is its CLI help. Its fields are its config
-    keys: those without a default are required, and each annotation names
-    the key's parser in _PARSERS. It checks its values in __post_init__,
-    raising ConfigError, and provides run(), which returns the CSV columns
-    and the sidecar's extra entries. --seed, --trials and --workers set keys
-    of the sim block, so only a kind with a sim field takes them.
+    keys: those without a default are required (so no attribute here may
+    share a field's name, which would become its default), and each
+    annotation names the key's parser in _PARSERS. It checks its values in
+    __post_init__, raising ConfigError, and provides run(), which returns
+    the CSV columns and the sidecar's extra entries.
     """
 
     kind = None
-    sim = None  # a field, the sim block, on the kinds that take one
 
     output_path: str
     tolerances: QuadratureSpec = DEFAULT_QUADRATURE
@@ -249,13 +248,13 @@ class ExperimentConfig:
     @property
     def seed(self) -> int:
         """The sim block's seed, 0 without one."""
-        return 0 if self.sim is None else self.sim.seed
+        return getattr(getattr(self, "sim", None), "seed", 0)
 
     @property
     def truncation_radius(self):
         """The campaign's disk radius: None without a campaign, and until
         run() sizes a disk the config leaves open."""
-        return getattr(self.sim, "truncation_radius", None)
+        return getattr(getattr(self, "sim", None), "truncation_radius", None)
 
     def to_dict(self) -> dict:
         """The config form, for the sidecar: reparsing it repeats this run."""
@@ -320,10 +319,7 @@ class Cdf(ExperimentConfig):
     def run(self):
         evaluator = PsiEvaluator(self.model, self.link.alpha, self.quad)
         dist = SinrDistribution(evaluator, self.link)
-        extra = {}
-        empirical = None
-        if self.sim is not None:
-            empirical, extra = _run_sim(self, dist)
+        empirical, extra = (None, {}) if self.sim is None else _run_sim(self, dist)
         gammas = self.gamma_grid
         sinr = gammas * _sinr_scale(self.link)
         columns = {
@@ -425,11 +421,7 @@ class Scaling(ExperimentConfig):
             cdfs.append(cdf_gamma(dist, self.gamma_grid))
         L = np.asarray(self.L_values)
         n = self.gamma_grid.size
-        extra = {
-            "sinr_limit": limit,
-            "sinr_limit_db": 10.0 * math.log10(limit),
-            "q": self.q,
-        }
+        extra = {"sinr_limit": limit, "sinr_limit_db": 10.0 * math.log10(limit), "q": self.q}
         return {
             "L": np.repeat(L, n),
             "beta": np.repeat(self.q * L, n),
@@ -562,7 +554,10 @@ KINDS = {cls.kind: cls for cls in (Cdf, Pdf, OutageSweep, Scaling, Simulate, Fit
 def _set_flags(raw: dict, cls, overrides: dict) -> None:
     """Write the CLI flags into the config keys they set: --out into
     output_path, --tol into tolerances.rel_tol, and --seed, --trials and
-    --workers into the sim block."""
+    --workers into the sim block, so only a kind with one takes them. Only
+    --trials opens an optional sim block the config leaves out: without a
+    campaign to set, --seed and --workers are ignored."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
     for flag, value in overrides.items():
         if value is None:
             continue
@@ -570,11 +565,13 @@ def _set_flags(raw: dict, cls, overrides: dict) -> None:
             raw["output_path"] = str(value)
             continue
         block, key = ("tolerances", "rel_tol") if flag == "tol" else ("sim", flag)
-        if block not in {f.name for f in dataclasses.fields(cls)}:
+        if block not in fields:
             raise ConfigError(f"{cls.kind} takes no --{flag}")
+        if block not in raw and fields[block].default is None and overrides.get("trials") is None:
+            continue
         current = raw.get(block, {})
         _require_object(current, block)
-        raw[block] = {**current, key: value}
+        raw[block] = {**current, key: float(value) if flag == "tol" else int(value)}
 
 
 def parse_config(source, kind=None, overrides=None) -> ExperimentConfig:

@@ -2,6 +2,7 @@
 kind against a temp directory, determinism of the outputs, and exit codes."""
 
 import csv
+import dataclasses
 import importlib.util
 import json
 import math
@@ -28,6 +29,7 @@ from sinrdist import (
 )
 from sinrdist.cli import (
     CSV_CHUNK_ROWS,
+    KINDS,
     ConfigError,
     _json_text,
     _write_csv,
@@ -234,6 +236,64 @@ def test_parse_overrides(tmp_path):
     assert config.output_path.endswith("other.csv")
     assert config.sim.workers == 2
 
+
+
+def test_parse_overrides_take_the_flag_types(tmp_path):
+    """overrides are coerced as the CLI flags are typed: int for --seed,
+    --trials and --workers, float for --tol."""
+    config = parse_config(
+        json.dumps(_cdf_config(tmp_path)), overrides={"seed": 9.0, "trials": "32", "tol": "1e-9"}
+    )
+    assert (config.seed, config.sim.trials, config.quad.rel_tol) == (9, 32, 1e-9)
+    assert type(config.seed) is int and type(config.sim.trials) is int
+
+
+@pytest.mark.parametrize("flags", [["--seed", "5"], ["--workers", "2"]])
+def test_campaign_flags_without_a_campaign_are_ignored(tmp_path, flags):
+    """Only --trials opens a cdf campaign; --seed or --workers alone leaves
+    the run analytic, as a config without a sim block asks."""
+    cfg = _cdf_config(tmp_path)
+    assert main(["cdf", "--config", json.dumps(cfg), *flags]) == 0
+    meta = json.loads(sidecar_path(cfg["output_path"]).read_text())
+    assert "sim" not in meta["config"]
+    header, _ = _read_csv(cfg["output_path"])
+    assert "empirical_cdf" not in header
+
+
+def _simulate_config(tmp_path):
+    return {
+        "experiment": "simulate",
+        "model": {"family": "power_law", "rho": 0.023, "eps": -0.5},
+        "link": {"alpha": 4.0, "sigma2": 1e-12, "r_T": 10.0, "L": 4},
+        "output_path": str(tmp_path / "sim.csv"),
+    }
+
+
+def test_simulate_requires_a_sim_block(tmp_path, capsys):
+    cfg = _simulate_config(tmp_path)
+    with pytest.raises(ConfigError, match="missing key 'sim'"):
+        parse_config(json.dumps(cfg))
+    assert main(["simulate", "--config", json.dumps(cfg)]) == 1
+    assert "'sim'" in capsys.readouterr().err
+    assert not (tmp_path / "sim.csv").exists()
+
+
+def test_each_kind_requires_exactly_its_keys():
+    """The required keys are the fields without a default; an attribute of
+    ExperimentConfig that shares a field's name would make it optional."""
+    required = {
+        "cdf": {"model", "link", "gamma_grid", "output_path"},
+        "pdf": {"model", "link", "gamma_grid", "output_path"},
+        "outage-sweep": {"link", "tau", "R_c", "mu", "eps_grid", "L_values", "output_path"},
+        "scaling": {"model", "link", "q", "L_values", "gamma_grid", "output_path"},
+        "simulate": {"model", "link", "sim", "output_path"},
+        "fit-poly": {"model", "link", "R0", "degrees", "tail", "gamma_grid", "output_path"},
+        "sample-points": {"model", "region_radius", "output_path"},
+    }
+    assert set(KINDS) == set(required)
+    for kind, cls in KINDS.items():
+        fields = dataclasses.fields(cls)
+        assert {f.name for f in fields if f.default is dataclasses.MISSING} == required[kind]
 
 @pytest.mark.parametrize("key", ["rel_tol", "abs_tol"])
 def test_parse_nan_tolerance_is_a_config_error(tmp_path, key):
