@@ -45,13 +45,14 @@ from .intensity import (
     _as_number,
     _check_keys,
     _FIELD_PARSERS,
+    _outer_term,
     _parse_fields,
     _require_object,
     fit_polynomial,
     mean_count,
     sample_location,
 )
-from .interference import PsiEvaluator, psi_polynomial, psi_power_law, psi_quadrature_radial
+from .interference import PsiEvaluator, _psi_panels, psi_polynomial, psi_power_law
 from .simulator import (
     SimConfig,
     budget_truncation_radius,
@@ -484,22 +485,22 @@ class FitPoly(ExperimentConfig):
         _require(self.R0 > 0, f"'R0' must be > 0, got {self.R0}")
         _require(min(self.degrees) >= 0, "'degrees' entries must all be >= 0")
 
+    def reference_psi(self):
+        """psi at gamma_grid of the model's profile on (0, R0] plus the tail
+        beyond: the profile by the panel rule over the disk, the tail in the
+        closed form psi_polynomial gives the fits."""
+        alpha, g, R0, tail = self.link.alpha, self.gamma_grid, self.R0, self.tail
+        psi = _psi_panels(self.model, alpha, g, self.quad, radius=R0)
+        if tail.rho0 > 0:
+            psi = psi + _outer_term(tail.rho0, tail.eps_tail, alpha, g, R0)
+        return psi
+
     def run(self):
         link = self.link
         profile = self.model.radial_intensity
         R0 = self.R0
         rho0, eps_tail = self.tail.rho0, self.tail.eps_tail
-
-        def reference_radial(r):
-            return profile(r) if r <= R0 else rho0 * r**eps_tail
-
-        def reference_cdf(g):
-            psi = psi_quadrature_radial(
-                reference_radial, link.alpha, g, self.quad, breakpoints=(R0,)
-            )
-            return regularized_lower_gamma(link.L, psi + link.sigma2 * g)
-
-        ref = np.asarray([reference_cdf(float(g)) for g in self.gamma_grid])
+        ref = regularized_lower_gamma(link.L, self.reference_psi() + link.sigma2 * self.gamma_grid)
         residuals, sup_errors, fits = [], [], {}
         for m in self.degrees:
             coeffs, residual = fit_polynomial(profile, m, R0)

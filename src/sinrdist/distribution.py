@@ -14,11 +14,11 @@ dense-network scaling limit) is a corollary of that identity.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .intensity import FULL_PLANE, DivergenceError, IntensityModel, mean_count
 from .interference import PsiEvaluator
@@ -257,10 +257,64 @@ def scaling_limit(
         if steps > _MAX_BRACKET_STEPS:
             raise BracketingError("failed to bracket the interference level from below")
 
-    gamma_star = scipy.optimize.brentq(
-        lambda g: evaluator.value(g) - target, lo, hi, rtol=1e-12, maxiter=200
-    )
+    gamma_star = _brentq(lambda g: evaluator.value(g) - target, lo, hi, rtol=1e-12, maxiter=200)
     return gamma_star * r_T ** (-alpha)
+
+
+def _brentq(f, a: float, b: float, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100):
+    """A root of f in [a, b], where f(a) and f(b) differ in sign, by Brent's
+    method: inverse quadratic (or secant) steps while they shrink the bracket
+    fast enough, bisection otherwise.
+
+    Step for step the algorithm of scipy.optimize.brentq (its brentq.c), with
+    f(x) taken as a Python float, so the two return the same root bit for bit.
+    Raises BracketingError when f(a) and f(b) have the same sign, when f
+    returns NaN, or when maxiter steps do not converge.
+    """
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise BracketingError(f"the function is NaN at x = {x!r}; no root can be found")
+        return fx
+
+    xpre, xcur = a, b
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise BracketingError(f"f({a!r}) and f({b!r}) have the same sign; no root is bracketed")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise BracketingError(f"Brent's method did not converge in {maxiter} steps (at x = {xcur!r})")
 
 
 def regularized_gamma_limit_scan(q: float, L_list: Sequence[int]) -> list:

@@ -30,7 +30,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.special
-from scipy.interpolate import PchipInterpolator
 
 from .specfun import _as_array, hyp2f1_first_unit
 
@@ -374,8 +373,11 @@ class IntensityModel:
 
     def _tail_panel_end(self, alpha: float, knee):
         """Where, past the knee and r0, the log-r integrand of an algebraic
-        tail (like r^(2 + eps - alpha)) has lost PANEL_TAIL_EFOLDS e-folds."""
+        tail (like r^(2 + eps - alpha)) has lost PANEL_TAIL_EFOLDS e-folds;
+        infinite where the tail does not decay (eps >= alpha - 2)."""
         _, eps, r0 = self.algebraic_tail
+        if not alpha - 2.0 - eps > 0:
+            return math.inf
         return np.maximum(knee, r0) * math.exp(PANEL_TAIL_EFOLDS / (alpha - 2.0 - eps))
 
     def to_dict(self) -> dict:
@@ -412,10 +414,19 @@ class IntensityModel:
 
 
 def _table_radii(model, r_max: float, u: np.ndarray):
-    """Radii from the model's cached inverse-CDF table, and the table's knots."""
-    table = _inverse_cdf_table(model, float(r_max))
-    x = table.x
-    return np.asarray(table(np.clip(u, x[0], x[-1])), dtype=float), x
+    """Radii from the model's cached inverse-CDF table, and the table's knots.
+
+    Each u is evaluated on the interval with x[i] <= u < x[i + 1] (the last
+    knot closes the last interval), in the order of scipy's PPoly, so the
+    radii match a PchipInterpolator on the same knots bit for bit.
+    """
+    x, coeffs = _inverse_cdf_table(model, float(r_max))
+    u = np.clip(u, x[0], x[-1])
+    i = np.searchsorted(x[1:-1], u, "right")
+    s = u - x[i]
+    s2 = s * s
+    c0, c1, c2, c3 = coeffs[:, i]
+    return ((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s), x
 
 
 @dataclass(frozen=True)
@@ -729,15 +740,19 @@ class GaussianCluster(IntensityModel):
     beta: float = 1.0
 
     def __post_init__(self):
-        if not self.rho >= 0:
-            raise ValueError(f"rho must be >= 0, got {self.rho}")
+        if not (math.isfinite(self.rho) and self.rho >= 0):
+            raise ValueError(f"rho must be finite and >= 0, got {self.rho}")
         if not self.v > 0:
             raise ValueError(f"width v must be > 0, got {self.v}")
         _check_beta(self.beta)
 
     @classmethod
     def with_total_count(cls, total: float, v: float, beta: float = 1.0):
-        """Cluster whose whole-plane mean count equals `total` (at beta = 1)."""
+        """Cluster whose whole-plane mean count equals `total` (at beta = 1).
+
+        A width too small for the count (rho overflows) is a ValueError."""
+        if not v > 0:
+            raise ValueError(f"width v must be > 0, got {v}")
         rho = total / (TWO_PI * v * math.sqrt(math.pi / 2.0))
         return cls(rho=rho, v=v, beta=beta)
 
@@ -843,9 +858,49 @@ def location_pdf(model: IntensityModel, region: DiskRegion, r, theta=0.0):
     return float(val) if scalar else val
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, kept from overshooting the data."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cubic coefficients of the PCHIP interpolant through (x, y), x strictly
+    increasing: row k holds the coefficient of (t - x[i])^(3 - k) on each
+    interval i.
+
+    The knot slopes are the Fritsch-Butland weighted harmonic mean of the
+    neighbouring secants inside (0 where they differ in sign or vanish) and
+    one-sided three-point estimates at the ends; every step is the arithmetic
+    of scipy's PchipInterpolator, so the two agree bit for bit.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if x.size == 2:
+        d = np.array([m[0], m[0]])
+    else:
+        w1 = 2.0 * h[1:] + h[:-1]
+        w2 = h[1:] + 2.0 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        d = np.concatenate([
+            [_pchip_end_slope(h[0], h[1], m[0], m[1])],
+            inner,
+            [_pchip_end_slope(h[-1], h[-2], m[-1], m[-2])],
+        ])
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    return np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+
+
 @functools.lru_cache(maxsize=64)
-def _inverse_cdf_table(model: IntensityModel, r_max: float) -> PchipInterpolator:
-    """Monotone-cubic interpolant of the inverse radial CDF on [0, r_max]."""
+def _inverse_cdf_table(model: IntensityModel, r_max: float):
+    """Monotone-cubic (PCHIP) interpolant of the inverse radial CDF on
+    [0, r_max]: the CDF knots and _pchip_coefficients of the radii there."""
     grid = np.linspace(0.0, r_max, INVERSE_CDF_KNOTS)
     mass = np.asarray(model.cumulative_count(grid), dtype=float)
     total = mass[-1]
@@ -855,7 +910,7 @@ def _inverse_cdf_table(model: IntensityModel, r_max: float) -> PchipInterpolator
     cdf, keep = np.unique(cdf, return_index=True)
     if cdf.size < 2:
         raise ValueError("degenerate radial CDF; cannot build sampling table")
-    return PchipInterpolator(cdf, grid[keep])
+    return cdf, _pchip_coefficients(cdf, grid[keep])
 
 
 def sample_location(model: IntensityModel, region: DiskRegion, rng, size=None):

@@ -163,19 +163,28 @@ def _dpsi_quadrature(model, alpha: float, gamma: float, spec: QuadratureSpec) ->
     )
 
 
-def _psi_panels(model, alpha: float, gamma: np.ndarray, spec: QuadratureSpec, derivative: bool):
-    """psi (or d psi / d gamma) at positive gammas by the log-r panel rule.
+def _psi_panels(
+    model,
+    alpha: float,
+    gamma: np.ndarray,
+    spec: QuadratureSpec,
+    derivative: bool = False,
+    radius: float = math.inf,
+):
+    """psi (or d psi / d gamma) at positive gammas by the log-r panel rule,
+    over the disk (0, radius] (the whole plane by default).
 
     With s = log r the integrand is 2*pi*Lambda(r)*r^2 times the kernel
     gamma/(r^alpha+gamma) = expit(-t) or, for the derivative,
     r^alpha/(r^alpha+gamma)^2 = expit(t)*expit(-t)/gamma, where
     t = alpha*s - log(gamma). The model's panel_layout gives the upper radius
-    and the breakpoints; below the smallest of the knee gamma^(1/alpha) and
-    the model's inner scale the integrand decays like r^rate, with rate = 2 +
-    (small-r exponent of Lambda), plus alpha for the derivative kernel, and
-    the lower radius leaves PANEL_TAIL_EFOLDS of that decay. Points whose
-    embedded error estimate misses the spec fall back to adaptive
-    quadrature, which raises AccuracyError when it cannot converge either.
+    (cut to radius) and the breakpoints; below the smallest of the knee
+    gamma^(1/alpha) and the model's inner scale the integrand decays like
+    r^rate, with rate = 2 + (small-r exponent of Lambda), plus alpha for the
+    derivative kernel, and the lower radius leaves PANEL_TAIL_EFOLDS of that
+    decay. Points whose embedded error estimate misses the spec fall back to
+    adaptive quadrature over the same disk, which raises AccuracyError when
+    it cannot converge either.
     """
     log_gamma = np.log(gamma)
 
@@ -192,10 +201,13 @@ def _psi_panels(model, alpha: float, gamma: np.ndarray, spec: QuadratureSpec, de
     small, inner, upper, breakpoints = model.panel_layout(alpha, knee)
     rate = 2.0 + small + (alpha if derivative else 0.0)
     lower = np.minimum(knee, inner) * math.exp(-PANEL_TAIL_EFOLDS / rate)
+    upper = np.minimum(upper, radius)
     values, converged = integrate_log_panels(integrand, lower, upper, breakpoints, spec)
-    adaptive = _dpsi_quadrature if derivative else psi_quadrature
+    kernel = _sinr_kernel_derivative if derivative else _sinr_kernel
+    layout = model.quadrature_breakpoints, min(radius, model.support_radius)
     for i in np.flatnonzero(~converged):
-        values[i] = adaptive(model, alpha, float(gamma[i]), spec)
+        g = float(gamma[i])
+        values[i] = _integrate_kernel(model.radial_intensity, kernel, alpha, g, spec, *layout)
     return values
 
 

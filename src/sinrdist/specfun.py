@@ -1,10 +1,14 @@
-"""Special functions and adaptive quadrature used by the closed forms.
+"""Special functions and the two quadrature rules used by the closed forms.
 
 Everything here is pure and reentrant. Only the special-function shapes
 actually needed by the SINR closed forms are exposed; in particular the
 Gauss hypergeometric function is restricted to the first-parameter-1 shape
 2F1(1, b; b+1; -x), which is the only one the interference integrals
-produce.
+produce. The special functions are scipy.special ufuncs. The fixed-panel
+Gauss-Legendre rule in log r (integrate_log_panels) is numpy alone; the
+adaptive reference (integrate_radial) is QUADPACK, and imports
+scipy.integrate only when it is called, since that module costs about 0.2 s
+of start-up that a run without quadrature should not pay.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.integrate
 import scipy.special
 
 __all__ = [
@@ -181,6 +184,8 @@ def integrate_radial(
         integrand, lo, hi = transformed, 0.0, 1.0
     else:
         integrand, lo, hi = f, lower, upper
+
+    import scipy.integrate  # on use only: see the module docstring
 
     out = scipy.integrate.quad(
         integrand,

@@ -741,6 +741,19 @@ def test_main_validation_failure(tmp_path, capsys):
     assert err.startswith("error:") and "\n" == err[-1]
 
 
+@pytest.mark.parametrize("v", [0.0, 1e-320])
+def test_main_gaussian_total_count_needs_a_usable_width(tmp_path, capsys, v):
+    # v = 0 divided by zero, and the subnormal v gave rho = inf and a CDF of
+    # about 5e-25 with exit 0; both are config errors
+    cfg = _cdf_config(tmp_path)
+    cfg["model"] = {"family": "gaussian_cluster", "v": v, "total_count": 10.0}
+    with pytest.raises(ConfigError):
+        parse_config(json.dumps(cfg))
+    assert main(["cdf", "--config", json.dumps(cfg)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "cdf.csv").exists()
+
+
 def test_main_missing_file(tmp_path, capsys):
     assert main(["cdf", "--config", str(tmp_path / "nope.json")]) == 1
     assert "error:" in capsys.readouterr().err

@@ -24,6 +24,7 @@ from sinrdist import (
     regularized_gamma_limit_scan,
     scaling_limit,
 )
+from sinrdist.distribution import BracketingError, _brentq
 
 
 def _dist(model, alpha, sigma2, r_T, L):
@@ -271,6 +272,76 @@ def test_scaling_limit_validation():
         scaling_limit(PowerLaw(rho=1.0, eps=0.0), 0.0, 4.0, 1.0)
     with pytest.raises(ValueError):
         scaling_limit(PowerLaw(rho=1.0, eps=0.0), 1.0, 4.0, -1.0)
+
+
+@pytest.mark.parametrize("v", [1.0, 30.0, 500.0, 1e4])
+def test_brentq_matches_scipy_on_scaling_limit_roots(v):
+    """scaling_limit's root search equals scipy.optimize.brentq bit for bit."""
+    from scipy.optimize import brentq
+
+    for alpha in (2.5, 3.0, 4.0):
+        evaluator = PsiEvaluator(GaussianCluster(rho=1.0, v=v), alpha)
+        for q in (0.5, 1.0, 2.0, 10.0):
+            def f(g, target=1.0 / q):
+                return evaluator.value(g) - target
+
+            lo = hi = 1.0
+            while f(hi) < 0:
+                hi *= 10.0
+            while f(lo) > 0:
+                lo /= 10.0
+            expected = brentq(f, lo, hi, rtol=1e-12, maxiter=200)
+            assert _brentq(f, lo, hi, rtol=1e-12, maxiter=200) == expected
+
+
+def test_brentq_matches_scipy_on_polynomial_roots():
+    from scipy.optimize import brentq
+
+    rng = np.random.default_rng(5)
+    checked = 0
+    for _ in range(400):
+        roots = rng.uniform(-5.0, 5.0, rng.integers(1, 5)).tolist()
+        scale = float(rng.uniform(0.1, 10.0))
+
+        def f(x):
+            return scale * math.prod(x - r for r in roots)
+
+        lo, hi = sorted(rng.uniform(-6.0, 6.0, 2).tolist())
+        if math.copysign(1.0, f(lo)) == math.copysign(1.0, f(hi)):
+            continue
+        xtol, rtol = float(10 ** rng.uniform(-14, -2)), float(10 ** rng.uniform(-15, -6))
+        rtol = max(rtol, 4 * np.finfo(float).eps)
+        expected = brentq(f, lo, hi, xtol=xtol, rtol=rtol)
+        assert _brentq(f, lo, hi, xtol=xtol, rtol=rtol) == expected
+        checked += 1
+    assert checked > 100
+
+
+def test_brentq_takes_numpy_values_as_python_floats():
+    """As scipy's C loop does, the port reads f(x) as a float, so its steps,
+    and the points it passes to f, stay Python floats."""
+    from scipy.optimize import brentq
+
+    seen = set()
+
+    def f(x):
+        seen.add(type(x))
+        return np.float64(x) ** 3 - 2.0
+
+    assert _brentq(f, 0.0, 3.0) == brentq(f, 0.0, 3.0)
+    assert seen == {float}
+
+
+def test_brentq_failures_are_bracketing_errors():
+    with pytest.raises(BracketingError, match="same sign"):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+    with pytest.raises(BracketingError, match="NaN"):
+        _brentq(lambda x: math.nan if x > 0.3 else x - 0.5, 0.0, 1.0)
+    with pytest.raises(BracketingError, match="did not converge in 2 steps"):
+        _brentq(lambda x: x**3 - 2.0, 0.0, 3.0, maxiter=2)
+    # endpoint roots return at once
+    assert _brentq(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+    assert _brentq(lambda x: x - 3.0, 1.0, 3.0) == 3.0
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,14 @@ from sinrdist import (
     mean_count,
     sample_location,
 )
-from sinrdist.intensity import FAMILIES, ConfigError, IntensityModel
+from sinrdist.intensity import (
+    FAMILIES,
+    INVERSE_CDF_KNOTS,
+    ConfigError,
+    IntensityModel,
+    _pchip_coefficients,
+    _table_radii,
+)
 from sinrdist.interference import _psi_panels
 
 TWO_PI = 2.0 * math.pi
@@ -333,6 +340,40 @@ def test_sample_gaussian_chi_square():
 
 # ---------------------------------------------------------------------------
 # polynomial profile fitting
+
+
+@pytest.mark.parametrize(
+    "model, R",
+    [
+        (GaussianCluster(rho=1.0, v=500.0), 4000.0),
+        (PolynomialWithTail(coeffs=(0.005,), R0=110.0, rho0=0.005 * 110**1.5, eps_tail=-1.5), 400.0),
+    ],
+)
+def test_inverse_cdf_table_matches_scipy_pchip(model, R):
+    """The sampler table is scipy's PchipInterpolator bit for bit, at random
+    uniforms, at every knot and at both ends."""
+    from scipy.interpolate import PchipInterpolator
+
+    grid = np.linspace(0.0, R, INVERSE_CDF_KNOTS)
+    cdf = np.maximum.accumulate(model.cumulative_count(grid) / model.cumulative_count(R))
+    cdf, keep = np.unique(cdf, return_index=True)
+    u = np.concatenate([1.0 - np.random.default_rng(7).random(100_000), cdf, [0.0, 1.0]])
+    radii, knots = _table_radii(model, R, u)
+    np.testing.assert_array_equal(knots, cdf)
+    assert np.all(radii == PchipInterpolator(cdf, grid[keep])(np.clip(u, cdf[0], cdf[-1])))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 40])
+def test_pchip_coefficients_match_scipy_on_shaped_data(n):
+    """Data with sign changes, flat runs and uneven spacing take every slope
+    branch; the coefficients equal scipy's bit for bit."""
+    from scipy.interpolate import PchipInterpolator
+
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        x = np.cumsum(rng.uniform(0.01, 3.0, n))
+        y = rng.choice([-1.0, 0.0, 1.0, 2.5], n) * rng.uniform(0.5, 2.0, n)
+        assert np.all(_pchip_coefficients(x, y) == PchipInterpolator(x, y).c)
 
 
 def test_fit_constant_profile():

@@ -1,11 +1,12 @@
 """Independent high-precision oracles (mpmath, and a brentq root) for the
-special functions, the Gaussian-cluster panel rule, the Gaussian and
-polynomial samplers (near the origin and across the polynomial's kink), the truncation budget and the MMSE combiner on
+special functions, the Gaussian-cluster panel rule, the fit-poly reference,
+the Gaussian and polynomial samplers (near the origin and across the polynomial's kink), the truncation budget and the MMSE combiner on
 near-singular covariances.
 
 mpmath is a test-only dependency: the whole module is skipped without it.
 """
 
+import json
 import math
 
 import numpy as np
@@ -67,6 +68,68 @@ def test_gaussian_panel_route_matches_mpmath():
             got = PsiEvaluator(GaussianCluster(rho=1.0, v=v), alpha).value(gammas)
             ref = [_psi_gaussian_mpmath(v, alpha, g) for g in gammas]
             np.testing.assert_allclose(got, ref, rtol=rel_tol, atol=0.0, err_msg=f"v={v} alpha={alpha}")
+
+
+def _fit_poly_reference_mpmath(profile, scales, rho0, eps_tail, R0, alpha, gamma):
+    """psi of profile(r) on (0, R0] plus rho0 * r**eps_tail beyond, as an
+    mpmath integral over s = log r, cut at the knee, the profile's scales
+    and R0."""
+    alpha, log_gamma, top = mp.mpf(alpha), mp.log(gamma), mp.log(R0)
+
+    def kernel(s):
+        return 2 * mp.pi * mp.exp(2 * s) / (1 + mp.exp(alpha * s - log_gamma))
+
+    knee = log_gamma / alpha
+    lo = min([knee, *(mp.log(x) for x in scales)]) - 40
+    cuts = sorted({lo, top, *(p for p in (knee, *map(mp.log, scales)) if lo < p < top)})
+    disk = mp.quad(lambda s: profile(mp.exp(s)) * kernel(s), cuts)
+    tail_cuts = sorted({top, mp.inf, *([knee] if knee > top else [])})
+    tail = mp.quad(lambda s: rho0 * mp.exp(eps_tail * s) * kernel(s), tail_cuts)
+    return float(disk + tail)
+
+
+@pytest.mark.parametrize(
+    "model, profile, scales, R0, alpha",
+    [  # the analytic-sweep and test shape, a wider cluster cut inside its
+        # bulk, and a power law whose own tail would not decay (eps > alpha - 2)
+        (
+            {"family": "gaussian_cluster", "rho": 1.0, "v": 500.0},
+            lambda r: r / 500**2 * mp.exp(-(r**2) / (2 * 500**2)),
+            (500.0,),
+            1500.0,
+            3.0,
+        ),
+        (
+            {"family": "gaussian_cluster", "rho": 2.0, "v": 1e4},
+            lambda r: 2 * r / mp.mpf(1e4) ** 2 * mp.exp(-(r**2) / (2 * mp.mpf(1e4) ** 2)),
+            (1e4,),
+            5e3,
+            4.0,
+        ),
+        ({"family": "power_law", "rho": 0.02, "eps": 2.5}, lambda r: 0.02 * r**2.5, (), 300.0, 4.0),
+    ],
+)
+def test_fit_poly_reference_matches_mpmath(tmp_path, model, profile, scales, R0, alpha):
+    from sinrdist.cli import parse_config
+
+    mp.mp.dps = 20
+    rho0, eps_tail = 1e-3, -1.5
+    config = parse_config(json.dumps({
+        "experiment": "fit-poly",
+        "model": model,
+        "link": {"alpha": alpha, "sigma2": 1e-14, "r_T": 20.0, "L": 4},
+        "R0": R0,
+        "degrees": [2],
+        "tail": {"rho0": rho0, "eps_tail": eps_tail},
+        "gamma_grid": {"min": 1e-2, "max": 1e12, "points": 8},
+        "output_path": str(tmp_path / "fit.csv"),
+    }))
+    got = config.reference_psi()
+    ref = [
+        _fit_poly_reference_mpmath(profile, scales, rho0, eps_tail, R0, alpha, g)
+        for g in config.gamma_grid
+    ]
+    np.testing.assert_allclose(got, ref, rtol=DEFAULT_QUADRATURE.rel_tol, atol=0.0)
 
 
 class _FixedUniforms:
