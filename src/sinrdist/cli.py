@@ -32,7 +32,9 @@ from .distribution import (
     BracketingError,
     LinkConfig,
     SinrDistribution,
+    argument_supremum,
     cdf_gamma,
+    gamma_argument,
     pdf_gamma,
     scaling_limit,
 )
@@ -56,6 +58,7 @@ from .interference import PsiEvaluator, _psi_panels, psi_polynomial, psi_power_l
 from .simulator import (
     SimConfig,
     budget_truncation_radius,
+    require_draw_fits,
     run_campaign,
     trial_rng,
     truncation_cdf_bound,
@@ -379,10 +382,15 @@ class OutageSweep(ExperimentConfig):
         gamma = self.tau * link.r_T**link.alpha
         eps = self.eps_grid
         disk = np.array([self.R_c**p for p in (2.0 + eps).tolist()])
-        rho = self.mu * (2.0 + eps) / (TWO_PI * disk)
+        with np.errstate(divide="ignore", over="ignore"):
+            rho = self.mu * (2.0 + eps) / (TWO_PI * disk)
+        _require(
+            np.all(np.isfinite(rho)),
+            f"'R_c' = {self.R_c} and 'mu' = {self.mu} give a non-finite rho_adjusted",
+        )
         # the outage is the CDF at gamma, P(L, psi + sigma2*gamma), over the
         # (eps, L) grid: one psi call for every eps, one P call for the grid
-        x = psi_power_law(rho, eps, link.alpha, gamma) + link.sigma2 * gamma
+        x = gamma_argument(lambda g: psi_power_law(rho, eps, link.alpha, g), link.sigma2, gamma)
         L = np.asarray(self.L_values)
         outage = regularized_lower_gamma(L[None, :], x[:, None])
         return {
@@ -431,20 +439,6 @@ class Scaling(ExperimentConfig):
         }, extra
 
 
-def _require_quantile(dist: SinrDistribution, p_hi: float) -> None:
-    """Raise BracketingError unless the analytic CDF reaches p_hi.
-
-    A CDF that stays below p_hi leaves that much SINR mass at infinity, which
-    no finite campaign samples.
-    """
-    g = 1.0
-    while math.isfinite(g):
-        if cdf_gamma(dist, g) >= p_hi:
-            return
-        g *= 10.0
-    raise BracketingError("analytic CDF never reaches the requested quantile")
-
-
 @dataclass
 class Simulate(ExperimentConfig):
     """Monte-Carlo sample dump with a KS summary"""
@@ -462,7 +456,11 @@ class Simulate(ExperimentConfig):
         evaluator = PsiEvaluator(self.model, self.link.alpha, self.quad)
         dist = SinrDistribution(evaluator, self.link)
         if self.truncation_radius is None:
-            _require_quantile(dist, 1.0 - min(1e-4, 1.0 / (10.0 * self.sim.trials)))
+            # a CDF below this quantile leaves SINR mass at infinity, which no campaign samples
+            p_hi = 1.0 - min(1e-4, 1.0 / (10.0 * self.sim.trials))
+            x_sup = argument_supremum(self.model, self.link.sigma2)
+            if regularized_lower_gamma(self.link.L, x_sup) < p_hi:
+                raise BracketingError("analytic CDF never reaches the requested quantile")
         empirical, extra = _run_sim(self, dist)
         extra["mean_interferers"] = mean_count(self.model, DiskRegion(self.truncation_radius))
         return {"sinr": empirical.samples, "sinr_db": _db(empirical.samples)}, extra
@@ -538,6 +536,7 @@ class SamplePoints(ExperimentConfig):
         region = DiskRegion(self.region_radius)
         rng = trial_rng(self.seed, 0)
         mu = mean_count(self.model, region)
+        require_draw_fits(mu, 16)  # x and y
         n = int(rng.poisson(mu)) if mu > 0 else 0
         r = theta = np.empty(0)
         if n > 0:

@@ -14,7 +14,6 @@ dense-network scaling limit) is a corollary of that identity.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,14 +37,19 @@ __all__ = [
     "pdf_gamma",
     "outage_probability",
     "antenna_gain_delta",
+    "argument_supremum",
+    "gamma_argument",
     "scaling_limit",
     "regularized_gamma_limit_scan",
 ]
 
 # Factorial-sum stability cap for the double-sum CDF cross-check.
 DOUBLE_SUM_MAX_L = 64
-# Bracket-expansion cap for the scaling-limit inversion.
-_MAX_BRACKET_STEPS = 600
+# Step cap, step tolerance and bracket, in log gamma, of the scaling-limit
+# inversion.
+NEWTON_MAX_STEPS = 100
+NEWTON_STEP_TOL = 1e-12
+_LOG_GAMMA_RANGE = math.log(1e300)
 
 
 class BracketingError(ArithmeticError):
@@ -97,8 +101,21 @@ class SinrDistribution:
             )
 
 
+def gamma_argument(psi, sigma2: float, gamma):
+    """x = psi(gamma) + sigma2*gamma for a psi callable; ArithmeticError where
+    x is not finite, which P(L, x) would read as a CDF of 1."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = psi(gamma) + sigma2 * gamma
+    if not np.all(np.isfinite(x)):
+        raise ArithmeticError(
+            f"psi + sigma2*gamma is not finite with sigma2 = {sigma2:.6g}: "
+            "the interference or noise power overflows"
+        )
+    return x
+
+
 def _gamma_argument(dist: SinrDistribution, gamma):
-    return dist.psi.value(gamma) + dist.link.sigma2 * gamma
+    return gamma_argument(dist.psi.value, dist.link.sigma2, gamma)
 
 
 def cdf_gamma(dist: SinrDistribution, gamma):
@@ -168,7 +185,10 @@ def pdf_gamma(dist: SinrDistribution, gamma):
     with np.errstate(divide="ignore", invalid="ignore"):
         log_prefactor = (L - 1) * np.log(x) - x - math.lgamma(L)
     at_zero = slope if L == 1 else 0.0
-    out = np.where(x > 0.0, np.exp(log_prefactor) * slope, at_zero)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.where(x > 0.0, np.exp(log_prefactor) * slope, at_zero)
+    if not np.all(np.isfinite(out)):
+        raise ArithmeticError("the SINR density is not finite: sigma2 + psi' overflows or is NaN")
     return float(out) if g.ndim == 0 else out
 
 
@@ -205,6 +225,16 @@ def antenna_gain_delta(dist: SinrDistribution, gamma: float) -> float:
     return math.exp(L * math.log(x) - x - math.lgamma(L + 1))
 
 
+def argument_supremum(model: IntensityModel, sigma2: float = 0.0) -> float:
+    """Supremum over gamma of psi(gamma) + sigma2*gamma: the model's mean count
+    over the plane (inf where it diverges) plus sigma2 times the largest double."""
+    try:
+        mass = mean_count(model, FULL_PLANE)
+    except DivergenceError:
+        mass = math.inf
+    return mass + sigma2 * float(np.finfo(float).max)
+
+
 def scaling_limit(
     nominal: IntensityModel,
     q: float,
@@ -216,13 +246,16 @@ def scaling_limit(
 
     With L antennas and intensity beta * Lambda_c at beta = q * L, the SINR
     concentrates (noise neglected) on psi_c^{-1}(1/q) * r_T^{-alpha}, where
-    psi_c is the interference functional of the nominal model. The inverse is
-    computed by bracket expansion plus Brent's method on the strictly
-    increasing psi_c.
+    psi_c is the interference functional of the nominal model. The inverse
+    solves log psi_c(e^s) = log(1/q) by Newton's method in s = log gamma,
+    whose slope is the elasticity gamma*psi_c'/psi_c in (0, 1]. The bracket
+    starts as gamma in [1e-300, 1e300], each evaluation moves one end by the
+    sign of its residual, and a step that would leave it bisects it instead;
+    the search stops at a zero residual or a step of NEWTON_STEP_TOL.
 
     Models with finite total mass (bounded psi_c) may never reach 1/q; that
-    saturation is reported as a ValueError rather than a bracketing timeout.
-    A bracket that cannot be found otherwise raises BracketingError.
+    saturation is a ValueError. A NaN psi_c, a root outside the range, or
+    NEWTON_MAX_STEPS steps without convergence raise BracketingError.
     """
     if not q > 0:
         raise ValueError(f"q must be > 0, got {q}")
@@ -230,91 +263,42 @@ def scaling_limit(
         raise ValueError(f"r_T must be > 0, got {r_T}")
     evaluator = PsiEvaluator(nominal, alpha, spec)
     target = 1.0 / q
-
-    # psi_c increases to the total mean count over the plane; a finite total
-    # below the target means no crossing exists.
-    try:
-        sup_psi = mean_count(nominal, FULL_PLANE)
-    except DivergenceError:
-        sup_psi = math.inf
+    sup_psi = argument_supremum(nominal)
     if target >= sup_psi:
         raise ValueError(
             f"interference functional saturates at {sup_psi:.6g} below the "
             f"required level 1/q = {target:.6g}; the limit does not exist"
         )
 
-    lo = hi = 1.0
-    steps = 0
-    while evaluator.value(hi) < target:
-        hi *= 10.0
-        steps += 1
-        if steps > _MAX_BRACKET_STEPS:
-            raise BracketingError("failed to bracket the interference level from above")
-    steps = 0
-    while evaluator.value(lo) > target:
-        lo /= 10.0
-        steps += 1
-        if steps > _MAX_BRACKET_STEPS:
-            raise BracketingError("failed to bracket the interference level from below")
-
-    gamma_star = _brentq(lambda g: evaluator.value(g) - target, lo, hi, rtol=1e-12, maxiter=200)
-    return gamma_star * r_T ** (-alpha)
-
-
-def _brentq(f, a: float, b: float, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100):
-    """A root of f in [a, b], where f(a) and f(b) differ in sign, by Brent's
-    method: inverse quadratic (or secant) steps while they shrink the bracket
-    fast enough, bisection otherwise.
-
-    Step for step the algorithm of scipy.optimize.brentq (its brentq.c), with
-    f(x) taken as a Python float, so the two return the same root bit for bit.
-    Raises BracketingError when f(a) and f(b) have the same sign, when f
-    returns NaN, or when maxiter steps do not converge.
-    """
-
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise BracketingError(f"the function is NaN at x = {x!r}; no root can be found")
-        return fx
-
-    xpre, xcur = a, b
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise BracketingError(f"f({a!r}) and f({b!r}) have the same sign; no root is bracketed")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise BracketingError(f"Brent's method did not converge in {maxiter} steps (at x = {xcur!r})")
+    lo, hi = -_LOG_GAMMA_RANGE, _LOG_GAMMA_RANGE
+    s = 0.0
+    for _ in range(NEWTON_MAX_STEPS):
+        gamma = math.exp(s)
+        psi = evaluator.value(gamma)
+        if math.isnan(psi):
+            raise BracketingError(f"psi is NaN at gamma = {gamma!r}; the limit cannot be found")
+        ratio = psi / target
+        residual = math.log(ratio) if ratio > 0 else -math.inf
+        if residual == 0.0:
+            break
+        lo, hi = (s, hi) if residual < 0 else (lo, s)
+        # Newton's step -residual / elasticity, or a bisection where it
+        # would leave the bracket (or is undefined)
+        dpsi = gamma * evaluator.derivative(gamma)
+        step = -residual * psi / dpsi if dpsi > 0 else math.nan
+        if not lo - s < step < hi - s:
+            step = (lo + hi) / 2 - s
+        s += step
+        if abs(step) <= NEWTON_STEP_TOL:
+            break
+    else:
+        raise BracketingError(f"the psi inverse did not converge in {NEWTON_MAX_STEPS} steps")
+    if abs(s) > _LOG_GAMMA_RANGE - 1e-9:
+        side = "above" if s > 0 else "below"
+        raise BracketingError(
+            f"psi reaches 1/q = {target:.6g} only {side} gamma = {math.exp(s):.3g}"
+        )
+    return math.exp(s) * r_T ** (-alpha)
 
 
 def regularized_gamma_limit_scan(q: float, L_list: Sequence[int]) -> list:

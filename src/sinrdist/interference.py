@@ -215,10 +215,10 @@ def _psi_panels(
 class PsiEvaluator:
     """Bundles a model with alpha and an evaluation route.
 
-    method is one of "auto", "closed_form", "quadrature". Auto and closed_form
-    use the model's psi_closed_form where it has one (power law, piecewise,
-    polynomial) and the log-r panel rule where it has none (Gaussian
-    cluster); quadrature is the adaptive reference, one point at a time.
+    method is "auto" or "quadrature". Auto uses the model's psi_closed_form
+    where it has one (power law, piecewise, polynomial) and the log-r panel
+    rule where it has none (Gaussian cluster); quadrature is the adaptive
+    reference, one point at a time.
     value and derivative take a scalar gamma (float result) or an array,
     through the same code, so a point's value does not depend on the batch
     it is evaluated in.
@@ -233,10 +233,8 @@ class PsiEvaluator:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        if self.method not in ("auto", "closed_form", "quadrature"):
-            raise ValueError(
-                f"method must be auto, closed_form or quadrature, got {self.method!r}"
-            )
+        if self.method not in ("auto", "quadrature"):
+            raise ValueError(f"method must be auto or quadrature, got {self.method!r}")
         self.model.check_alpha(self.alpha)
 
     def _adaptive(self, fn, g, scalar):

@@ -24,6 +24,8 @@ import scipy.special
 from .distribution import LinkConfig
 from .intensity import (
     FULL_PLANE,
+    TWO_PI,
+    ConfigError,
     DiskRegion,
     IntensityModel,
     _outer_term,
@@ -46,6 +48,7 @@ __all__ = [
     "default_truncation_radius",
     "budget_truncation_radius",
     "truncation_cdf_bound",
+    "require_draw_fits",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -75,6 +78,9 @@ BLAS_THREAD_THRESHOLD = 262_144
 # Bound on LAPACK's estimate of the 1-norm condition number of the MMSE
 # covariance above which the trial switches to the QR route.
 CONDITION_LIMIT = 1e8
+# Largest expected size, in bytes, of what one Poisson draw allocates: a mean
+# count that asks for more is refused before anything is drawn.
+MAX_DRAW_BYTES = 2**30
 # Contiguous chunks of trial indices per worker process: a few per worker even
 # out uneven trial costs, and each chunk returns its results as two arrays.
 CHUNKS_PER_WORKER = 4
@@ -352,8 +358,20 @@ def _run_pool(sim: SimConfig, workers: int):
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
+def require_draw_fits(mean: float, bytes_per_point: int) -> None:
+    """Raise ConfigError unless a Poisson draw of this mean, at
+    bytes_per_point, is expected to fit in MAX_DRAW_BYTES."""
+    if not mean * bytes_per_point <= MAX_DRAW_BYTES:
+        raise ConfigError(
+            f"a Poisson mean of {mean:.6g} points needs {mean * bytes_per_point:.3g} B "
+            f"per draw, over the {MAX_DRAW_BYTES} B limit"
+        )
+
+
 def _run_arrays(sim: SimConfig, workers: int):
     """SINRs and interferer counts of every trial, in trial order."""
+    # a trial's channels take about 2L complex entries per interferer
+    require_draw_fits(mean_count(sim.model, DiskRegion(sim.truncation_radius)), 32 * sim.link.L)
     workers = min(workers, os.cpu_count() or 1, sim.trials)
     arrays = _run_pool(sim, workers) if workers > 1 else None
     sinr, counts = arrays if arrays is not None else _run_chunk(sim, 0, sim.trials)
@@ -400,10 +418,10 @@ def default_truncation_radius(
     largest normalized SINR of interest, stays below tail_fraction of the
     total. A model's fixed_truncation_radius wins (piecewise models: their
     exact support; Gaussian clusters: 8v, the mass beyond is astronomically
-    small); an algebraic tail from the origin (power law) solves the tail
-    bound analytically; one from r0 > 0 (polynomial tail) expands by
-    doubling against the closed-form outer term. The CLI sizes its
-    campaigns with budget_truncation_radius instead.
+    small); an algebraic tail (power law from the origin, polynomial tail
+    from r0 > 0) solves a bound on the tail in closed form, and never
+    returns less than r0. The CLI sizes its campaigns with
+    budget_truncation_radius instead.
     """
     if not alpha > 2:
         raise ValueError(f"alpha must exceed 2, got {alpha}")
@@ -416,20 +434,16 @@ def default_truncation_radius(
     if fixed is not None:
         return fixed
     rho, eps, r0 = tail
+    # the psi tail beyond R is at most 2 pi rho gamma R^(2+eps-alpha)/(alpha-2-eps),
+    # since the kernel is below gamma r^-alpha; R holds that to tail_fraction of
+    # the total psi, closed form from the origin, the model's own beyond r0
+    k = alpha - 2.0 - eps
     if r0 == 0.0:
         c = (2.0 + eps) / alpha
-        # bound: psi tail beyond R <= 2 pi rho gamma R^(2+eps-alpha)/(alpha-2-eps),
-        # compared against the closed-form total psi
-        factor = alpha * math.sin(math.pi * c) / (math.pi * tail_fraction * (alpha - 2.0 - eps))
-        return gamma_max ** (1.0 / alpha) * factor ** (1.0 / (alpha - 2.0 - eps))
+        factor = alpha * math.sin(math.pi * c) / (math.pi * tail_fraction * k)
+        return gamma_max ** (1.0 / alpha) * factor ** (1.0 / k)
     total = model.psi_closed_form(alpha, gamma_max)
-    radius = max(r0, gamma_max ** (1.0 / alpha))
-    for _ in range(200):
-        tail = _outer_term(rho, eps, alpha, gamma_max, radius)
-        if tail <= tail_fraction * total:
-            return radius
-        radius *= 2.0
-    raise ValueError("failed to bound the algebraic tail; check parameters")
+    return max(r0, (TWO_PI * rho * gamma_max / (k * tail_fraction * total)) ** (1.0 / k))
 
 
 def _gamma_density_peak(L: int, lo, hi):

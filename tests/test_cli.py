@@ -784,12 +784,26 @@ def _scaling_config(tmp_path, model, q):
 
 @pytest.mark.parametrize("q, side", [(0.1, "above"), (1.0, "below")])
 def test_main_bracketing_failure_is_numerical(tmp_path, capsys, monkeypatch, q, side):
-    # psi_c(1) = pi^2/2 sits below 1/q = 10 and above 1/q = 1; with no
-    # expansion steps allowed, neither bracket can be found
-    monkeypatch.setattr(sinrdist.distribution, "_MAX_BRACKET_STEPS", 0)
+    # psi_c(1) = pi^2/2 sits below 1/q = 10 and above 1/q = 1; with the
+    # bracket narrowed to gamma in [1/e, e], neither root lies inside it
+    monkeypatch.setattr(sinrdist.distribution, "_LOG_GAMMA_RANGE", 1.0)
     cfg = _scaling_config(tmp_path, {"family": "power_law", "rho": 1.0, "eps": 0.0}, q)
     assert main(["scaling", "--config", json.dumps(cfg)]) == 2
-    assert f"failed to bracket the interference level from {side}" in capsys.readouterr().err
+    assert f"psi reaches 1/q = {1 / q:g} only {side} gamma = " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("failure", ["nan", "step cap"])
+def test_main_psi_inverse_failure_is_numerical(tmp_path, capsys, monkeypatch, failure):
+    # a NaN psi, or a Newton search cut off after one step, leaves no limit
+    if failure == "nan":
+        monkeypatch.setattr(PsiEvaluator, "value", lambda self, gamma: math.nan)
+        message = "psi is NaN"
+    else:
+        monkeypatch.setattr(sinrdist.distribution, "NEWTON_MAX_STEPS", 1)
+        message = "did not converge in 1 steps"
+    cfg = _scaling_config(tmp_path, {"family": "power_law", "rho": 1.0, "eps": 0.0}, 0.1)
+    assert main(["scaling", "--config", json.dumps(cfg)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_main_saturated_scaling_limit_is_a_config_error(tmp_path, capsys):
@@ -810,6 +824,42 @@ def test_main_unreachable_quantile_is_numerical(tmp_path, capsys):
     }
     assert main(["simulate", "--config", json.dumps(cfg)]) == 2
     assert "never reaches the requested quantile" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_main_non_finite_rho_adjusted_is_a_config_error(tmp_path, capsys):
+    # R_c**(2 + eps) underflows to 0, so the density that keeps mu would be inf
+    cfg = _outage_config(tmp_path)
+    cfg["R_c"] = 1e-320
+    assert main(["outage-sweep", "--config", json.dumps(cfg)]) == 1
+    assert "non-finite rho_adjusted" in capsys.readouterr().err
+    assert not (tmp_path / "outage.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_main_overflowing_noise_is_numerical(tmp_path, capsys):
+    # sigma2*gamma overflows: the CDF would read 1 and the pdf NaN
+    cfg = {
+        "experiment": "pdf",
+        "model": {"family": "gaussian_cluster", "total_count": 1000.0, "v": 500.0},
+        "link": {"alpha": 3.0, "sigma2": 1.7e308, "r_T": 20.0, "L": 10},
+        "gamma_grid": {"min": 8e2, "max": 8e8, "points": 5, "spacing": "log"},
+        "output_path": str(tmp_path / "pdf.csv"),
+    }
+    assert main(["pdf", "--config", json.dumps(cfg)]) == 2
+    assert "psi + sigma2*gamma is not finite" in capsys.readouterr().err
+
+
+def test_main_oversized_point_draw_is_a_config_error(tmp_path, capsys):
+    # a mean of 1.05e17 points would need 744 PiB for the radii alone
+    cfg = {
+        "experiment": "sample-points",
+        "model": {"family": "power_law", "rho": 0.1, "eps": 4.0},
+        "region_radius": 1000.0,
+        "output_path": str(tmp_path / "points.csv"),
+    }
+    assert main(["sample-points", "--config", json.dumps(cfg)]) == 1
+    assert "Poisson mean of 1.0472e+17 points" in capsys.readouterr().err
 
 
 needs_fork = pytest.mark.skipif(

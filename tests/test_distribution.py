@@ -13,6 +13,7 @@ from sinrdist import (
     GaussianCluster,
     LinkConfig,
     PiecewisePowerLaw,
+    PolynomialWithTail,
     PowerLaw,
     PsiEvaluator,
     SinrDistribution,
@@ -24,7 +25,8 @@ from sinrdist import (
     regularized_gamma_limit_scan,
     scaling_limit,
 )
-from sinrdist.distribution import BracketingError, _brentq
+import sinrdist.distribution
+from sinrdist.distribution import BracketingError, argument_supremum
 
 
 def _dist(model, alpha, sigma2, r_T, L):
@@ -157,6 +159,16 @@ def test_pdf_validation():
         pdf_gamma(SPARSE, -1.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_pdf_refuses_a_non_finite_density(monkeypatch):
+    def infinite(self, gamma):
+        return np.full(np.shape(gamma), np.inf)
+
+    monkeypatch.setattr(PsiEvaluator, "derivative", infinite)
+    with pytest.raises(ArithmeticError, match="density is not finite"):
+        pdf_gamma(SPARSE, [1e4, 1e5])
+
+
 def test_pdf_matches_cdf_slope():
     for dist in (SPARSE, CLUSTER):
         for gamma in np.logspace(3.0, 6.0, 4):
@@ -274,74 +286,60 @@ def test_scaling_limit_validation():
         scaling_limit(PowerLaw(rho=1.0, eps=0.0), 1.0, 4.0, -1.0)
 
 
-@pytest.mark.parametrize("v", [1.0, 30.0, 500.0, 1e4])
-def test_brentq_matches_scipy_on_scaling_limit_roots(v):
-    """scaling_limit's root search equals scipy.optimize.brentq bit for bit."""
+def _inversion_models():
+    return (
+        GaussianCluster(rho=1.0, v=500.0),
+        PowerLaw(rho=1.0, eps=0.0),
+        PiecewisePowerLaw(segments=((0.01, 0.0, 10.0), (0.001, -0.5, 50.0))),
+        PolynomialWithTail(coeffs=(0.005,), R0=110.0, rho0=0.005 * 110.0**1.5, eps_tail=-1.5),
+    )
+
+
+@pytest.mark.parametrize("model", _inversion_models(), ids=lambda m: type(m).__name__)
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
+def test_scaling_limit_inverts_psi(model, alpha):
+    """q * psi_c(gamma*) = 1 to 1e-13, and gamma* is scipy's brentq root to
+    1e-12, for moderate q and for q that put the root beyond 1e+-100."""
     from scipy.optimize import brentq
 
-    for alpha in (2.5, 3.0, 4.0):
-        evaluator = PsiEvaluator(GaussianCluster(rho=1.0, v=v), alpha)
-        for q in (0.5, 1.0, 2.0, 10.0):
-            def f(g, target=1.0 / q):
-                return evaluator.value(g) - target
-
-            lo = hi = 1.0
-            while f(hi) < 0:
-                hi *= 10.0
-            while f(lo) > 0:
-                lo /= 10.0
-            expected = brentq(f, lo, hi, rtol=1e-12, maxiter=200)
-            assert _brentq(f, lo, hi, rtol=1e-12, maxiter=200) == expected
+    evaluator = PsiEvaluator(model, alpha)
+    qs = [0.5, 1.0, 2.0, 10.0, 1.0 / evaluator.value(1e-120)]
+    if math.isinf(argument_supremum(model)):
+        qs.append(1.0 / evaluator.value(1e120))
+    for q in qs:
+        gamma = scaling_limit(model, q, alpha, 1.0)
+        assert abs(q * evaluator.value(gamma) - 1.0) <= 1e-13
+        expected = brentq(
+            lambda g: evaluator.value(g) - 1.0 / q, gamma / 2, gamma * 2, xtol=1e-300, rtol=1e-12
+        )
+        assert gamma == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
-def test_brentq_matches_scipy_on_polynomial_roots():
-    from scipy.optimize import brentq
-
-    rng = np.random.default_rng(5)
-    checked = 0
-    for _ in range(400):
-        roots = rng.uniform(-5.0, 5.0, rng.integers(1, 5)).tolist()
-        scale = float(rng.uniform(0.1, 10.0))
-
-        def f(x):
-            return scale * math.prod(x - r for r in roots)
-
-        lo, hi = sorted(rng.uniform(-6.0, 6.0, 2).tolist())
-        if math.copysign(1.0, f(lo)) == math.copysign(1.0, f(hi)):
-            continue
-        xtol, rtol = float(10 ** rng.uniform(-14, -2)), float(10 ** rng.uniform(-15, -6))
-        rtol = max(rtol, 4 * np.finfo(float).eps)
-        expected = brentq(f, lo, hi, xtol=xtol, rtol=rtol)
-        assert _brentq(f, lo, hi, xtol=xtol, rtol=rtol) == expected
-        checked += 1
-    assert checked > 100
-
-
-def test_brentq_takes_numpy_values_as_python_floats():
-    """As scipy's C loop does, the port reads f(x) as a float, so its steps,
-    and the points it passes to f, stay Python floats."""
-    from scipy.optimize import brentq
-
-    seen = set()
-
-    def f(x):
-        seen.add(type(x))
-        return np.float64(x) ** 3 - 2.0
-
-    assert _brentq(f, 0.0, 3.0) == brentq(f, 0.0, 3.0)
-    assert seen == {float}
-
-
-def test_brentq_failures_are_bracketing_errors():
-    with pytest.raises(BracketingError, match="same sign"):
-        _brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+def test_scaling_limit_nan_psi_is_a_bracketing_error(monkeypatch):
+    monkeypatch.setattr(PsiEvaluator, "value", lambda self, gamma: math.nan)
     with pytest.raises(BracketingError, match="NaN"):
-        _brentq(lambda x: math.nan if x > 0.3 else x - 0.5, 0.0, 1.0)
+        scaling_limit(PowerLaw(rho=1.0, eps=0.0), 1.0, 4.0, 1.0)
+
+
+def test_scaling_limit_step_cap_is_a_bracketing_error(monkeypatch):
+    monkeypatch.setattr(sinrdist.distribution, "NEWTON_MAX_STEPS", 2)
     with pytest.raises(BracketingError, match="did not converge in 2 steps"):
-        _brentq(lambda x: x**3 - 2.0, 0.0, 3.0, maxiter=2)
-    # endpoint roots return at once
-    assert _brentq(lambda x: x - 1.0, 1.0, 3.0) == 1.0
-    assert _brentq(lambda x: x - 3.0, 1.0, 3.0) == 3.0
+        scaling_limit(GaussianCluster(rho=1.0, v=500.0), 1.0, 3.0, 20.0)
+
+
+def test_scaling_limit_root_beyond_the_double_range():
+    # psi_c = (pi^2/2) sqrt(gamma) reaches 1/q = 1e-200 only at gamma ~ 1e-400
+    with pytest.raises(BracketingError, match="only below gamma"):
+        scaling_limit(PowerLaw(rho=1.0, eps=0.0), 1e200, 4.0, 1.0)
+    with pytest.raises(BracketingError, match="only above gamma"):
+        scaling_limit(PowerLaw(rho=1.0, eps=0.0), 1e-200, 4.0, 1.0)
+
+
+def test_argument_supremum():
+    cluster = GaussianCluster.with_total_count(5.0, 100.0)
+    assert argument_supremum(cluster) == pytest.approx(5.0, rel=1e-12)
+    assert math.isinf(argument_supremum(PowerLaw(rho=1.0, eps=0.0)))
+    assert argument_supremum(cluster, 1.0) == pytest.approx(np.finfo(float).max)
 
 
 # ---------------------------------------------------------------------------

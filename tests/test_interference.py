@@ -289,6 +289,8 @@ def test_psi_derivative_free_function():
 def test_evaluator_validation():
     with pytest.raises(ValueError):
         PsiEvaluator(PowerLaw(rho=1.0, eps=0.0), 4.0, method="bogus")
+    with pytest.raises(ValueError, match="auto or quadrature"):
+        PsiEvaluator(PowerLaw(rho=1.0, eps=0.0), 4.0, method="closed_form")
     with pytest.raises(DivergenceError):
         PsiEvaluator(PowerLaw(rho=1.0, eps=2.0), 4.0)  # eps >= alpha - 2
     with pytest.raises(ValueError):
@@ -302,13 +304,11 @@ def test_evaluator_is_callable():
 
 
 def test_gaussian_panel_route_matches_quadrature():
-    # auto and closed_form share the log-r panel rule; quadrature is the
-    # adaptive reference, so the routes agree within the spec's rel_tol
+    # auto takes the log-r panel rule; quadrature is the adaptive reference,
+    # so the routes agree within the spec's rel_tol
     model = GaussianCluster(rho=0.25, v=500.0)
-    auto = PsiEvaluator(model, 3.0).value(1e4)
-    closed = PsiEvaluator(model, 3.0, method="closed_form").value(1e4)
+    auto = PsiEvaluator(model, 3.0, method="auto").value(1e4)
     quad = PsiEvaluator(model, 3.0, method="quadrature").value(1e4)
-    assert auto == closed
     assert auto == pytest.approx(quad, rel=DEFAULT_QUADRATURE.rel_tol)
 
 

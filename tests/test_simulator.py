@@ -38,6 +38,7 @@ from sinrdist import (
     truncation_cdf_bound,
     DiskRegion,
 )
+from sinrdist.intensity import ConfigError, _outer_term
 
 LINK = LinkConfig(alpha=4.0, sigma2=1e-12, r_T=10.0, L=4)
 
@@ -471,6 +472,18 @@ def test_campaign_matches_analytic_cdf():
     assert ks < 1.63 / math.sqrt(sim.trials)
 
 
+def test_oversized_campaign_draw_is_refused_before_drawing(monkeypatch):
+    # 3.1e9 interferers per trial would need 4e11 B of channels at L = 4
+    def no_draw(*args):
+        raise AssertionError("a network was drawn")
+
+    monkeypatch.setattr(sinrdist.simulator, "draw_network", no_draw)
+    model = PowerLaw(rho=1e3, eps=0.0)
+    sim = SimConfig(trials=4, truncation_radius=1000.0, seed=0, link=LINK, model=model)
+    with pytest.raises(ConfigError, match="Poisson mean of 3.14159e\\+09 points"):
+        run_campaign(sim)
+
+
 def test_campaign_truncation_insensitive():
     sim = _small_sim(trials=1200)
     wider = SimConfig(
@@ -508,6 +521,20 @@ def test_truncation_power_law_tail_bound():
     assert (total - truncated) / total <= 1.05e-3
     # tighter fractions push the radius out
     assert default_truncation_radius(model, alpha, gamma_max, tail_fraction=1e-4) > R
+
+
+@pytest.mark.parametrize("alpha, gamma_max", [(3.0, 1e6), (4.0, 1e8)])
+def test_truncation_polynomial_tail_bound(alpha, gamma_max):
+    # a tail from R0 > 0: the exact outer term beyond R stays within the fraction
+    R0, eps_tail = 110.0, -1.5
+    rho0 = 0.005 * R0**-eps_tail  # continuous at R0
+    model = PolynomialWithTail(coeffs=(0.005,), R0=R0, rho0=rho0, eps_tail=eps_tail)
+    R = default_truncation_radius(model, alpha, gamma_max)
+    assert R >= R0
+    tail = _outer_term(model.rho0, eps_tail, alpha, gamma_max, R)
+    assert tail <= 1e-3 * model.psi_closed_form(alpha, gamma_max)
+    # a radius below R0 is never returned
+    assert default_truncation_radius(model, alpha, 1e-6) == R0
 
 
 def test_truncation_validation():
