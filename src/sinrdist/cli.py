@@ -184,10 +184,10 @@ class Campaign(Seed):
         )
 
     def to_dict(self) -> dict:
-        """The config form, without workers where it is the default 1."""
+        """The config form, without workers: the worker count changes no
+        result byte, so the sidecar does not record it."""
         form = _fields_form(self)
-        if self.workers == 1:
-            del form["workers"]
+        del form["workers"]
         return form
 
 
@@ -269,6 +269,15 @@ def _sinr_scale(link: LinkConfig) -> float:
     return link.r_T ** (-link.alpha)
 
 
+def _float_pow(x: float, p: float) -> float:
+    """x ** p by Python's pow, inf where that overflows. numpy's SIMD pow
+    differs from libm's in the last bit for a few percent of inputs."""
+    try:
+        return x**p
+    except OverflowError:
+        return math.inf
+
+
 def _db(values: np.ndarray) -> np.ndarray:
     # math.log10, not np.log10: numpy's SIMD log10 differs from libm's in
     # the last bit for a few percent of inputs, which would move the CSV
@@ -295,11 +304,13 @@ def _run_sim(config: ExperimentConfig, dist: SinrDistribution):
         link=config.link,
         model=config.model,
     )
+    # bounded before any trial is drawn, so a numerical failure there costs none
+    bound = truncation_cdf_bound(config.model, config.link, radius)
     empirical = run_campaign(campaign, sim.workers)
     extra = {
         "trials": sim.trials,
         "truncation_radius": radius,
-        "truncation_cdf_bound": truncation_cdf_bound(config.model, config.link, radius),
+        "truncation_cdf_bound": bound,
         "ks_distance": empirical.ks_distance(lambda s: cdf_gamma(dist, s / scale)),
     }
     return empirical, extra
@@ -375,13 +386,13 @@ class OutageSweep(ExperimentConfig):
 
     def run(self):
         # rho re-solved at each exponent so the mean count over the radius-R_c
-        # disk stays at mu: rho(eps) = mu * (2 + eps) / (2 pi R_c^(2+eps)).
-        # R_c ** p by Python's pow: numpy's SIMD pow differs from libm's in the
-        # last bit for a few percent of inputs.
+        # disk stays at mu: rho(eps) = mu * (2 + eps) / (2 pi R_c^(2+eps)),
+        # which is 0 where R_c^(2+eps) overflows (the outage is then the
+        # noise-only P(L, sigma2*gamma))
         link = self.link
         gamma = self.tau * link.r_T**link.alpha
         eps = self.eps_grid
-        disk = np.array([self.R_c**p for p in (2.0 + eps).tolist()])
+        disk = np.array([_float_pow(self.R_c, p) for p in (2.0 + eps).tolist()])
         with np.errstate(divide="ignore", over="ignore"):
             rho = self.mu * (2.0 + eps) / (TWO_PI * disk)
         _require(
@@ -422,20 +433,20 @@ class Scaling(ExperimentConfig):
         link = self.link
         nominal = self.model
         limit = scaling_limit(nominal, self.q, link.alpha, link.r_T, self.quad)
-        cdfs = []
-        for L in self.L_values:
-            model = dataclasses.replace(nominal, beta=nominal.beta * (self.q * L))
-            evaluator = PsiEvaluator(model, link.alpha, self.quad)
-            dist = SinrDistribution(evaluator, dataclasses.replace(link, L=L))
-            cdfs.append(cdf_gamma(dist, self.gamma_grid))
         L = np.asarray(self.L_values)
         n = self.gamma_grid.size
+        # psi is linear in beta: psi of the beta = 1 profile, scaled to each
+        # beta_L = beta * (q L), and one P(L, x) call for the (L, gamma) grid
+        unit = dataclasses.replace(nominal, beta=1.0)
+        psi = PsiEvaluator(unit, link.alpha, self.quad).value(self.gamma_grid)
+        beta = nominal.beta * (self.q * L)
+        x = gamma_argument(lambda g: beta[:, None] * psi, link.sigma2, self.gamma_grid)
         extra = {"sinr_limit": limit, "sinr_limit_db": 10.0 * math.log10(limit), "q": self.q}
         return {
             "L": np.repeat(L, n),
             "beta": np.repeat(self.q * L, n),
             "gamma": np.tile(self.gamma_grid, L.size),
-            "cdf": np.concatenate(cdfs),
+            "cdf": regularized_lower_gamma(L[:, None], x).ravel(),
         }, extra
 
 
@@ -498,13 +509,14 @@ class FitPoly(ExperimentConfig):
         profile = self.model.radial_intensity
         R0 = self.R0
         rho0, eps_tail = self.tail.rho0, self.tail.eps_tail
-        ref = regularized_lower_gamma(link.L, self.reference_psi() + link.sigma2 * self.gamma_grid)
+        ref_x = gamma_argument(lambda g: self.reference_psi(), link.sigma2, self.gamma_grid)
+        ref = regularized_lower_gamma(link.L, ref_x)
         residuals, sup_errors, fits = [], [], {}
         for m in self.degrees:
             coeffs, residual = fit_polynomial(profile, m, R0)
             psi = psi_polynomial(coeffs, R0, rho0, eps_tail, link.alpha, self.gamma_grid)
             # low-degree fits can dip a hair negative at tiny gamma
-            x = np.maximum(0.0, psi + link.sigma2 * self.gamma_grid)
+            x = np.maximum(0.0, gamma_argument(lambda g: psi, link.sigma2, self.gamma_grid))
             approx = regularized_lower_gamma(link.L, x)
             residuals.append(residual)
             sup_errors.append(np.max(np.abs(approx - ref)))

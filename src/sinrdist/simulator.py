@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
-from .distribution import LinkConfig
+from .distribution import LinkConfig, gamma_argument
 from .intensity import (
     FULL_PLANE,
     TWO_PI,
@@ -470,17 +470,16 @@ def _truncation_error_bound(model: IntensityModel, link: LinkConfig):
     L, alpha = link.L, link.alpha
     evaluator = PsiEvaluator(model, alpha)
 
-    def x_of(gamma):
-        return evaluator.value(gamma) + link.sigma2 * gamma
-
-    # the decades that bracket the two quantiles of x, within 10^(+-60)
+    # the decades that bracket the two quantiles of x, within 10^(+-60); an
+    # x that overflows lies above the top quantile, as an infinite one does
     decades = 10.0 ** np.arange(-60.0, 61.0)
-    x_dec = x_of(decades)
+    with np.errstate(over="ignore"):
+        x_dec = evaluator.value(decades) + link.sigma2 * decades
     q = TRUNCATION_GRID_QUANTILE
     lo = max(np.searchsorted(x_dec, scipy.special.gammaincinv(L, q), "right") - 1, 0)
     hi = min(np.searchsorted(x_dec, scipy.special.gammainccinv(L, q)), decades.size - 1)
     gamma = np.geomspace(decades[lo], decades[hi], TRUNCATION_GRID_PER_DECADE * (hi - lo) + 1)
-    x = x_of(gamma)
+    x = gamma_argument(evaluator.value, link.sigma2, gamma)
 
     def bound(radius: float) -> float:
         delta = model.beta * _outer_term(rho, eps, alpha, gamma, max(radius, r0))

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sinrdist.cli
 import sinrdist.distribution
 import sinrdist.simulator
 from sinrdist import (
@@ -850,6 +851,64 @@ def test_main_overflowing_noise_is_numerical(tmp_path, capsys):
     assert "psi + sigma2*gamma is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+def test_main_fit_poly_overflowing_noise_is_numerical(tmp_path, capsys):
+    # sigma2*gamma overflows: both CDFs would read 1 and the error 0
+    cfg = _fit_poly_config(tmp_path)
+    cfg["link"]["sigma2"] = 1.7e308
+    assert main(["fit-poly", "--config", json.dumps(cfg)]) == 2
+    assert "psi + sigma2*gamma is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "fit.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_main_simulate_huge_noise_sizes_its_disk_without_warnings(tmp_path):
+    # the truncation bound's decade scan overflows x above its top quantile
+    cfg = {
+        "experiment": "simulate",
+        "model": {"family": "polynomial_with_tail", "coeffs": [0.005, 0.0, 1e-6],
+                  "R0": 110.0, "rho0": (0.005 + 1e-6 * 110**2) * 110**1.5, "eps_tail": -1.5},
+        "link": {"alpha": 3.0, "sigma2": 1e300, "r_T": 20.0, "L": 4},
+        "sim": {"trials": 20, "seed": 3},
+        "output_path": str(tmp_path / "sim.csv"),
+    }
+    assert main(["simulate", "--config", json.dumps(cfg)]) == 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_main_non_finite_bound_grid_fails_before_any_trial(tmp_path, capsys, monkeypatch):
+    # psi overflows above gamma = 1e5, which the bound's gamma grid reaches
+    closed_form = PowerLaw.psi_closed_form
+
+    def overflowing(self, alpha, gamma):
+        return np.where(np.asarray(gamma) < 1e5, closed_form(self, alpha, gamma), np.inf)
+
+    def no_campaign(*args):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(PowerLaw, "psi_closed_form", overflowing)
+    monkeypatch.setattr(sinrdist.cli, "run_campaign", no_campaign)
+    cfg = _cdf_config(tmp_path, sim={"trials": 20, "seed": 3, "truncation_radius": 300.0})
+    assert main(["cdf", "--config", json.dumps(cfg)]) == 2
+    assert "psi + sigma2*gamma is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_main_outage_overflowing_disk_gives_the_noise_only_outage(tmp_path):
+    # R_c^(2+eps) overflows for eps > -1: rho_adjusted is then 0
+    cfg = _outage_config(tmp_path)
+    cfg["R_c"] = 1e300
+    cfg["eps_grid"] = {"values": [-1.0, -0.5, 0.0]}
+    assert main(["outage-sweep", "--config", json.dumps(cfg)]) == 0
+    header, rows = _read_csv(tmp_path / "outage.csv")
+    columns = dict(zip(header, zip(*rows)))
+    assert columns["rho_adjusted"][0] > 0
+    assert columns["rho_adjusted"][2:] == (0.0,) * 4
+    gamma = cfg["tau"] * cfg["link"]["r_T"] ** cfg["link"]["alpha"]
+    noise = regularized_lower_gamma(np.array([4, 12]), cfg["link"]["sigma2"] * gamma)
+    np.testing.assert_array_equal(columns["outage"][2:], np.tile(noise, 2))
+
+
 def test_main_oversized_point_draw_is_a_config_error(tmp_path, capsys):
     # a mean of 1.05e17 points would need 744 PiB for the radii alone
     cfg = {
@@ -948,13 +1007,14 @@ def test_bundled_figures_reproduce_golden_bytes(tmp_path, name):
 
 
 def test_reproduce_check_with_workers_matches_outputs(capsys):
-    """--workers goes only to the Monte-Carlo configs; fig1 and fig4 run none."""
+    """--workers goes only to the Monte-Carlo configs, and changes no byte of
+    any output: the sidecar does not record the worker count."""
     script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"
     spec = importlib.util.spec_from_file_location("reproduce_figures", script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert module.check(["fig1", "fig4"], workers=2) == 0
-    assert "2 of 2 runs identical to outputs/" in capsys.readouterr().out
+    assert module.check(list(module.FIGURES), workers=2) == 0
+    assert "5 of 5 runs identical to outputs/" in capsys.readouterr().out
 
 
 def test_main_seed_override_changes_samples(tmp_path):

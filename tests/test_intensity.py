@@ -1,9 +1,12 @@
 """Tests for the radial intensity models, their sampling and the profile fit."""
 
+from __future__ import annotations
+
 import dataclasses
 import json
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from sinrdist.intensity import (
     INVERSE_CDF_KNOTS,
     ConfigError,
     IntensityModel,
+    PowerLawSum,
     _pchip_coefficients,
     _table_radii,
 )
@@ -430,6 +434,29 @@ def test_registry_holds_every_family_once():
 
 @pytest.mark.parametrize("model", PROTOCOL_MODELS, ids=lambda m: m.family)
 def test_every_family_answers_every_protocol_member(model):
+    _assert_answers_protocol(model)
+
+
+@dataclass(frozen=True)
+class _Pieces(PowerLawSum):
+    """A family that declares only its pieces: a disk profile and an
+    annulus on top of it, then a decaying tail."""
+
+    family = "test_pieces"
+    pieces = ((2e-3, 0.0, 0.0, 50.0), (1e-4, 1.0, 20.0, 50.0), (5e-2, -1.5, 50.0, math.inf))
+
+    beta: float = 1.0
+
+
+def test_a_family_of_pieces_alone_answers_every_protocol_member(monkeypatch):
+    monkeypatch.setitem(FAMILIES, _Pieces.family, _Pieces)
+    model = _Pieces(beta=2.0)
+    assert model.quadrature_breakpoints == (20.0, 50.0)
+    assert model.algebraic_tail == (5e-2, -1.5, 50.0)
+    _assert_answers_protocol(model)
+
+
+def _assert_answers_protocol(model):
     alpha, R = 4.0, 1000.0
     gammas = np.geomspace(1e2, 1e10, 9)
     assert isinstance(model, IntensityModel)

@@ -123,6 +123,16 @@ def test_piecewise_matches_quadrature():
                 )
 
 
+def test_piecewise_annulus_inside_the_knee_matches_quadrature():
+    # an annulus far inside the knee with eps just below the disk-form margin:
+    # its two outer forms cancel to 0.6% at gamma = 1e12
+    model = PiecewisePowerLaw(segments=((1.0, 0.0, 1.0), (1.0, 0.489, 2.0)))
+    gammas = np.geomspace(1e-2, 1e12, 8)
+    closed = psi_piecewise(model.segments, 2.5, gammas)
+    quad = [psi_quadrature(model, 2.5, g) for g in gammas]
+    np.testing.assert_allclose(closed, quad, rtol=1e-9)
+
+
 def test_piecewise_unit_hypergeometric_branch():
     # alpha=3 with eps=1 drives the 2F1 parameter to b=1, the log identity path
     model = PiecewisePowerLaw(segments=((0.2, 1.0, 60.0),))

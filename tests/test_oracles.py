@@ -1,7 +1,8 @@
 """Independent high-precision oracles (mpmath, and a brentq root) for the
-special functions, the Gaussian-cluster panel rule, the fit-poly reference,
-the Gaussian and polynomial samplers (near the origin and across the polynomial's kink), the truncation budget and the MMSE combiner on
-near-singular covariances.
+special functions, the psi of each power-law piece, the Gaussian-cluster
+panel rule, the fit-poly reference, the Gaussian and polynomial samplers
+(near the origin and across the polynomial's kink), the truncation budget
+and the MMSE combiner on near-singular covariances.
 
 mpmath is a test-only dependency: the whole module is skipped without it.
 """
@@ -31,6 +32,8 @@ from sinrdist import (
     sample_location,
     trial_rng,
 )
+
+from sinrdist.intensity import _piece_psi
 
 mp = pytest.importorskip("mpmath")
 
@@ -68,6 +71,44 @@ def test_gaussian_panel_route_matches_mpmath():
             got = PsiEvaluator(GaussianCluster(rho=1.0, v=v), alpha).value(gammas)
             ref = [_psi_gaussian_mpmath(v, alpha, g) for g in gammas]
             np.testing.assert_allclose(got, ref, rtol=rel_tol, atol=0.0, err_msg=f"v={v} alpha={alpha}")
+
+
+def _piece_psi_mpmath(c, k, lo, hi, alpha, gamma):
+    """psi of c * r**k on (lo, hi] as an mpmath integral over s = log r."""
+    c, k, alpha, log_gamma = mp.mpf(c), mp.mpf(k), mp.mpf(alpha), mp.log(gamma)
+
+    def integrand(s):
+        return 2 * mp.pi * c * mp.exp((k + 2) * s) / (1 + mp.exp(alpha * s - log_gamma))
+
+    a = -mp.inf if lo == 0 else mp.log(lo)
+    b = mp.inf if hi == math.inf else mp.log(hi)
+    knee = log_gamma / alpha
+    cuts = [a, *(p for p in (knee - 10, knee, knee + 10) if a < p < b), b]
+    return float(mp.quad(integrand, cuts))
+
+
+# (c, k, lo, hi) as functions of alpha: k = alpha - 2 is the outer form's pole
+PIECES = {
+    "plane": lambda alpha: (1.0, -0.5, 0.0, math.inf),
+    "disk": lambda alpha: (0.3, 1.5, 0.0, 40.0),
+    "tail": lambda alpha: (2.0, -1.5, 30.0, math.inf),
+    "annulus above the pole": lambda alpha: (0.7, alpha - 1.0, 5.0, 60.0),
+    "annulus within the margin": lambda alpha: (0.7, alpha - 2.005, 5.0, 60.0),
+    "annulus below the margin": lambda alpha: (0.7, alpha - 2.02, 5.0, 60.0),
+    "annulus at k = -2": lambda alpha: (0.7, -2.0, 5.0, 60.0),
+}
+
+
+@pytest.mark.parametrize("shape", PIECES)
+def test_piece_psi_matches_mpmath(shape):
+    mp.mp.dps = 30
+    # one array across the knee of every annulus, so both of its forms run
+    gammas = np.geomspace(1e-3, 1e12, 6)
+    for alpha in (2.5, 4.0):
+        piece = PIECES[shape](alpha)
+        got = _piece_psi(*piece, alpha, gammas)
+        ref = [_piece_psi_mpmath(*piece, alpha, g) for g in gammas]
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0, err_msg=f"alpha={alpha}")
 
 
 def _fit_poly_reference_mpmath(profile, scales, rho0, eps_tail, R0, alpha, gamma):
