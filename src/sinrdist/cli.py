@@ -211,6 +211,9 @@ def _block(cls):
     return lambda raw, key, where: _parse_fields(cls, raw, key, _PARSERS)
 
 
+# The dataclass of each config block, by the annotation that names it
+_BLOCKS = {cls.__name__: cls for cls in (LinkConfig, QuadratureSpec, Seed, Campaign, Tail)}
+
 # The parser of each annotation a config field carries: (value, key, where) -> value
 _PARSERS = {
     **_FIELD_PARSERS,
@@ -219,7 +222,7 @@ _PARSERS = {
     "Grid": lambda raw, key, where: _parse_grid(raw, key, positive=False),
     "PositiveGrid": lambda raw, key, where: _parse_grid(raw, key, positive=True),
     "IntensityModel": lambda raw, key, where: IntensityModel.from_dict(raw, key),
-    **{cls.__name__: _block(cls) for cls in (LinkConfig, QuadratureSpec, Seed, Campaign, Tail)},
+    **{name: _block(cls) for name, cls in _BLOCKS.items()},
 }
 
 
@@ -566,9 +569,9 @@ KINDS = {cls.kind: cls for cls in (Cdf, Pdf, OutageSweep, Scaling, Simulate, Fit
 def _set_flags(raw: dict, cls, overrides: dict) -> None:
     """Write the CLI flags into the config keys they set: --out into
     output_path, --tol into tolerances.rel_tol, and --seed, --trials and
-    --workers into the sim block, so only a kind with one takes them. Only
-    --trials opens an optional sim block the config leaves out: without a
-    campaign to set, --seed and --workers are ignored."""
+    --workers into the sim block, so only a kind whose block has that key
+    takes them. Only --trials opens an optional sim block the config leaves
+    out: without a campaign to set, --seed and --workers are ignored."""
     fields = {f.name: f for f in dataclasses.fields(cls)}
     for flag, value in overrides.items():
         if value is None:
@@ -577,7 +580,11 @@ def _set_flags(raw: dict, cls, overrides: dict) -> None:
             raw["output_path"] = str(value)
             continue
         block, key = ("tolerances", "rel_tol") if flag == "tol" else ("sim", flag)
-        if block not in fields:
+        keys = ()
+        if block in fields:
+            block_cls = _BLOCKS[fields[block].type.removesuffix(" | None")]
+            keys = [f.name for f in dataclasses.fields(block_cls)]
+        if key not in keys:
             raise ConfigError(f"{cls.kind} takes no --{flag}")
         if block not in raw and fields[block].default is None and overrides.get("trials") is None:
             continue

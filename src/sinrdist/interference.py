@@ -13,23 +13,29 @@ rule in log r for the Gaussian cluster) and generic adaptive quadrature, one
 point at a time. The fast routes must match adaptive quadrature; the test
 suite enforces the agreement.
 
+For a model both quadratures work in s = log r on the same expit kernels;
+the adaptive reference takes the head far below the knee gamma^(1/alpha) and
+an algebraic tail far beyond it in closed form (see _psi_adaptive). A bare
+profile (psi_quadrature_radial) is integrated in r.
+
 Every psi helper takes gamma as a scalar (float result) or an array. The
 closed forms live beside their families in intensity and are re-exported
-here; this module holds what does not depend on the family: the kernels, the
-adaptive reference, the panel rule, and PsiEvaluator, which wraps a model
-object, applies its beta scale, and takes the model's closed form where it
-has one and the panel rule where it has none.
+here; this module holds what does not depend on the family: the adaptive
+reference, the panel rule, and PsiEvaluator, which wraps a model object,
+applies its beta scale, and takes the model's closed form where it has one
+and the panel rule where it has none.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, log_expit
 
 from .intensity import (
     PANEL_TAIL_EFOLDS,
@@ -45,6 +51,7 @@ from .intensity import (
 from .specfun import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
+    _quad,
     integrate_log_panels,
     integrate_radial,
 )
@@ -60,36 +67,10 @@ __all__ = [
     "psi_derivative",
 ]
 
-# Above this value of alpha*log(r), r**alpha is treated as dominating gamma.
-_LOG_HUGE = 700.0
-
 
 def _check_gamma(gamma: float) -> None:
     if not gamma >= 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-
-
-def _sinr_kernel(r: float, alpha: float, gamma: float) -> float:
-    """gamma / (r**alpha + gamma), stable against r**alpha overflow."""
-    if r == 0.0:
-        return 1.0
-    log_ra = alpha * math.log(r)
-    if log_ra > _LOG_HUGE:
-        # r^alpha dwarfs gamma; drop it from the denominator
-        return gamma * math.exp(-log_ra)
-    return gamma / (math.exp(log_ra) + gamma)
-
-
-def _sinr_kernel_derivative(r: float, alpha: float, gamma: float) -> float:
-    """r**alpha / (r**alpha + gamma)**2, the gamma-derivative of the kernel."""
-    if r == 0.0:
-        return 0.0
-    log_ra = alpha * math.log(r)
-    if log_ra > 0.0:
-        y = math.exp(-log_ra)  # <= 1, no overflow anywhere below
-        return y / (1.0 + gamma * y) ** 2
-    x = math.exp(log_ra)
-    return x / (x + gamma) ** 2
 
 
 def psi_quadrature_radial(
@@ -104,32 +85,24 @@ def psi_quadrature_radial(
 
     Integrates 2*pi*radial_fn(r)*r*gamma/(r^alpha+gamma) over (0, upper),
     splitting at the supplied breakpoints and at the kernel knee gamma^(1/alpha)
-    where the integrand changes character.
+    where the integrand changes character. Without a model there is no head
+    or tail to take in closed form, so this integral stays in r: QUADPACK
+    extrapolates the algebraic ends r^(1+eps) at 0 and r^(1+eps-alpha) at
+    infinity, which in log r are exponentials whose nodes leave the float
+    range (a profile 0.1*r^0.5 at alpha = 3 then ends in NaN).
     """
     _check_alpha(alpha)
     _check_gamma(gamma)
     if gamma == 0.0:
         return 0.0
-    return _integrate_kernel(radial_fn, _sinr_kernel, alpha, gamma, spec, breakpoints, upper)
-
-
-def _integrate_kernel(radial_fn, kernel, alpha, gamma, spec, breakpoints, upper) -> float:
-    """Adaptive integral of 2*pi*radial_fn(r)*r*kernel(r, alpha, gamma) over
-    (0, upper), split at the breakpoints and at the knee gamma^(1/alpha)."""
+    log_gamma = math.log(gamma)
 
     def integrand(r: float) -> float:
-        k = kernel(r, alpha, gamma)
-        if k == 0.0:
-            return 0.0
-        return TWO_PI * float(radial_fn(r)) * r * k
+        return TWO_PI * radial_fn(r) * r * expit(log_gamma - alpha * math.log(r))
 
-    knee = gamma ** (1.0 / alpha)
-    pts = sorted({p for p in (*breakpoints, knee) if 0.0 < p < upper})
+    pts = sorted({p for p in (*breakpoints, gamma ** (1.0 / alpha)) if 0.0 < p < upper})
     edges = [0.0, *pts, upper]
-    return math.fsum(
-        integrate_radial(integrand, lo, hi, spec)
-        for lo, hi in zip(edges[:-1], edges[1:])
-    )
+    return math.fsum(integrate_radial(integrand, lo, hi, spec) for lo, hi in zip(edges, edges[1:]))
 
 
 def psi_quadrature(
@@ -146,21 +119,54 @@ def psi_quadrature(
     """
     _check_alpha(alpha)
     model.check_alpha(alpha)
-    layout = model.quadrature_breakpoints, model.support_radius
-    return psi_quadrature_radial(model.radial_intensity, alpha, gamma, spec, *layout)
+    _check_gamma(gamma)
+    return _psi_adaptive(model, alpha, gamma, spec) if gamma > 0 else 0.0
 
 
-def _dpsi_quadrature(model, alpha: float, gamma: float, spec: QuadratureSpec) -> float:
-    """d psi / d gamma of a model at one gamma > 0, by adaptive quadrature.
+def _psi_adaptive(model, alpha: float, gamma: float, spec, derivative=False, radius=math.inf):
+    """psi (or d psi / d gamma) of a model at one gamma > 0 over the disk
+    (0, radius], by adaptive quadrature in log r between a head and a tail.
 
-    Integrates the gamma-differentiated kernel 2*pi*Lambda(r)*r*r^alpha/
-    (r^alpha+gamma)^2 (differentiation under the integral sign; dominated
-    convergence applies under the same constraints that make psi finite).
+    With s = log r and t = alpha*s - log(gamma) the integrand is
+    2*pi*Lambda(e^s)*e^(2s)*k(t), k the kernel of _psi_panels: expit(-t), or
+    expit(t)*expit(-t)/gamma for the derivative. It is split at the knee
+    gamma^(1/alpha) and at the model's quadrature breakpoints.
+
+    Head: below knee*e^(-PANEL_TAIL_EFOLDS/alpha), knee = gamma^(1/alpha), the
+    psi kernel is 1 to within e^-40, so psi takes the model's cumulative
+    count there; the derivative kernel is below e^-40 of its peak there, so
+    d psi / d gamma drops it. Tail: a model with an algebraic tail
+    beta*rho*r^eps beyond r0 is integrated up to R = max(knee, r0) *
+    e^(PANEL_TAIL_EFOLDS/alpha), past which the kernel is its power asymptote
+    gamma*r^-alpha (r^-alpha for the derivative) to within e^-40; the rest
+    is the elementary 2*pi*beta*rho*gamma*R^-k/k (no gamma for the
+    derivative), k = alpha - 2 - eps, so the reference takes no
+    hypergeometric function. Raises AccuracyError where QUADPACK misses spec.
     """
-    layout = model.quadrature_breakpoints, model.support_radius
-    return _integrate_kernel(
-        model.radial_intensity, _sinr_kernel_derivative, alpha, gamma, spec, *layout
-    )
+    knee = gamma ** (1.0 / alpha)
+    upper = min(radius, model.support_radius)
+    tail = 0.0
+    if math.isinf(upper) and model.algebraic_tail is not None:
+        rho, eps, r0 = model.algebraic_tail
+        upper = max(knee, r0) * math.exp(PANEL_TAIL_EFOLDS / alpha)
+        k = alpha - 2.0 - eps
+        tail = TWO_PI * model.beta * rho * (1.0 if derivative else gamma) * upper**-k / k
+    lower = min(knee * math.exp(-PANEL_TAIL_EFOLDS / alpha), upper)
+    head = 0.0 if derivative else float(model.cumulative_count(lower))
+    log_gamma = math.log(gamma)
+
+    def integrand(s: float) -> float:
+        # e^(2s) times the kernel as one exp of a sum of logs: r*r*expit(-t)
+        # is inf * 0 where r*r overflows
+        t = alpha * s - log_gamma
+        log_kernel = log_expit(-t) + (log_expit(t) - log_gamma if derivative else 0.0)
+        return TWO_PI * model.radial_intensity(np.exp(s)) * math.exp(2.0 * s + log_kernel)
+
+    pts = sorted({p for p in (*model.quadrature_breakpoints, knee) if lower < p < upper})
+    edges = [math.log(e) for e in (lower, *pts, upper)]
+    with np.errstate(over="ignore"):
+        body = math.fsum(_quad(integrand, a, b, spec) for a, b in zip(edges, edges[1:]))
+    return math.fsum((head, body, tail))
 
 
 def _psi_panels(
@@ -203,11 +209,8 @@ def _psi_panels(
     lower = np.minimum(knee, inner) * math.exp(-PANEL_TAIL_EFOLDS / rate)
     upper = np.minimum(upper, radius)
     values, converged = integrate_log_panels(integrand, lower, upper, breakpoints, spec)
-    kernel = _sinr_kernel_derivative if derivative else _sinr_kernel
-    layout = model.quadrature_breakpoints, min(radius, model.support_radius)
     for i in np.flatnonzero(~converged):
-        g = float(gamma[i])
-        values[i] = _integrate_kernel(model.radial_intensity, kernel, alpha, g, spec, *layout)
+        values[i] = _psi_adaptive(model, alpha, float(gamma[i]), spec, derivative, radius)
     return values
 
 
@@ -272,7 +275,7 @@ class PsiEvaluator:
         scalar = g.ndim == 0
         m = self.model
         if self.method == "quadrature":
-            return self._adaptive(_dpsi_quadrature, g, scalar)
+            return self._adaptive(functools.partial(_psi_adaptive, derivative=True), g, scalar)
         if m.dpsi_closed_form is not None:
             out = m.dpsi_closed_form(self.alpha, g, self.value(g))
         else:

@@ -5,10 +5,11 @@ actually needed by the SINR closed forms are exposed; in particular the
 Gauss hypergeometric function is restricted to the first-parameter-1 shape
 2F1(1, b; b+1; -x), which is the only one the interference integrals
 produce. The special functions are scipy.special ufuncs. The fixed-panel
-Gauss-Legendre rule in log r (integrate_log_panels) is numpy alone; the
-adaptive reference (integrate_radial) is QUADPACK, and imports
-scipy.integrate only when it is called, since that module costs about 0.2 s
-of start-up that a run without quadrature should not pay.
+Gauss-Legendre rule in log r (integrate_log_panels) is numpy alone. Adaptive
+quadrature, for integrate_radial and for the psi reference in log r, is one
+checked QUADPACK call (_quad), which takes infinite limits as they are and
+imports scipy.integrate only when it runs, since that module costs about
+0.2 s of start-up that a run without quadrature should not pay.
 """
 
 from __future__ import annotations
@@ -157,13 +158,9 @@ def integrate_radial(
 ) -> float:
     """Adaptive quadrature of f over [lower, upper], upper may be math.inf.
 
-    Semi-infinite ranges are mapped onto [0, 1) with the fixed substitution
-    r = lower + t/(1-t). QUADPACK never evaluates the endpoints themselves, but
-    under heavy subdivision its interior nodes can round to t == 1.0, i.e.
-    r = inf; such a node contributes 0, which is the integrand's limit there
-    whenever the integral converges. Raises AccuracyError when the reported
-    error bound exceeds max(abs_tol, rel_tol * |result|) within
-    max_subdivisions, or when the result is not a number.
+    Raises AccuracyError when the reported error bound exceeds max(abs_tol,
+    rel_tol * |result|) within max_subdivisions, or when the result is not a
+    number.
     """
     if lower < 0:
         raise ValueError(f"integrate_radial requires lower >= 0, got {lower}")
@@ -171,32 +168,23 @@ def integrate_radial(
         raise ValueError(f"upper ({upper}) must be >= lower ({lower})")
     if upper == lower:
         return 0.0
+    return _quad(f, lower, upper, spec)
 
-    if math.isinf(upper):
-        a = lower
 
-        def transformed(t: float) -> float:
-            u = 1.0 - t
-            if u == 0.0:
-                return 0.0
-            return f(a + t / u) / (u * u)
-
-        integrand, lo, hi = transformed, 0.0, 1.0
-    else:
-        integrand, lo, hi = f, lower, upper
-
+def _quad(f: Callable[[float], float], lower: float, upper: float, spec: QuadratureSpec) -> float:
+    """QUADPACK's integral of f over (lower, upper), either end infinite, checked
+    against spec as integrate_radial describes."""
     import scipy.integrate  # on use only: see the module docstring
 
-    out = scipy.integrate.quad(
-        integrand,
-        lo,
-        hi,
+    result, abserr, *_ = scipy.integrate.quad(
+        f,
+        lower,
+        upper,
         epsabs=spec.abs_tol,
         epsrel=spec.rel_tol,
         limit=spec.max_subdivisions,
         full_output=1,
     )
-    result, abserr = out[0], out[1]
     tol = max(spec.abs_tol, spec.rel_tol * abs(result))
     if not abserr <= tol:
         raise AccuracyError(

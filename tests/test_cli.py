@@ -330,8 +330,8 @@ def _power_law_scaling_config(tmp_path):
         (_points_config, {"seed": 3, "trials": 10}, [], "'trials'"),
         (_points_config, {"workers": 2}, [], "'workers'"),
         (_points_config, {"truncation_radius": 50.0}, [], "'truncation_radius'"),
-        (_points_config, None, ["--trials", "10"], "'trials'"),
-        (_points_config, None, ["--workers", "2"], "'workers'"),
+        (_points_config, None, ["--trials", "10"], "--trials"),
+        (_points_config, None, ["--workers", "2"], "--workers"),
         (_outage_config, None, ["--trials", "10"], "--trials"),
         (_outage_config, None, ["--seed", "4"], "--seed"),
         (_fit_poly_config, None, ["--workers", "2"], "--workers"),

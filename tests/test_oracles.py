@@ -1,8 +1,9 @@
 """Independent high-precision oracles (mpmath, and a brentq root) for the
 special functions, the psi of each power-law piece, the Gaussian-cluster
-panel rule, the fit-poly reference, the Gaussian and polynomial samplers
-(near the origin and across the polynomial's kink), the truncation budget
-and the MMSE combiner on near-singular covariances.
+panel rule, the adaptive psi reference near its hard cases, the fit-poly
+reference, the Gaussian and polynomial samplers (near the origin and across
+the polynomial's kink), the truncation budget and the MMSE combiner on
+near-singular covariances.
 
 mpmath is a test-only dependency: the whole module is skipped without it.
 """
@@ -27,6 +28,9 @@ from sinrdist import (
     draw_channels,
     hyp2f1_first_unit,
     mmse_sinr,
+    psi_power_law,
+    psi_quadrature,
+    psi_quadrature_radial,
     regularized_lower_gamma,
     regularized_upper_gamma,
     sample_location,
@@ -71,6 +75,51 @@ def test_gaussian_panel_route_matches_mpmath():
             got = PsiEvaluator(GaussianCluster(rho=1.0, v=v), alpha).value(gammas)
             ref = [_psi_gaussian_mpmath(v, alpha, g) for g in gammas]
             np.testing.assert_allclose(got, ref, rtol=rel_tol, atol=0.0, err_msg=f"v={v} alpha={alpha}")
+
+
+def test_gaussian_quadrature_reference_matches_mpmath():
+    # the knee gamma^(1/alpha) = 0.03 sits four decades inside v, where almost
+    # all of psi comes from the profile's r-linear start
+    mp.mp.dps = 20
+    got = psi_quadrature(GaussianCluster(rho=1.0, v=500.0), 4.0, 1e-6)
+    assert got == pytest.approx(_psi_gaussian_mpmath(500.0, 4.0, 1e-6), rel=1e-9, abs=0.0)
+
+
+REFERENCE_GAMMAS = (1e-3, 1.0, 10.0, 1e6)
+
+
+@pytest.mark.parametrize("alpha", (2.52, 3.0, 4.0))
+@pytest.mark.parametrize("distance", (0.011, 0.005, 0.001))
+def test_quadrature_reference_near_the_pole(alpha, distance):
+    # eps = alpha - 2 - distance: the tail decays like r^-distance in log r
+    model = PowerLaw(0.1, alpha - 2.0 - distance)
+    closed = PsiEvaluator(model, alpha)
+    ref = PsiEvaluator(model, alpha, method="quadrature")
+    for gamma in REFERENCE_GAMMAS:
+        assert ref.value(gamma) == pytest.approx(closed.value(gamma), rel=1e-9, abs=0.0)
+        slope = closed.derivative(gamma)
+        assert ref.derivative(gamma) == pytest.approx(slope, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", (2.5, 4.0))
+@pytest.mark.parametrize("eps", (-1.99, -1.999, -1.9999))
+def test_quadrature_reference_near_the_origin_singularity(alpha, eps):
+    # nearly all of psi sits at radii decades below the knee, where the
+    # integrand in log r decays like r^(2 + eps)
+    model = PowerLaw(0.1, eps)
+    for gamma in REFERENCE_GAMMAS:
+        ref = psi_quadrature(model, alpha, gamma)
+        assert ref == pytest.approx(psi_power_law(0.1, eps, alpha, gamma), rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", (3.0, 4.0))
+def test_radial_reference_on_power_laws(alpha):
+    # a bare profile has no head or tail in closed form: its ends near the
+    # origin singularity, on a plain tail and near the pole are QUADPACK's
+    for eps in (-1.99, 0.5, alpha - 2.01):
+        for gamma in REFERENCE_GAMMAS:
+            ref = psi_quadrature_radial(lambda r: 0.1 * r**eps, alpha, gamma)
+            assert ref == pytest.approx(psi_power_law(0.1, eps, alpha, gamma), rel=1e-9, abs=0.0)
 
 
 def _piece_psi_mpmath(c, k, lo, hi, alpha, gamma):
