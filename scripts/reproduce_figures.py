@@ -10,15 +10,20 @@ for a smoke run. The committed outputs/ were made with --trials 800.
 Monte-Carlo runs at 800 trials, compares each CSV byte for byte with the one
 in outputs/ and each sidecar's text with the committed one (all but its
 "versions" block, which depends on the host), prints the first line that
-differs, and exits with status 1 if any run differs.
+differs, and exits with status 1 if any run differs. For each file that
+differs it also sizes the move: per CSV column and per numeric sidecar key,
+the number of moved cells and the largest relative move.
 
 Usage:
     python3 scripts/reproduce_figures.py [--only fig2 fig3] [--trials N] [--check]
 """
 
 import argparse
+import csv
+import io
 import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -48,14 +53,74 @@ def first_difference(new: str, golden: str, label: str):
     return None
 
 
-def run_difference(new_csv: Path, golden_csv: Path):
-    """The first differing CSV line, else the first differing sidecar line, or None."""
-    csv_texts = (p.read_bytes().decode() for p in (new_csv, golden_csv))
-    meta_texts = (
+def run_texts(new_csv: Path, golden_csv: Path):
+    """The two CSV texts and the two sidecar texts (versions blanked) of a run."""
+    csv_texts = [p.read_bytes().decode() for p in (new_csv, golden_csv)]
+    meta_texts = [
         VERSIONS_BLOCK.sub('"versions": {}', sidecar_path(p).read_text())
         for p in (new_csv, golden_csv)
-    )
+    ]
+    return csv_texts, meta_texts
+
+
+def run_difference(csv_texts, meta_texts):
+    """The first differing CSV line, else the first differing sidecar line, or None."""
     return first_difference(*csv_texts, "csv") or first_difference(*meta_texts, "sidecar")
+
+
+def relative_move(new: str, golden: str) -> float:
+    """|new - golden| relative to the larger magnitude of two numeric texts;
+    inf where either is not a finite number."""
+    try:
+        a, b = float(new), float(golden)
+    except ValueError:
+        return math.inf
+    if a == b:
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b)) if math.isfinite(a - b) else math.inf
+
+
+def _tally(pairs):
+    """{name: (moved cells, largest relative move)} over (name, new, golden)
+    text triples, counting those whose texts differ."""
+    moves = {}
+    for name, new, golden in pairs:
+        if new != golden:
+            count, largest = moves.get(name, (0, 0.0))
+            moves[name] = (count + 1, max(largest, relative_move(new, golden)))
+    return moves
+
+
+def csv_moves(new: str, golden: str):
+    """The moved cells of two CSV texts, per column of the golden header."""
+    rows = zip(*(csv.reader(io.StringIO(text)) for text in (new, golden)))
+    _, header = next(rows)
+    return _tally((name, a, b) for now, was in rows for name, a, b in zip(header, now, was))
+
+
+def _numeric_leaves(tree, key=""):
+    """(dotted key, number text) for every number in a JSON tree."""
+    if isinstance(tree, (dict, list)):
+        items = tree.items() if isinstance(tree, dict) else enumerate(tree)
+        for k, value in items:
+            yield from _numeric_leaves(value, f"{key}.{k}" if key else str(k))
+    elif isinstance(tree, (int, float)) and not isinstance(tree, bool):
+        yield key, repr(tree)
+
+
+def sidecar_moves(new: str, golden: str):
+    """The moved numbers of two sidecar texts, per key present in both."""
+    now = dict(_numeric_leaves(json.loads(new)))
+    return _tally((k, now[k], v) for k, v in _numeric_leaves(json.loads(golden)) if k in now)
+
+
+def run_moves(csv_texts, meta_texts):
+    """One printable line per moved CSV column and sidecar key of a run."""
+    return [
+        f"  {label} {name}: {count} moved, largest relative move {largest:.2g}"
+        for label, moves in (("csv", csv_moves(*csv_texts)), ("sidecar", sidecar_moves(*meta_texts)))
+        for name, (count, largest) in moves.items()
+    ]
 
 
 def run_one(name: str, trials, workers, root: Path = ROOT) -> int:
@@ -92,18 +157,22 @@ def run_one(name: str, trials, workers, root: Path = ROOT) -> int:
 
 def check(names, workers) -> int:
     """Regenerate into a temporary directory and compare each run with outputs/."""
-    differ = []
+    differ, moves = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
             code = run_one(name, GOLDEN_TRIALS, workers, root=Path(tmp))
             if code != 0:
                 return code
             rel = json.loads((ROOT / "configs" / f"{name}.json").read_text())["output_path"]
-            difference = run_difference(Path(tmp) / rel, ROOT / rel)
+            texts = run_texts(Path(tmp) / rel, ROOT / rel)
+            difference = run_difference(*texts)
             if difference:
                 differ.append(f"{rel}: {difference}")
+                moves += [f"{rel}:", *run_moves(*texts)]
     for entry in differ:
         print(f"DIFFERS: {entry}", file=sys.stderr)
+    for line in moves:
+        print(line)
     print(f"{len(names) - len(differ)} of {len(names)} runs identical to outputs/")
     return 1 if differ else 0
 

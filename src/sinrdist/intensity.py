@@ -73,16 +73,14 @@ NEWTON_STEPS = 60
 NEWTON_RTOL = 4.0 * np.finfo(float).eps
 # Beyond this degree the monomial representation is too ill-conditioned.
 FIT_DEGREE_CAP = 30
-# The Gaussian cluster's three scales, in units of v: adaptive quadrature
-# splits the bulk from the exponential tail at 6v; simulations truncate at 8v
-# (nearly all the mass lies within 5v); the panel rule and whole-plane
-# sampling stop at 12v, beyond which the mass is ~1e-32 of the total.
+# The Gaussian cluster's three scales, in units of v: both psi quadratures
+# split the bulk from the exponential tail at 6v; simulations truncate at 8v
+# (nearly all the mass lies within 5v); its support_radius is 12v, where
+# psi quadrature, whole-plane counts and sampling stop: the mass beyond is
+# Q(3/2, 72), about 5e-31 of the total, so the plane count is the total.
 GAUSSIAN_SPLIT_FACTOR = 6.0
 GAUSSIAN_TRUNCATION_FACTOR = 8.0
 GAUSSIAN_SUPPORT_FACTOR = 12.0
-# Where the log-r integrand decays exponentially past the knee and the
-# model's scales, the panel rule stops after this many e-folds (e^-40 ~ 4e-18).
-PANEL_TAIL_EFOLDS = 40.0
 # Annulus pieces closer than this to the outer-form pole at k = alpha - 2 are
 # evaluated with the disk form instead.
 _POLE_MARGIN = 0.01
@@ -344,11 +342,10 @@ class IntensityModel:
 
     A family is a frozen dataclass subclass with float or tuple fields (beta
     last) and a `family` config name, a key of FAMILIES. It must provide
-    radial_intensity(r) and cumulative_count(r) (beta included) and
-    panel_layout(alpha, knee), the (small-r exponent of Lambda, inner scale,
-    upper radius, breakpoints) of the log-r panel rule. It overrides the
-    defaults below where they do not hold. A family whose profile is a sum
-    of power laws derives all of these from its pieces (see PowerLawSum).
+    radial_intensity(r) and cumulative_count(r) (beta included), and a
+    finite support_radius or an algebraic_tail. It overrides the defaults
+    below where they do not hold. A family whose profile is a sum of power
+    laws derives all of these from its pieces (see PowerLawSum).
     """
 
     # where Lambda ends, and the radii adaptive quadrature splits at
@@ -505,22 +502,6 @@ class PowerLawSum(IntensityModel):
 
     def psi_closed_form(self, alpha: float, gamma):
         return _psi_sum(self.pieces, alpha, gamma)
-
-    def panel_layout(self, alpha: float, knee):
-        # the smallest exponent at the origin rules there, up to the first edge
-        small = min((k for _, k, lo, _ in self.pieces if lo == 0), default=0)
-        edges = [e for *_, lo, hi in self.pieces for e in (lo, hi) if 0 < e < math.inf]
-        if self.algebraic_tail is None:
-            upper = self.support_radius
-        else:
-            # where, past the knee and r0, the log-r integrand of the tail
-            # (like r^(2 + eps - alpha)) has lost PANEL_TAIL_EFOLDS e-folds;
-            # infinite where it does not decay (eps >= alpha - 2)
-            _, eps, r0 = self.algebraic_tail
-            upper = math.inf
-            if alpha - 2.0 - eps > 0:
-                upper = np.maximum(knee, r0) * math.exp(PANEL_TAIL_EFOLDS / (alpha - 2.0 - eps))
-        return small, min(edges, default=math.inf), upper, self.quadrature_breakpoints
 
 
 @dataclass(frozen=True)
@@ -745,6 +726,10 @@ class GaussianCluster(IntensityModel):
         return TWO_PI * self.beta * self.rho * self.v * math.sqrt(math.pi / 2.0)
 
     @property
+    def support_radius(self) -> float:
+        return GAUSSIAN_SUPPORT_FACTOR * self.v
+
+    @property
     def quadrature_breakpoints(self):
         return (GAUSSIAN_SPLIT_FACTOR * self.v,)
 
@@ -752,39 +737,25 @@ class GaussianCluster(IntensityModel):
     def fixed_truncation_radius(self) -> float:
         return GAUSSIAN_TRUNCATION_FACTOR * self.v
 
-    def plane_count(self) -> float:
-        return self.total_count
-
     def radial_intensity(self, r):
         r, scalar = _as_array(r)
         out = self.beta * self.rho * (r / self.v**2) * np.exp(-0.5 * (r / self.v) ** 2)
         return float(out) if scalar else out
 
     def cumulative_count(self, r):
-        """Mean number of points within radius r."""
+        """Mean number of points within radius r: the total times
+        P(3/2, r^2 / 2v^2), which keeps its relative accuracy near the origin,
+        where the count goes like r^3."""
         r, scalar = _as_array(r)
-        z = r / (math.sqrt(2.0) * self.v)
-        out = (
-            TWO_PI
-            * self.beta
-            * self.rho
-            * (
-                self.v * math.sqrt(math.pi / 2.0) * scipy.special.erf(z)
-                - r * np.exp(-0.5 * (r / self.v) ** 2)
-            )
-        )
+        out = self.total_count * scipy.special.gammainc(1.5, 0.5 * (r / self.v) ** 2)
         return float(out) if scalar else out
-
-    def panel_layout(self, alpha: float, knee):
-        return 1.0, self.v, GAUSSIAN_SUPPORT_FACTOR * self.v, ()
 
     def sample_radii(self, u, r_max: float):
         """The table, with draws below its EXACT_INVERSE_KNOTS-th knot taken
         by the exact inverse: the radial density is proportional to
         r^2 exp(-r^2 / 2v^2), so the CDF is P(3/2, r^2/2v^2) /
         P(3/2, r_max^2/2v^2), P the regularized lower incomplete gamma."""
-        if math.isinf(r_max):
-            r_max = GAUSSIAN_SUPPORT_FACTOR * self.v
+        r_max = min(r_max, self.support_radius)
         r, knots = _table_radii(self, r_max, u)
         near = u < knots[EXACT_INVERSE_KNOTS]
         if near.any():

@@ -13,9 +13,10 @@ rule in log r for the Gaussian cluster) and generic adaptive quadrature, one
 point at a time. The fast routes must match adaptive quadrature; the test
 suite enforces the agreement.
 
-For a model both quadratures work in s = log r on the same expit kernels;
-the adaptive reference takes the head far below the knee gamma^(1/alpha) and
-an algebraic tail far beyond it in closed form (see _psi_adaptive). A bare
+For a model both quadratures work in s = log r on the same expit kernels
+and one layout (_psi_layout): the head far below the knee gamma^(1/alpha)
+and an algebraic tail far beyond it in closed form, the body between them
+cut at the model's breakpoints. They differ only in the integrator. A bare
 profile (psi_quadrature_radial) is integrated in r.
 
 Every psi helper takes gamma as a scalar (float result) or an array. The
@@ -35,10 +36,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit, log_expit
+from scipy.special import expit
 
 from .intensity import (
-    PANEL_TAIL_EFOLDS,
     TWO_PI,
     GaussianCluster,
     IntensityModel,
@@ -66,6 +66,10 @@ __all__ = [
     "psi_quadrature_radial",
     "psi_derivative",
 ]
+
+# e-folds of r^alpha between the knee gamma^(1/alpha) and the layout's ends,
+# where the psi kernel is 1, or its power asymptote, to within e^-40 ~ 4e-18
+PANEL_TAIL_EFOLDS = 40.0
 
 
 def _check_gamma(gamma: float) -> None:
@@ -115,7 +119,10 @@ def psi_quadrature(
 
     The reference route: every closed form is validated against this.
     Raises DivergenceError where the model's check_alpha says the integral
-    cannot converge (power law with eps >= alpha - 2).
+    cannot converge (power law with eps >= alpha - 2). The tolerance is
+    max(abs_tol, rel_tol * |psi|), so under the default spec (abs_tol =
+    1e-12, rel_tol = 1e-9) the reference is an absolute one below |psi| =
+    1e-3; pass abs_tol=0 for a relative reference at tiny psi.
     """
     _check_alpha(alpha)
     model.check_alpha(alpha)
@@ -123,50 +130,61 @@ def psi_quadrature(
     return _psi_adaptive(model, alpha, gamma, spec) if gamma > 0 else 0.0
 
 
-def _psi_adaptive(model, alpha: float, gamma: float, spec, derivative=False, radius=math.inf):
-    """psi (or d psi / d gamma) of a model at one gamma > 0 over the disk
-    (0, radius], by adaptive quadrature in log r between a head and a tail.
+def _psi_layout(model, alpha: float, gamma, derivative=False, radius=math.inf):
+    """(head, lower, upper, breakpoints, tail) of psi (or d psi / d gamma) at
+    gammas > 0 over the disk (0, radius]: head + the integral over (lower,
+    upper], cut at the model's breakpoints, + tail, for both quadratures.
 
-    With s = log r and t = alpha*s - log(gamma) the integrand is
-    2*pi*Lambda(e^s)*e^(2s)*k(t), k the kernel of _psi_panels: expit(-t), or
-    expit(t)*expit(-t)/gamma for the derivative. It is split at the knee
-    gamma^(1/alpha) and at the model's quadrature breakpoints.
-
-    Head: below knee*e^(-PANEL_TAIL_EFOLDS/alpha), knee = gamma^(1/alpha), the
-    psi kernel is 1 to within e^-40, so psi takes the model's cumulative
-    count there; the derivative kernel is below e^-40 of its peak there, so
-    d psi / d gamma drops it. Tail: a model with an algebraic tail
-    beta*rho*r^eps beyond r0 is integrated up to R = max(knee, r0) *
-    e^(PANEL_TAIL_EFOLDS/alpha), past which the kernel is its power asymptote
-    gamma*r^-alpha (r^-alpha for the derivative) to within e^-40; the rest
-    is the elementary 2*pi*beta*rho*gamma*R^-k/k (no gamma for the
-    derivative), k = alpha - 2 - eps, so the reference takes no
-    hypergeometric function. Raises AccuracyError where QUADPACK misses spec.
+    lower = min(knee, inner) * e^(-PANEL_TAIL_EFOLDS/alpha), with knee =
+    gamma^(1/alpha) and inner the model's first scale (its smallest
+    breakpoint, or the support cut to radius). Below it the psi kernel is 1
+    to within e^-40, so the head of psi is the model's cumulative count.
+    The derivative's head is 0: the log-r integrand of d psi / d gamma falls
+    like r^alpha times the profile's own log-r density below the knee, and
+    no family's density rises toward the origin below its first scale.
+    upper is the support cut to radius, unless that is infinite and the
+    model has an algebraic tail beta*rho*r^eps beyond r0: then R =
+    max(knee, r0)*e^(PANEL_TAIL_EFOLDS/alpha), past which the kernel is
+    gamma*r^-alpha (r^-alpha for the derivative) to within e^-40, and the
+    tail is the elementary 2*pi*beta*rho*gamma*R^-k/k (no gamma for the
+    derivative), k = alpha - 2 - eps: no hypergeometric function.
     """
     knee = gamma ** (1.0 / alpha)
-    upper = min(radius, model.support_radius)
-    tail = 0.0
+    upper, tail = min(radius, model.support_radius), 0.0
+    inner = min((upper, *model.quadrature_breakpoints))
     if math.isinf(upper) and model.algebraic_tail is not None:
         rho, eps, r0 = model.algebraic_tail
-        upper = max(knee, r0) * math.exp(PANEL_TAIL_EFOLDS / alpha)
+        upper = np.maximum(knee, r0) * math.exp(PANEL_TAIL_EFOLDS / alpha)
         k = alpha - 2.0 - eps
         tail = TWO_PI * model.beta * rho * (1.0 if derivative else gamma) * upper**-k / k
-    lower = min(knee * math.exp(-PANEL_TAIL_EFOLDS / alpha), upper)
-    head = 0.0 if derivative else float(model.cumulative_count(lower))
-    log_gamma = math.log(gamma)
+    lower = np.minimum(knee, inner) * math.exp(-PANEL_TAIL_EFOLDS / alpha)
+    head = 0.0 if derivative else model.cumulative_count(lower)
+    return head, lower, upper, model.quadrature_breakpoints, tail
 
-    def integrand(s: float) -> float:
-        # e^(2s) times the kernel as one exp of a sum of logs: r*r*expit(-t)
-        # is inf * 0 where r*r overflows
-        t = alpha * s - log_gamma
-        log_kernel = log_expit(-t) + (log_expit(t) - log_gamma if derivative else 0.0)
-        return TWO_PI * model.radial_intensity(np.exp(s)) * math.exp(2.0 * s + log_kernel)
 
-    pts = sorted({p for p in (*model.quadrature_breakpoints, knee) if lower < p < upper})
+def _integrand(model, alpha: float, gamma, derivative: bool, s):
+    """The integrand of psi (or d psi / d gamma) in s = log r:
+    2*pi*Lambda(r)*r^2 times the kernel gamma/(r^alpha+gamma) = expit(-t)
+    or r^alpha/(r^alpha+gamma)^2 = expit(t)*expit(-t)/gamma, where
+    t = alpha*s - log(gamma). r*r*kernel would be inf * 0 where r*r
+    overflows; r*kernel*r is finite wherever the integrand is."""
+    r = np.exp(s)
+    t = alpha * s - np.log(gamma)
+    kernel = expit(t) * expit(-t) / gamma if derivative else expit(-t)
+    return TWO_PI * model.radial_intensity(r) * (r * kernel * r)
+
+
+def _psi_adaptive(model, alpha: float, gamma: float, spec, derivative=False, radius=math.inf):
+    """psi (or d psi / d gamma) of a model at one gamma > 0 over the disk
+    (0, radius]: QUADPACK on _psi_layout's body, split also at the knee
+    gamma^(1/alpha). Raises AccuracyError where it misses spec."""
+    head, lower, upper, breakpoints, tail = _psi_layout(model, alpha, gamma, derivative, radius)
+    integrand = functools.partial(_integrand, model, alpha, gamma, derivative)
+    pts = sorted({p for p in (*breakpoints, gamma ** (1.0 / alpha)) if lower < p < upper})
     edges = [math.log(e) for e in (lower, *pts, upper)]
     with np.errstate(over="ignore"):
         body = math.fsum(_quad(integrand, a, b, spec) for a, b in zip(edges, edges[1:]))
-    return math.fsum((head, body, tail))
+    return math.fsum((float(head), body, float(tail)))
 
 
 def _psi_panels(
@@ -177,39 +195,21 @@ def _psi_panels(
     derivative: bool = False,
     radius: float = math.inf,
 ):
-    """psi (or d psi / d gamma) at positive gammas by the log-r panel rule,
-    over the disk (0, radius] (the whole plane by default).
-
-    With s = log r the integrand is 2*pi*Lambda(r)*r^2 times the kernel
-    gamma/(r^alpha+gamma) = expit(-t) or, for the derivative,
-    r^alpha/(r^alpha+gamma)^2 = expit(t)*expit(-t)/gamma, where
-    t = alpha*s - log(gamma). The model's panel_layout gives the upper radius
-    (cut to radius) and the breakpoints; below the smallest of the knee
-    gamma^(1/alpha) and the model's inner scale the integrand decays like
-    r^rate, with rate = 2 + (small-r exponent of Lambda), plus alpha for the
-    derivative kernel, and the lower radius leaves PANEL_TAIL_EFOLDS of that
-    decay. Points whose embedded error estimate misses the spec fall back to
-    adaptive quadrature over the same disk, which raises AccuracyError when
-    it cannot converge either.
+    """psi (or d psi / d gamma) at positive gammas over the disk (0, radius]
+    (the whole plane by default): the log-r panel rule on _psi_layout's body.
+    Points whose embedded error estimate misses the spec, judged against the
+    whole value, fall back to _psi_adaptive, which integrates the same
+    layout and raises AccuracyError when it cannot converge either.
     """
-    log_gamma = np.log(gamma)
+    head, lower, upper, breakpoints, tail = _psi_layout(model, alpha, gamma, derivative, radius)
+    column = gamma[:, None, None]
 
     def integrand(s, rows):
-        r = np.exp(s)
-        t = alpha * s - log_gamma[rows, None, None]
-        if derivative:
-            kernel = expit(t) * expit(-t) / gamma[rows, None, None]
-        else:
-            kernel = expit(-t)
-        return TWO_PI * model.radial_intensity(r) * (r * r) * kernel
+        return _integrand(model, alpha, column[rows], derivative, s)
 
-    knee = gamma ** (1.0 / alpha)
-    small, inner, upper, breakpoints = model.panel_layout(alpha, knee)
-    rate = 2.0 + small + (alpha if derivative else 0.0)
-    lower = np.minimum(knee, inner) * math.exp(-PANEL_TAIL_EFOLDS / rate)
-    upper = np.minimum(upper, radius)
-    values, converged = integrate_log_panels(integrand, lower, upper, breakpoints, spec)
-    for i in np.flatnonzero(~converged):
+    body, errors = integrate_log_panels(integrand, lower, upper, breakpoints)
+    values = head + body + tail
+    for i in np.flatnonzero(errors > np.maximum(spec.abs_tol, spec.rel_tol * np.abs(values))):
         values[i] = _psi_adaptive(model, alpha, float(gamma[i]), spec, derivative, radius)
     return values
 
@@ -297,9 +297,10 @@ def psi_gaussian(
 ):
     """Interference functional of a Gaussian cluster, by the log-r panel rule.
 
-    No closed form is used: fixed-panel Gauss-Legendre in log r over
-    [min(knee, v) * e^(-40/3), 12 v] is the designated evaluator for this
-    family, with adaptive quadrature (split at 6v) for any point whose
+    No closed form is used: the cumulative count below min(knee, 6 v) *
+    e^(-40/alpha) plus fixed-panel Gauss-Legendre in log r from there to the
+    support 12 v, split at 6 v, is the designated evaluator for this
+    family, with adaptive quadrature on the same layout for any point whose
     embedded error estimate misses spec.
     """
     return PsiEvaluator(GaussianCluster(rho=rho, v=v), alpha, spec).value(gamma)

@@ -59,7 +59,10 @@ class QuadratureSpec:
     """Tolerances for adaptive quadrature.
 
     The defaults are tight enough that quadrature results can serve as the
-    reference for validating the closed forms.
+    reference for validating the closed forms. A result must be within
+    max(abs_tol, rel_tol * |result|), so the default abs_tol makes the psi
+    reference an absolute one below |psi| = 1e-3; abs_tol = 0 keeps it
+    relative at any size.
     """
 
     rel_tol: float = 1e-9
@@ -208,7 +211,7 @@ _EMBED_W = np.linalg.solve(
 )
 
 
-def integrate_log_panels(g, lower, upper, breakpoints=(), spec=DEFAULT_QUADRATURE):
+def integrate_log_panels(g, lower, upper, breakpoints=()):
     """Fixed-panel Gauss-Legendre integrals over s = log r, for many points.
 
     Point i integrates g(s) ds over [log lower[i], log upper[i]]; g carries the
@@ -220,12 +223,11 @@ def integrate_log_panels(g, lower, upper, breakpoints=(), spec=DEFAULT_QUADRATUR
     there. Points are processed in chunks of at most PANEL_BUFFER nodes.
 
     The embedded error estimate of a point is the sum over its panels of
-    |PANEL_NODES-node result - lower-order result|; the point has converged
-    when it is within max(abs_tol, rel_tol * |value|). Panel results are
-    summed in panel order, padding panels adding exact zeros, so a value does
-    not depend on which other points share its chunk.
+    |PANEL_NODES-node result - lower-order result|. Panel results are summed
+    in panel order, padding panels adding exact zeros, so a value does not
+    depend on which other points share its chunk.
 
-    Returns (values, converged), two 1-D arrays over the points.
+    Returns (values, errors), two 1-D arrays over the points.
     """
     lower, upper = np.broadcast_arrays(
         np.atleast_1d(np.asarray(lower, dtype=float)),
@@ -259,5 +261,4 @@ def integrate_log_panels(g, lower, upper, breakpoints=(), spec=DEFAULT_QUADRATUR
         low = half * (f[..., _EMBED] * _EMBED_W).sum(axis=-1)
         values[rows] = np.cumsum(high, axis=1)[:, -1]
         errors[rows] = np.cumsum(np.abs(high - low), axis=1)[:, -1]
-    converged = errors <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(values))
-    return values, converged
+    return values, errors

@@ -1006,15 +1006,36 @@ def test_bundled_figures_reproduce_golden_bytes(tmp_path, name):
     assert texts[0] == texts[1]
 
 
-def test_reproduce_check_with_workers_matches_outputs(capsys):
-    """--workers goes only to the Monte-Carlo configs, and changes no byte of
-    any output: the sidecar does not record the worker count."""
+def _reproduce_script():
     script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"
     spec = importlib.util.spec_from_file_location("reproduce_figures", script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_reproduce_check_with_workers_matches_outputs(capsys):
+    """--workers goes only to the Monte-Carlo configs, and changes no byte of
+    any output: the sidecar does not record the worker count."""
+    module = _reproduce_script()
     assert module.check(list(module.FIGURES), workers=2) == 0
     assert "5 of 5 runs identical to outputs/" in capsys.readouterr().out
+
+
+def test_reproduce_check_sizes_each_move():
+    """Per CSV column and numeric sidecar key: the moved cells and the largest
+    move relative to the larger magnitude; a cell that is no number moves by inf."""
+    module = _reproduce_script()
+    golden = "gamma,cdf,pdf,note\r\n1,0.5,2,a\r\n10,0.25,4,b\r\n100,0,8,c\r\n"
+    new = "gamma,cdf,pdf,note\r\n1,0.5,2,a\r\n10,0.25000000000000006,5,b\r\n100,-0,6,d\r\n"
+    assert module.csv_moves(new, golden) == {
+        "cdf": (2, pytest.approx(2.2e-16, rel=0.01)),
+        "pdf": (2, 0.25),
+        "note": (1, math.inf),
+    }
+    golden = '{"ks_distance": 0.1, "sim": {"seed": 1, "grid": [1, 2.5]}, "versions": {"numpy": "2"}}'
+    new = '{"ks_distance": 0.1, "sim": {"seed": 1, "grid": [1, 2.0]}, "versions": {"numpy": "3"}}'
+    assert module.sidecar_moves(new, golden) == {"sim.grid.1": (1, 0.2)}
 
 
 def test_main_seed_override_changes_samples(tmp_path):

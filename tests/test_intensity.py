@@ -24,6 +24,7 @@ from sinrdist import (
     PolynomialWithTail,
     PowerLaw,
     PsiEvaluator,
+    QuadratureSpec,
     fit_polynomial,
     integrate_radial,
     location_pdf,
@@ -39,7 +40,7 @@ from sinrdist.intensity import (
     _pchip_coefficients,
     _table_radii,
 )
-from sinrdist.interference import _psi_panels
+from sinrdist.interference import _psi_adaptive, _psi_panels
 
 TWO_PI = 2.0 * math.pi
 
@@ -149,7 +150,7 @@ def test_mean_count_divergence():
 def test_mean_count_gaussian_full_plane():
     gc = GaussianCluster.with_total_count(1000.0, 500.0)
     assert mean_count(gc, FULL_PLANE) == pytest.approx(1000.0, rel=1e-12)
-    # erf-based disk counts agree with quadrature
+    # the P(3/2) disk counts agree with quadrature
     for R in (250.0, 700.0, 2000.0):
         got = mean_count(gc, DiskRegion(R))
         assert got == pytest.approx(_quadrature_count(gc, R), rel=1e-9)
@@ -456,6 +457,28 @@ def test_a_family_of_pieces_alone_answers_every_protocol_member(monkeypatch):
     _assert_answers_protocol(model)
 
 
+@pytest.mark.parametrize("model", (*PROTOCOL_MODELS, _Pieces(beta=2.0)), ids=lambda m: m.family)
+@pytest.mark.parametrize("alpha", (2.5, 3.0, 4.0))
+def test_panel_rule_and_reference_share_one_layout(monkeypatch, model, alpha):
+    # both quadratures integrate the body of one layout, so over sixty decades
+    # of gamma they agree to rel_tol, and no panel point falls back
+    import sinrdist.interference
+
+    spec = QuadratureSpec(abs_tol=0.0)
+    gammas = np.geomspace(1e-30, 1e30, 25)
+    ref = {d: np.array([_psi_adaptive(model, alpha, g, spec, d) for g in gammas]) for d in (0, 1)}
+    fallbacks = []
+    monkeypatch.setattr(
+        sinrdist.interference, "_psi_adaptive", lambda *args: fallbacks.append(args) or _psi_adaptive(*args)
+    )
+    psi = _psi_panels(model, alpha, gammas, spec, False)
+    slope = _psi_panels(model, alpha, gammas, spec, True)
+    np.testing.assert_allclose(psi, ref[0], rtol=spec.rel_tol, atol=0.0)
+    normal = ref[1] >= np.finfo(float).tiny
+    np.testing.assert_allclose(slope[normal], ref[1][normal], rtol=spec.rel_tol, atol=0.0)
+    assert fallbacks == []
+
+
 def _assert_answers_protocol(model):
     alpha, R = 4.0, 1000.0
     gammas = np.geomspace(1e2, 1e10, 9)
@@ -484,10 +507,7 @@ def _assert_answers_protocol(model):
     r = model.sample_radii(u, R)
     cut = min(R, model.support_radius)
     np.testing.assert_allclose(model.cumulative_count(r) / model.cumulative_count(cut), u, rtol=1e-6)
-    # the panel layout integrates psi, whether or not a closed form exists
-    knee = gammas ** (1.0 / alpha)
-    small, inner, upper, breakpoints = model.panel_layout(alpha, knee)
-    assert np.all(np.minimum(knee, inner) < upper) and all(b > 0 for b in breakpoints)
+    # the panel rule integrates psi, whether or not a closed form exists
     panels = _psi_panels(model, alpha, gammas, DEFAULT_QUADRATURE, False)
     np.testing.assert_allclose(panels, PsiEvaluator(model, alpha).value(gammas), rtol=1e-8)
     if model.psi_closed_form is not None:

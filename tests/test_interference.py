@@ -278,6 +278,23 @@ def test_derivative_matches_finite_difference():
             assert got == pytest.approx(fd, rel=1e-6), (type(model).__name__, gamma)
 
 
+@pytest.mark.parametrize("method", ("auto", "quadrature"))
+@pytest.mark.parametrize(
+    "model, limit",  # gamma^2 * psi' -> int 2 pi Lambda(r) r^(1 + alpha) dr at alpha = 3
+    [
+        (GaussianCluster(rho=1.0, v=500.0), 16.0 * math.pi * 500.0**4),
+        (PiecewisePowerLaw(segments=((1.0, 0.0, 10.0),)), 2.0 * math.pi * 10.0**5 / 5.0),
+    ],
+)
+def test_derivative_of_a_bounded_mass_far_inside_the_knee(method, model, limit):
+    # the knee gamma^(1/3) lies 40/3 e-folds and more beyond all the mass, so
+    # the derivative integrand has no peak at the knee: the body of both
+    # routes must start inside the model's first scale, not at the knee
+    ev = PsiEvaluator(model, 3.0, QuadratureSpec(abs_tol=0.0), method=method)
+    for gamma in (1e20, 1e26, 1e30):
+        assert ev.derivative(gamma) == pytest.approx(limit / gamma**2, rel=1e-9, abs=0.0)
+
+
 def test_derivative_power_law_quadrature_route_agrees():
     model = PowerLaw(rho=0.3, eps=-0.5)
     analytic = PsiEvaluator(model, 3.0).derivative(100.0)

@@ -1,9 +1,9 @@
 """Independent high-precision oracles (mpmath, and a brentq root) for the
 special functions, the psi of each power-law piece, the Gaussian-cluster
-panel rule, the adaptive psi reference near its hard cases, the fit-poly
-reference, the Gaussian and polynomial samplers (near the origin and across
-the polynomial's kink), the truncation budget and the MMSE combiner on
-near-singular covariances.
+panel rule and count, the adaptive psi reference near its hard cases, the
+fit-poly reference, the Gaussian and polynomial samplers (near the origin
+and across the polynomial's kink), the truncation budget and the MMSE
+combiner on near-singular covariances.
 
 mpmath is a test-only dependency: the whole module is skipped without it.
 """
@@ -22,6 +22,7 @@ from sinrdist import (
     PolynomialWithTail,
     PowerLaw,
     PsiEvaluator,
+    QuadratureSpec,
     SinrDistribution,
     budget_truncation_radius,
     cdf_gamma,
@@ -51,7 +52,7 @@ def test_hyp2f1_first_unit_arrays_match_mpmath():
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0, err_msg=f"b={b}")
 
 
-def _psi_gaussian_mpmath(v, alpha, gamma):
+def _psi_gaussian_mpmath(v, alpha, gamma, fine=False):
     """psi of GaussianCluster(rho=1, v) as an mpmath integral over s = log r."""
     v, alpha, log_gamma = mp.mpf(v), mp.mpf(alpha), mp.log(gamma)
 
@@ -63,6 +64,12 @@ def _psi_gaussian_mpmath(v, alpha, gamma):
     knee, scale = log_gamma / alpha, mp.log(v)
     lo, hi = min(knee, scale) - 30, scale + mp.log(14)
     cuts = sorted({lo, hi, *(p for p in (knee, scale, scale + mp.log(6)) if lo < p < hi)})
+    if fine:
+        # where psi is tiny (gamma = 1e-30, v = 500, alpha = 3) mpmath needs
+        # Gauss-Legendre on quarter steps in log r: on unit steps it is still
+        # 4e-7 off, and tanh-sinh 8e-8
+        cuts = [lo + mp.mpf(k) / 4 for k in range(int(4 * (hi - lo)))] + [hi]
+        return float(mp.quad(integrand, cuts, method="gauss-legendre"))
     return float(mp.quad(integrand, cuts))
 
 
@@ -83,6 +90,30 @@ def test_gaussian_quadrature_reference_matches_mpmath():
     mp.mp.dps = 20
     got = psi_quadrature(GaussianCluster(rho=1.0, v=500.0), 4.0, 1e-6)
     assert got == pytest.approx(_psi_gaussian_mpmath(500.0, 4.0, 1e-6), rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("v, alpha, gamma", [(500.0, 3.0, 1e-30), (500.0, 3.0, 1e-120), (1e4, 4.0, 1e-12)])
+def test_gaussian_quadrature_reference_at_tiny_psi(v, alpha, gamma):
+    # psi is 1e-34 to 1e-123 here: the reference holds its relative accuracy
+    # once abs_tol = 0 (the default spec's abs_tol = 1e-12 makes it an
+    # absolute one below |psi| = 1e-3), and its head, the count below the
+    # knee, does not cancel
+    mp.mp.dps = 30
+    got = psi_quadrature(GaussianCluster(rho=1.0, v=v), alpha, gamma, QuadratureSpec(abs_tol=0.0))
+    assert got == pytest.approx(_psi_gaussian_mpmath(v, alpha, gamma, fine=True), rel=1e-12, abs=0.0)
+
+
+def test_gaussian_count_matches_mpmath_near_the_origin():
+    # the count goes like r^3 there: 8.4e-30 at r = 1e-8 for v = 500
+    mp.mp.dps = 30
+    v = 500.0
+    model = GaussianCluster(rho=1.0, v=v)
+    radii = np.geomspace(1e-40, 12.0 * v, 60)
+    total = 2 * mp.pi * v * mp.sqrt(mp.pi / 2)
+    ref = [float(total * mp.gammainc(1.5, 0, (mp.mpf(r) / v) ** 2 / 2, regularized=True)) for r in radii]
+    got = model.cumulative_count(radii)
+    assert np.all(got > 0.0)
+    np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
 
 
 REFERENCE_GAMMAS = (1e-3, 1.0, 10.0, 1e6)
