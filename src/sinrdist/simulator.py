@@ -23,7 +23,6 @@ import scipy.special
 
 from .distribution import LinkConfig, gamma_argument
 from .intensity import (
-    FULL_PLANE,
     TWO_PI,
     ConfigError,
     DiskRegion,
@@ -512,8 +511,7 @@ def truncation_cdf_bound(model: IntensityModel, link: LinkConfig, radius: float)
     if model.algebraic_tail is not None:
         bound = _truncation_error_bound(model, link)(radius)
     else:
-        beyond = mean_count(model, FULL_PLANE) - mean_count(model, DiskRegion(radius))
-        bound = max(beyond, 0.0) * float(_gamma_density_peak(link.L, 0.0, math.inf))
+        bound = model.count_beyond(radius) * float(_gamma_density_peak(link.L, 0.0, math.inf))
     return min(bound, 1.0)
 
 

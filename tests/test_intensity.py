@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,12 +33,13 @@ from sinrdist import (
     sample_location,
 )
 from sinrdist.intensity import (
+    EXACT_INVERSE_KNOTS,
     FAMILIES,
     INVERSE_CDF_KNOTS,
     ConfigError,
     IntensityModel,
     PowerLawSum,
-    _pchip_coefficients,
+    _inverse_cdf_table,
     _table_radii,
 )
 from sinrdist.interference import _psi_adaptive, _psi_panels
@@ -344,41 +346,92 @@ def test_sample_gaussian_chi_square():
 
 
 # ---------------------------------------------------------------------------
-# polynomial profile fitting
+# the inverse-CDF table and the default sampler
+
+
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", UserWarning)  # the intensity halves at R0
+    JUMP_POLYNOMIAL = PolynomialWithTail(
+        coeffs=(0.005,), R0=110.0, rho0=0.5 * 0.005 * 110**1.5, eps_tail=-1.5
+    )
+
+
+# four annuli of the benchmark's piecewise shape, intensity 0.1 at each outer edge
+FOUR_ANNULI = PiecewisePowerLaw(
+    segments=tuple((0.1 / r**e, e, r) for r, e in ((20.0, -0.5), (90.0, -0.8), (380.0, 0.6), (1200.0, -2.2)))
+)
+
+
+@pytest.mark.parametrize("disk", [5.0, 8.0, 12.0])
+def test_inverse_cdf_table_follows_the_exact_gaussian_inverse(disk):
+    """Above the knot where the Gaussian's exact inverse takes over, the
+    table's radii are within 2e-12 of that inverse in the median and 1.2e-8
+    at worst."""
+    v = 500.0
+    model, R = GaussianCluster.with_total_count(1000.0, v), disk * v
+    u = 1.0 - np.random.default_rng(11).random(200_000)
+    radii, knots = _table_radii(model, R, u)
+    far = u >= knots[EXACT_INVERSE_KNOTS]
+    mass = scipy.special.gammainc(1.5, 0.5 * (R / v) ** 2)
+    exact = v * np.sqrt(2.0 * scipy.special.gammaincinv(1.5, u[far] * mass))
+    error = np.abs(radii[far] / exact - 1.0)
+    assert np.median(error) <= 2e-12
+    assert error.max() <= 1.2e-8
 
 
 @pytest.mark.parametrize(
     "model, R",
     [
-        (GaussianCluster(rho=1.0, v=500.0), 4000.0),
-        (PolynomialWithTail(coeffs=(0.005,), R0=110.0, rho0=0.005 * 110**1.5, eps_tail=-1.5), 400.0),
+        (GaussianCluster.with_total_count(1000.0, 500.0), 4000.0),
+        (GaussianCluster.with_total_count(1000.0, 500.0), 6000.0),
+        (PolynomialWithTail(coeffs=(0.0, 0.0, 1e-6), R0=50.0, rho0=1e-6 * 50**3.5, eps_tail=-1.5), 2000.0),
+        (JUMP_POLYNOMIAL, 400.0),
     ],
+    ids=["gaussian-8v", "gaussian-12v", "polynomial-kink", "polynomial-jump"],
 )
-def test_inverse_cdf_table_matches_scipy_pchip(model, R):
-    """The sampler table is scipy's PchipInterpolator bit for bit, at random
-    uniforms, at every knot and at both ends."""
-    from scipy.interpolate import PchipInterpolator
-
+def test_inverse_cdf_table_is_monotone_and_exact_at_its_knots(model, R):
+    """Radii rise with u, stay on [0, R] and are the grid radii at the knots."""
+    u = np.linspace(0.0, 1.0, 2_000_000)
+    radii, knots = _table_radii(model, R, u)
+    assert np.all(np.diff(radii) >= 0.0)
+    assert radii.min() >= 0.0 and radii.max() <= R
     grid = np.linspace(0.0, R, INVERSE_CDF_KNOTS)
     cdf = np.maximum.accumulate(model.cumulative_count(grid) / model.cumulative_count(R))
     cdf, keep = np.unique(cdf, return_index=True)
-    u = np.concatenate([1.0 - np.random.default_rng(7).random(100_000), cdf, [0.0, 1.0]])
-    radii, knots = _table_radii(model, R, u)
     np.testing.assert_array_equal(knots, cdf)
-    assert np.all(radii == PchipInterpolator(cdf, grid[keep])(np.clip(u, cdf[0], cdf[-1])))
+    np.testing.assert_array_equal(_table_radii(model, R, knots)[0], grid[keep])
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 40])
-def test_pchip_coefficients_match_scipy_on_shaped_data(n):
-    """Data with sign changes, flat runs and uneven spacing take every slope
-    branch; the coefficients equal scipy's bit for bit."""
-    from scipy.interpolate import PchipInterpolator
+@pytest.mark.parametrize(
+    "model, R",
+    [(FOUR_ANNULI, 1200.0), (GaussianCluster.with_total_count(1000.0, 500.0), 4000.0)],
+    ids=["piecewise-4-annuli", "gaussian-8v"],
+)
+def test_default_sampler_stops_once_its_bracket_closes(model, R, monkeypatch):
+    """The inherited table-and-Newton sampler ends a draw when its bracket has
+    closed to adjacent doubles, where cumulative_count's rounding would keep
+    its steps bouncing: at most 12 counts per batch, table included, and
+    every draw at the root of the count."""
+    from scipy.optimize import brentq
 
-    rng = np.random.default_rng(n)
-    for _ in range(50):
-        x = np.cumsum(rng.uniform(0.01, 3.0, n))
-        y = rng.choice([-1.0, 0.0, 1.0, 2.5], n) * rng.uniform(0.5, 2.0, n)
-        assert np.all(_pchip_coefficients(x, y) == PchipInterpolator(x, y).c)
+    calls = []
+    count = type(model).cumulative_count
+    monkeypatch.setattr(type(model), "cumulative_count", lambda self, r: calls.append(1) or count(self, r))
+    _inverse_cdf_table.cache_clear()
+    u = 1.0 - np.random.default_rng(12).random(1000)
+    r = IntensityModel.sample_radii(model, u, R)
+    assert len(calls) <= 12
+    monkeypatch.undo()
+    total = model.cumulative_count(R)
+    roots = [
+        brentq(lambda x: model.cumulative_count(x) - ui * total, 0.0, R, xtol=1e-300, rtol=1e-15)
+        for ui in u
+    ]
+    np.testing.assert_allclose(r, roots, rtol=1e-12, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# polynomial profile fitting
 
 
 def test_fit_constant_profile():
@@ -490,11 +543,12 @@ def _assert_answers_protocol(model):
     model.check_alpha(alpha)
     # the count over the plane is finite exactly when the region may be the plane
     try:
-        plane = model.plane_count()
+        plane = model.count_beyond(0.0)
     except DivergenceError:
         assert model.algebraic_tail is not None
     else:
         assert plane == pytest.approx(model.cumulative_count(1e12), rel=1e-12)
+        assert model.count_beyond(1.0) + model.cumulative_count(1.0) == pytest.approx(plane, rel=1e-12)
         assert np.all(np.isfinite(model.sample_radii(np.array([0.5, 1.0]), math.inf)))
     # a family truncates either at a fixed radius or by its algebraic tail
     assert (model.fixed_truncation_radius is None) != (model.algebraic_tail is None)

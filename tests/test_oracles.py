@@ -2,8 +2,8 @@
 special functions, the psi of each power-law piece, the Gaussian-cluster
 panel rule and count, the adaptive psi reference near its hard cases, the
 fit-poly reference, the Gaussian and polynomial samplers (near the origin
-and across the polynomial's kink), the truncation budget and the MMSE
-combiner on near-singular covariances.
+and across the polynomial's kink), the truncation budget, the Gaussian's
+truncation bound and the MMSE combiner on near-singular covariances.
 
 mpmath is a test-only dependency: the whole module is skipped without it.
 """
@@ -36,6 +36,7 @@ from sinrdist import (
     regularized_upper_gamma,
     sample_location,
     trial_rng,
+    truncation_cdf_bound,
 )
 
 from sinrdist.intensity import _piece_psi
@@ -395,6 +396,22 @@ def test_budget_truncation_radius_meets_its_budget(model, trials):
     assert max(errors) <= budget
     worst = float(gammas[np.argmax(errors)])
     assert _truncation_error_mpmath(model, link, psi(worst), 0.9 * R, worst) > budget
+
+
+@pytest.mark.parametrize("disk", [5.0, 8.0, 12.0])
+def test_gaussian_truncation_bound_matches_mpmath(disk):
+    """The Gaussian cluster's bound is its count beyond the disk times the
+    Gamma(L) density peak, with the count taken directly rather than as a
+    difference that cancels to 0 at 12v."""
+    mp.mp.dps = 40
+    v, L = 500.0, 10
+    model = GaussianCluster.with_total_count(1000.0, v)
+    link = LinkConfig(alpha=3.0, sigma2=1e-14, r_T=20.0, L=L)
+    R = disk * v
+    beyond = model.total_count * mp.gammainc(1.5, mp.mpf(R) ** 2 / (2 * v**2), mp.inf, regularized=True)
+    peak = mp.mpf(L - 1) ** (L - 1) * mp.exp(-(L - 1)) / mp.factorial(L - 1)  # Gamma(L) density at L - 1
+    assert model.count_beyond(R) == pytest.approx(float(beyond), rel=1e-12)
+    assert truncation_cdf_bound(model, link, R) == pytest.approx(float(beyond * peak), rel=1e-12)
 
 
 def test_lower_gamma_small_argument_matches_mpmath():
