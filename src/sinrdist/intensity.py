@@ -698,8 +698,8 @@ class GaussianCluster(IntensityModel):
     def __post_init__(self):
         if not (math.isfinite(self.rho) and self.rho >= 0):
             raise ValueError(f"rho must be finite and >= 0, got {self.rho}")
-        if not self.v > 0:
-            raise ValueError(f"width v must be > 0, got {self.v}")
+        if not (self.v > 0 and math.isfinite(self.v * self.v)):
+            raise ValueError(f"width v must be > 0 with a finite v**2, got {self.v}")
         _check_beta(self.beta)
 
     @classmethod

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg
 import scipy.special
 
 from .distribution import LinkConfig, gamma_argument
@@ -29,7 +28,6 @@ from .intensity import (
     IntensityModel,
     _outer_term,
     mean_count,
-    sample_location,
 )
 from .interference import PsiEvaluator
 from .specfun import regularized_upper_gamma
@@ -156,52 +154,55 @@ class EmpiricalDistribution:
 
 
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
-    """Independent counter-based stream for one trial of one campaign."""
-    key = [seed & _MASK64, trial_index & _MASK64]
+    """Independent counter-based stream for one trial of one campaign. The
+    key words are uint64: numpy casts a Python int of 2^63 or more through
+    float64, which would give distinct seeds one stream."""
+    key = np.array([seed & _MASK64, trial_index & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def draw_network(model: IntensityModel, R_sim: float, rng) -> np.ndarray:
     """Draw one network: Poisson count, then i.i.d. radii on the disk.
 
-    Only the distances matter for the SINR (channels are isotropic), so the
-    angles are not returned here.
+    Only the distances matter for the SINR (channels are isotropic), so no
+    angles are drawn.
     """
     region = DiskRegion(R_sim)
     mu = mean_count(model, region)
-    if mu == 0.0:
-        return np.empty(0)
-    n = int(rng.poisson(mu))
-    if n == 0:
-        return np.empty(0)
-    radii, _theta = sample_location(model, region, rng, size=n)
-    return radii
+    n = int(rng.poisson(mu)) if mu != 0.0 else 0
+    # uniforms open at 0 so inverted radii stay strictly positive
+    return model.sample_radii(1.0 - rng.random(n), region.radius) if n else np.empty(0)
+
+
+def _draw_normals(n: int, L: int, rng):
+    """g = [Re g_T; Im g_T] and S = [Re G; Im G] (2L x n), views of one draw
+    of 2L(n+1) normals in stream order Re g_T, Im g_T, Re G, Im G (G
+    row-major), scaled by 1/sqrt(2)."""
+    z = rng.standard_normal(2 * L * (n + 1))
+    z *= 1.0 / math.sqrt(2.0)
+    return z[: 2 * L], z[2 * L :].reshape(2 * L, n)
+
+
+def _complex(stacked):
+    """re + i im from [re; im] stacked along the first axis."""
+    re, im = np.split(stacked, 2)
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
 def draw_channels(n: int, L: int, rng):
     """Channel vectors: target g_T (length L) and interferer matrix G (L x n).
 
     Entries are i.i.d. circularly symmetric complex Gaussian with unit
-    variance per complex entry (variance 1/2 per real component). The stream
-    is consumed in the order Re g_T, Im g_T, Re G, Im G (G row-major); each
-    part is drawn into one reused buffer and scaled straight into the
-    complex outputs. The buffer holds one part, not all four: a transient as
-    large as G itself would be handed back to the OS with G at the end of
-    every trial and faulted in again by the next.
+    variance per complex entry, from the draw run_trial makes (_draw_normals).
     """
     if not L >= 1:
         raise ValueError(f"antenna count L must be >= 1, got {L}")
     if not n >= 0:
         raise ValueError(f"interferer count must be >= 0, got {n}")
-    scale = 1.0 / math.sqrt(2.0)
-    g_t = np.empty(L, dtype=complex)
-    G = np.empty((L, n), dtype=complex)
-    buffer = np.empty(L * max(n, 1))
-    for part in (g_t.real, g_t.imag, G.real, G.imag):
-        z = buffer[: part.size].reshape(part.shape)
-        rng.standard_normal(out=z)
-        np.multiply(z, scale, out=part)
-    return g_t, G
+    g, S = _draw_normals(n, L, rng)
+    return _complex(g), _complex(S)
 
 
 def _gram_block(L: int) -> int:
@@ -213,16 +214,15 @@ def _gram_block(L: int) -> int:
     return max(1, min(GRAM_BLOCK, BLAS_THREAD_THRESHOLD // (4 * L * L)))
 
 
-def _interference_covariance(powers, G, sigma2: float) -> np.ndarray:
-    """G P G^H + sigma2 I from a real Gram accumulated over column blocks."""
-    L, n = G.shape
+def _interference_covariance(powers, S, sigma2: float) -> np.ndarray:
+    """G P G^H + sigma2 I from the real Gram of S = [Re G; Im G] by column blocks."""
+    L = S.shape[0] // 2
     M = np.zeros((2 * L, 2 * L))
     block = _gram_block(L)
-    for start in range(0, n, block):
-        cols = slice(start, start + block)
-        S = np.concatenate((G.real[:, cols], G.imag[:, cols]))
-        M += (S * powers[cols]) @ S.T
-    # with S = [Re G; Im G], G P G^H = (M_rr + M_ii) + i (M_ir - M_ri)
+    for start in range(0, S.shape[1], block):
+        cols = S[:, start : start + block]
+        M += (cols * powers[start : start + block]) @ cols.T
+    # with M = S P S^T, G P G^H = (M_rr + M_ii) + i (M_ir - M_ri)
     cov = np.empty((L, L), dtype=complex)
     np.add(M[:L, :L], M[L:, L:], out=cov.real)
     np.subtract(M[L:, :L], M[:L, L:], out=cov.imag)
@@ -230,16 +230,17 @@ def _interference_covariance(powers, G, sigma2: float) -> np.ndarray:
     return cov
 
 
-def _cholesky_quadratic_form(cov, g_t):
-    """g_T^H cov^{-1} g_T by Cholesky, or None when cov is too ill-conditioned."""
-    factor, info = scipy.linalg.lapack.zpotrf(cov, lower=True)
-    if info != 0:
+def _cholesky_quadratic_form(cov, g):
+    """g^H cov^{-1} g by Cholesky, or None when cov is too ill-conditioned."""
+    try:
+        inverse = np.linalg.inv(np.linalg.cholesky(cov))
+    except np.linalg.LinAlgError:
         return None
-    rcond, _ = scipy.linalg.lapack.zpocon(factor, np.linalg.norm(cov, 1), uplo="L")
-    if rcond * CONDITION_LIMIT < 1.0:  # 1/rcond > CONDITION_LIMIT, or rcond == 0
+    # cov^{-1} = F^-H F^-1 gives the exact 1-norm condition number
+    adjoint = inverse.conj().T
+    if not np.linalg.norm(cov, 1) * np.linalg.norm(adjoint @ inverse, 1) <= CONDITION_LIMIT:
         return None
-    solved, _ = scipy.linalg.lapack.zpotrs(factor, g_t, lower=True)
-    quad = complex(np.vdot(g_t, solved))
+    quad = complex(np.vdot(g, adjoint @ (inverse @ g)))
     if abs(quad.imag) > 1e-12 * max(1.0, abs(quad.real)):
         raise ArithmeticError(
             f"MMSE quadratic form has non-negligible imaginary part: {quad!r}"
@@ -247,32 +248,39 @@ def _cholesky_quadratic_form(cov, g_t):
     return quad.real
 
 
-def _qr_quadratic_form(powers, g_t, G, sigma2: float) -> float:
-    """g_T^H cov^{-1} g_T from the QR factor of [(G P^(1/2))^H; sigma I]."""
-    L = g_t.size
+def _qr_quadratic_form(powers, g, S, sigma2: float) -> float:
+    """g^H cov^{-1} g from the QR factor of [(G P^(1/2))^H; sigma I]."""
+    L = g.size
     # strongest interferers first, which sorts the rows by norm up to the
     # O(1) spread of |g_i|: Householder QR on rows sorted by decreasing norm
     # is row-wise backward stable (Cox and Higham, 1998)
     order = np.argsort(powers)[::-1]
-    A = np.vstack(
-        ((G[:, order] * np.sqrt(powers[order])).conj().T, math.sqrt(sigma2) * np.eye(L))
-    )
+    rows = (_complex(S[:, order]) * np.sqrt(powers[order])).conj().T
+    A = np.vstack((rows, math.sqrt(sigma2) * np.eye(L)))
     # factor _gram_block(L) rows at a time beneath the R of the rows before
-    # them: the same R up to the phases of its rows, and every zgeqrf stays
+    # them: the same R up to the phases of its rows, and every QR stays
     # small enough that OpenBLAS never wakes threads that would spin on the
     # cores of the other campaign workers
     R = A[:0]
     step = _gram_block(L)
     for start in range(0, A.shape[0], step):
-        block = np.vstack((R, A[start : start + step]))
-        R = np.triu(scipy.linalg.lapack.zgeqrf(block)[0][:L])
+        R = np.linalg.qr(np.vstack((R, A[start : start + step])), mode="r")
     if not np.all(np.diag(R) != 0.0):
         raise ArithmeticError(
             "interference covariance is singular (no noise and fewer "
             "interferers than antennas): the MMSE SINR is unbounded"
         )
-    y = scipy.linalg.solve_triangular(R, g_t, trans="C")
+    y = np.linalg.solve(R.conj().T, g)
     return float(np.vdot(y, y).real)
+
+
+def _sinr(radii, g, S, link: LinkConfig) -> float:
+    """mmse_sinr of g_T = g (complex) and G = S_re + i S_im, S = [S_re; S_im]."""
+    powers = radii ** (-link.alpha)
+    quad = _cholesky_quadratic_form(_interference_covariance(powers, S, link.sigma2), g)
+    if quad is None:
+        quad = _qr_quadratic_form(powers, g, S, link.sigma2)
+    return quad * link.r_T ** (-link.alpha)
 
 
 def mmse_sinr(radii, g_t, G, link: LinkConfig) -> float:
@@ -280,47 +288,38 @@ def mmse_sinr(radii, g_t, G, link: LinkConfig) -> float:
 
     Computes r_T^-alpha * g_T^H (G P G^H + sigma2 I)^{-1} g_T with
     P = diag(r_i^-alpha). The L x L covariance comes from the real Gram
-    S P S^T of the stacked S = [Re G; Im G] (2L x n), accumulated over
-    column blocks of _gram_block(L) in block order, so thousands of interferers
-    cost O(n L^2). The blocks keep each temporary in cache and each dgemm
-    below OpenBLAS's multithreading threshold, so a trial never starts BLAS
-    threads of its own inside the campaign's worker processes.
+    S P S^T of S = [Re G; Im G] (2L x n), accumulated over column blocks of
+    _gram_block(L): thousands of interferers cost O(n L^2), and no dgemm is
+    large enough to start BLAS threads inside a campaign's worker processes.
 
-    The quadratic form goes through a complex Cholesky factorization and
-    triangular solves (LAPACK zpotrf/zpotrs); a residual imaginary part above
-    1e-12 (relative) aborts the trial. A close interferer can make the
-    covariance so ill-conditioned that forming it squares away the digits
-    that matter: when the factorization fails or LAPACK's estimate of the
-    condition number (zpocon, from the factor) exceeds CONDITION_LIMIT, the
-    trial takes the QR route instead, which factors the (n+L) x L matrix
-    [(G P^(1/2))^H; sigma I] = QR, so cov = R^H R and SINR =
-    ||R^-H g_T||^2 r_T^-alpha without ever squaring the condition number.
-    A covariance that is exactly singular (sigma2 = 0 with fewer interferers
-    than antennas) raises ArithmeticError.
+    The quadratic form is g_T^H F^-H F^-1 g_T, F the Cholesky factor of the
+    covariance; an imaginary part above 1e-12 (relative) aborts the trial. A
+    close interferer can make the covariance so ill-conditioned that forming
+    it squares away the digits that matter: when the factorization fails or
+    the exact 1-norm condition number (from F^-1) exceeds CONDITION_LIMIT,
+    the trial factors the (n+L) x L matrix [(G P^(1/2))^H; sigma I] = QR
+    instead, so cov = R^H R and SINR = ||R^-H g_T||^2 r_T^-alpha without
+    squaring the condition number. An exactly singular covariance (sigma2 = 0
+    with fewer interferers than antennas) raises ArithmeticError.
     """
     radii = np.asarray(radii, dtype=float)
     g_t = np.asarray(g_t)
     G = np.asarray(G)
-    L = g_t.shape[0]
-    if G.shape != (L, radii.size):
+    if G.shape != (g_t.shape[0], radii.size):
         raise ValueError(
-            f"channel matrix shape {G.shape} does not match L={L}, n={radii.size}"
+            f"channel matrix shape {G.shape} does not match L={g_t.shape[0]}, n={radii.size}"
         )
-    powers = radii ** (-link.alpha)
-    cov = _interference_covariance(powers, G, link.sigma2)
-    quad = _cholesky_quadratic_form(cov, g_t)
-    if quad is None:
-        quad = _qr_quadratic_form(powers, g_t, G, link.sigma2)
-    return quad * link.r_T ** (-link.alpha)
+    return _sinr(radii, g_t, np.vstack((G.real, G.imag)), link)
 
 
 def run_trial(sim: SimConfig, trial_index: int) -> TrialResult:
-    """One deterministic trial, a pure function of (config, trial index)."""
+    """One deterministic trial, a pure function of (config, trial index): bit
+    for bit the mmse_sinr of draw_network and draw_channels on the trial's
+    stream, computed on the real block the channels are drawn in."""
     rng = trial_rng(sim.seed, trial_index)
     radii = draw_network(sim.model, sim.truncation_radius, rng)
-    g_t, G = draw_channels(radii.size, sim.link.L, rng)
-    sinr = mmse_sinr(radii, g_t, G, sim.link)
-    return TrialResult(sinr=sinr, n_interferers=int(radii.size))
+    g, S = _draw_normals(radii.size, sim.link.L, rng)
+    return TrialResult(sinr=_sinr(radii, _complex(g), S, sim.link), n_interferers=radii.size)
 
 
 def _run_chunk(sim: SimConfig, start: int, stop: int):
@@ -369,7 +368,7 @@ def require_draw_fits(mean: float, bytes_per_point: int) -> None:
 
 def _run_arrays(sim: SimConfig, workers: int):
     """SINRs and interferer counts of every trial, in trial order."""
-    # a trial's channels take about 2L complex entries per interferer
+    # 2L doubles of normals per interferer, and complex copies on the QR route
     require_draw_fits(mean_count(sim.model, DiskRegion(sim.truncation_radius)), 32 * sim.link.L)
     workers = min(workers, os.cpu_count() or 1, sim.trials)
     arrays = _run_pool(sim, workers) if workers > 1 else None

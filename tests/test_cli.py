@@ -755,6 +755,17 @@ def test_main_gaussian_total_count_needs_a_usable_width(tmp_path, capsys, v):
     assert not (tmp_path / "cdf.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_main_gaussian_width_whose_square_overflows_is_a_config_error(tmp_path, capsys):
+    # v**2 overflowed inside psi: exit 2 with a bare "Numerical result out of range"
+    cfg = _cdf_config(tmp_path)
+    cfg["model"] = {"family": "gaussian_cluster", "rho": 1.0, "v": 1e300}
+    assert main(["cdf", "--config", json.dumps(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid model: width v") and "1e+300" in err
+    assert not (tmp_path / "cdf.csv").exists()
+
+
 def test_main_missing_file(tmp_path, capsys):
     assert main(["cdf", "--config", str(tmp_path / "nope.json")]) == 1
     assert "error:" in capsys.readouterr().err

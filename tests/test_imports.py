@@ -4,8 +4,9 @@ scipy.interpolate, scipy.optimize and scipy.integrate (with the scipy.sparse
 stack they share) cost about 0.2 s to import, more than many runs take. The
 package has in-package replacements for the sampler table, the scaling-limit
 root and the fit-poly reference, and imports QUADPACK only inside
-integrate_radial. One fresh interpreter runs a tiny config of each route
-that used the heavy modules and reports what it loaded.
+integrate_radial; the simulator factors on numpy.linalg, not scipy.linalg.
+One fresh interpreter runs a tiny config of each route that used the heavy
+modules and reports what it loaded.
 """
 
 import json
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import sinrdist
 
-HEAVY = ("scipy.interpolate", "scipy.optimize", "scipy.integrate", "scipy.sparse")
+HEAVY = ("scipy.interpolate", "scipy.optimize", "scipy.integrate", "scipy.sparse", "scipy.linalg")
 
 RUN = """
 import json, sys

@@ -6,6 +6,7 @@ import concurrent.futures.process
 import math
 import multiprocessing
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from sinrdist import (
     run_campaign,
     run_trial,
     run_trials,
+    sample_location,
     trial_rng,
     truncation_cdf_bound,
     DiskRegion,
@@ -55,6 +57,23 @@ def test_trial_rng_reproducible_and_distinct():
     d = trial_rng(43, 7).random(8)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+def test_trial_rng_seeds_outside_int64_get_their_own_streams():
+    # key words of 2^63 or more went through float64: seeds -1 and -2 replayed
+    # seed 0, and 2^63 + 1 and 2^63 + 2 each other, each with a RuntimeWarning
+    seeds = [0, -1, -2, 2**63, 2**63 + 1, 2**63 + 2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = {trial_rng(seed, 3).random(4).tobytes() for seed in seeds}
+    assert len(draws) == len(seeds)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 123, 2**62 + 5, 2**63 - 1])
+def test_trial_rng_keeps_the_streams_of_int64_seeds(seed):
+    for index in (0, 7, 2**63 - 1):
+        old = np.random.Generator(np.random.Philox(key=[seed, index]))
+        assert trial_rng(seed, index).random(4).tobytes() == old.random(4).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +244,15 @@ def _field_sim(trials, seed):
     ],
 )
 def test_mmse_ill_conditioned_trials_match_mpmath(seed, trial, expected):
-    got = run_trial(_field_sim(trials=1, seed=seed), trial).sinr
-    assert got == pytest.approx(expected, rel=1e-9)
+    # the networks of the stream that also drew an angle per interferer:
+    # Poisson count, then sample_location's angles and radii, then channels
+    sim = _field_sim(trials=1, seed=seed)
+    region = DiskRegion(sim.truncation_radius)
+    rng = trial_rng(seed, trial)
+    n = int(rng.poisson(mean_count(sim.model, region)))
+    radii, _theta = sample_location(sim.model, region, rng, size=n)
+    g_t, G = draw_channels(n, sim.link.L, rng)
+    assert mmse_sinr(radii, g_t, G, sim.link) == pytest.approx(expected, rel=1e-9)
 
 
 def test_mmse_qr_route_agrees_with_cholesky_route(monkeypatch):
@@ -306,12 +332,33 @@ def test_campaign_independent_of_worker_count():
 
 
 def test_field_campaign_bytes_independent_of_worker_count():
-    """348 mc-field trials, trial 347 among them taking the QR route."""
+    """348 mc-field trials, trials 59 and 71 among them taking the QR route
+    (kappa_1(cov) = 3.4e8 and 2.7e10; values from a 50-digit mpmath solve)."""
     sim = _field_sim(trials=348, seed=123)
     serial = np.array([t.sinr for t in run_trials(sim, workers=1)])
     threaded = np.array([t.sinr for t in run_trials(sim, workers=2)])
     assert serial.tobytes() == threaded.tobytes()
-    assert serial[347] == pytest.approx(6.3393687928344567678, rel=1e-9)
+    assert serial[59] == pytest.approx(4.5410567160603279903, rel=1e-9)
+    assert serial[71] == pytest.approx(38.713300630146966181, rel=1e-9)
+
+
+def test_campaign_trials_are_mmse_sinr_of_the_public_draws(monkeypatch):
+    """run_trial on its real block against mmse_sinr on draw_network and
+    draw_channels from the same stream, QR-route trials included."""
+    sim = _field_sim(trials=1, seed=123)
+    qr_route = sinrdist.simulator._qr_quadratic_form
+    calls = []
+    monkeypatch.setattr(
+        sinrdist.simulator, "_qr_quadratic_form", lambda *args: calls.append(1) or qr_route(*args)
+    )
+    campaign = [run_trial(sim, t).sinr for t in range(300)]
+    assert len(calls) >= 1
+    public = []
+    for t in range(300):
+        rng = trial_rng(sim.seed, t)
+        radii = draw_network(sim.model, sim.truncation_radius, rng)
+        public.append(mmse_sinr(radii, *draw_channels(radii.size, sim.link.L, rng), sim.link))
+    np.testing.assert_allclose(campaign, public, rtol=1e-12, atol=0.0)
 
 
 needs_fork = pytest.mark.skipif(
