@@ -64,6 +64,7 @@ from .simulator import (
     truncation_cdf_bound,
 )
 from .specfun import (
+    ANTENNAS_MAX,
     DEFAULT_QUADRATURE,
     AccuracyError,
     QuadratureSpec,
@@ -377,7 +378,10 @@ class OutageSweep(ExperimentConfig):
         _require(self.tau >= 0, f"'tau' must be >= 0, got {self.tau}")
         _require(self.mu > 0, f"'mu' must be > 0, got {self.mu}")
         _require(self.R_c > 0, f"'R_c' must be > 0, got {self.R_c}")
-        _require(min(self.L_values) >= 1, "'L_values' entries must all be >= 1")
+        _require(
+            1 <= min(self.L_values) and max(self.L_values) <= ANTENNAS_MAX,
+            f"'L_values' entries must all lie in [1, {ANTENNAS_MAX}]",
+        )
         lo = float(self.eps_grid[0])
         hi = float(self.eps_grid[-1])
         _require(
@@ -429,7 +433,10 @@ class Scaling(ExperimentConfig):
 
     def __post_init__(self):
         _require(self.q > 0, f"'q' must be > 0, got {self.q}")
-        _require(min(self.L_values) >= 1, "'L_values' entries must all be >= 1")
+        _require(
+            1 <= min(self.L_values) and max(self.L_values) <= ANTENNAS_MAX,
+            f"'L_values' entries must all lie in [1, {ANTENNAS_MAX}]",
+        )
         self.model.check_alpha(self.link.alpha)
 
     def run(self):

@@ -22,6 +22,7 @@ import numpy as np
 from .intensity import FULL_PLANE, DivergenceError, IntensityModel, mean_count
 from .interference import PsiEvaluator
 from .specfun import (
+    ANTENNAS_MAX,
     DEFAULT_QUADRATURE,
     QuadratureSpec,
     regularized_lower_gamma,
@@ -82,8 +83,8 @@ class LinkConfig:
                 raise ValueError(f"antenna count L must be an integer, got {L}")
             L = int(L)
             object.__setattr__(self, "L", L)
-        if not (isinstance(L, int) and L >= 1):
-            raise ValueError(f"antenna count L must be an integer >= 1, got {L!r}")
+        if not (isinstance(L, int) and 1 <= L <= ANTENNAS_MAX):
+            raise ValueError(f"antenna count L must be an integer in [1, {ANTENNAS_MAX}], got {L!r}")
 
 
 @dataclass(frozen=True)

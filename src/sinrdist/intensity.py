@@ -31,9 +31,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.special
 
-from .specfun import _as_array, hyp2f1_first_unit
+from .specfun import _as_array, hyp2f1_first_unit, three_halves_gamma, three_halves_gamma_inverse
 
 __all__ = [
     "ConfigError",
@@ -234,7 +233,10 @@ def _piece_psi(c, k, lo, hi, alpha: float, gamma):
     forms are taken where the annulus starts inside the knee and the outer
     forms beyond it, except that only the disk forms hold at or above
     k = alpha - 2 - _POLE_MARGIN (near the outer form's pole) and only the
-    outer forms at k <= -2.
+    outer forms at k <= -2. Near k = -2 (|k + 2| < 1/2) both differences
+    cancel like 1/(k + 2) inside the knee, so there the annulus is its count
+    less the part the kernel removes, 2 pi c r^(k+1) r^alpha / (r^alpha +
+    gamma), which is the disk form of exponent k + alpha over gamma.
     """
     if lo == 0.0:
         if hi == math.inf:
@@ -249,14 +251,34 @@ def _piece_psi(c, k, lo, hi, alpha: float, gamma):
     def outer(g):
         return _outer_term(c, k, alpha, g, lo) - _outer_term(c, k, alpha, g, hi)
 
-    inside = lo**alpha <= gamma
-    if k >= alpha - 2.0 - _POLE_MARGIN or (k > -2.0 and np.all(inside)):
+    def count_less_removed(g):
+        removed = _disk_term(c, k + alpha, alpha, g, hi) - _disk_term(c, k + alpha, alpha, g, lo)
+        return _annulus_count(c, k, lo, hi) - removed / g
+
+    if k >= alpha - 2.0 - _POLE_MARGIN:
         return disk(gamma)
-    if k <= -2.0 or not np.any(inside):
+    inner = count_less_removed if abs(k + 2.0) < 0.5 else disk if k > -2.0 else outer
+    inside = lo**alpha <= gamma
+    if np.all(inside):
+        return inner(gamma)
+    if not np.any(inside):
         return outer(gamma)
     out = np.empty(gamma.shape)
-    out[inside], out[~inside] = disk(gamma[inside]), outer(gamma[~inside])
+    out[inside], out[~inside] = inner(gamma[inside]), outer(gamma[~inside])
     return out
+
+
+def _annulus_count(c, k, lo, hi):
+    """Mean count of c * r**k on (lo, hi], 0 < lo < hi < inf: 2 pi c
+    (hi^p - lo^p) / p with p = k + 2, taken as lo^p expm1(p log(hi/lo)) / p
+    where the difference would cancel (small |p log(hi/lo)|)."""
+    p = k + 2.0
+    log_ratio = math.log(hi / lo)
+    if abs(p * log_ratio) >= 1.0:
+        return TWO_PI * c * (hi**p - lo**p) / p
+    if p == 0.0:
+        return TWO_PI * c * log_ratio
+    return TWO_PI * c * lo**p * math.expm1(p * log_ratio) / p
 
 
 def _psi_sum(pieces, alpha: float, gamma):
@@ -701,6 +723,11 @@ class GaussianCluster(IntensityModel):
         if not (self.v > 0 and math.isfinite(self.v * self.v)):
             raise ValueError(f"width v must be > 0 with a finite v**2, got {self.v}")
         _check_beta(self.beta)
+        if not math.isfinite(self.total_count):
+            raise ValueError(
+                f"rho = {self.rho} with v = {self.v} and beta = {self.beta} "
+                "makes the total count overflow"
+            )
 
     @classmethod
     def with_total_count(cls, total: float, v: float, beta: float = 1.0):
@@ -750,13 +777,13 @@ class GaussianCluster(IntensityModel):
         P(3/2, r^2 / 2v^2), which keeps its relative accuracy near the origin,
         where the count goes like r^3."""
         r, scalar = _as_array(r)
-        out = self.total_count * scipy.special.gammainc(1.5, 0.5 * (r / self.v) ** 2)
+        out = self.total_count * three_halves_gamma(0.5 * (r / self.v) ** 2)
         return float(out) if scalar else out
 
     def count_beyond(self, r: float) -> float:
         """The total times Q(3/2, r^2 / 2v^2), taken directly: a difference
         of two counts cancels far out (to 0 at 12v)."""
-        return self.total_count * float(scipy.special.gammaincc(1.5, 0.5 * (r / self.v) ** 2))
+        return self.total_count * three_halves_gamma(0.5 * (r / self.v) ** 2, upper=True)
 
     def sample_radii(self, u, r_max: float):
         """The table, with draws below its EXACT_INVERSE_KNOTS-th knot taken
@@ -767,9 +794,16 @@ class GaussianCluster(IntensityModel):
         r, knots = _table_radii(self, r_max, u)
         near = u < knots[EXACT_INVERSE_KNOTS]
         if near.any():
-            mass = scipy.special.gammainc(1.5, 0.5 * (r_max / self.v) ** 2)
-            r[near] = self.v * np.sqrt(2.0 * scipy.special.gammaincinv(1.5, u[near] * mass))
+            mass = _maxwell_mass(0.5 * (r_max / self.v) ** 2)
+            r[near] = self.v * np.sqrt(2.0 * three_halves_gamma_inverse(u[near] * mass))
         return r
+
+
+@functools.lru_cache(maxsize=64)
+def _maxwell_mass(y: float) -> float:
+    """P(3/2, y), the Gaussian cluster's share of its count within
+    sqrt(2 y) v; cached, as each trial of a campaign needs it."""
+    return three_halves_gamma(y)
 
 
 FAMILIES = {
@@ -777,12 +811,15 @@ FAMILIES = {
 }
 
 
+@functools.lru_cache(maxsize=64)
 def mean_count(model: IntensityModel, region: DiskRegion) -> float:
     """Mean number of process points inside the region (the Poisson mean).
 
     Closed form for every family. An infinite region is only meaningful when
     the total mass converges (Gaussian cluster, or a piecewise model whose
-    support is bounded); otherwise a DivergenceError is raised.
+    support is bounded); otherwise a DivergenceError is raised. Models and
+    regions are immutable, so the value is cached: a campaign asks for it
+    once per trial.
     """
     if not region.is_finite:
         return model.count_beyond(0.0)

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .intensity import (
     TWO_PI,
@@ -70,6 +69,13 @@ __all__ = [
 # e-folds of r^alpha between the knee gamma^(1/alpha) and the layout's ends,
 # where the psi kernel is 1, or its power asymptote, to within e^-40 ~ 4e-18
 PANEL_TAIL_EFOLDS = 40.0
+
+
+def expit(t):
+    """The logistic function 1 / (1 + e^-t), for a scalar or an array; where
+    e^-t overflows (t below about -709) the result is its true value, 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-t))
 
 
 def _check_gamma(gamma: float) -> None:

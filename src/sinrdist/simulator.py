@@ -12,13 +12,15 @@ is bit-identical no matter how its trials are split across worker processes.
 
 from __future__ import annotations
 
+import concurrent.futures.process
 import math
+import multiprocessing
 import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.special
+import numpy.random  # loaded with the simulator, not by its first trial
 
 from .distribution import LinkConfig, gamma_argument
 from .intensity import (
@@ -30,7 +32,7 @@ from .intensity import (
     mean_count,
 )
 from .interference import PsiEvaluator
-from .specfun import regularized_upper_gamma
+from .specfun import gamma_quantile, regularized_upper_gamma
 
 __all__ = [
     "SimConfig",
@@ -336,22 +338,19 @@ def _run_pool(sim: SimConfig, workers: int):
 
     Returns None where the platform cannot fork. Forked workers inherit the
     imported package and any cached sampler table, so they import nothing again
-    (a spawned worker would import numpy, scipy and the package anew, about
-    0.6 s per worker on a 2.1 GHz Xeon). Like any fork, this is unsafe in a
-    process that runs other threads at the time.
+    (a spawned worker would import numpy and the package anew). Like any fork,
+    this is unsafe in a process that runs other threads at the time.
     """
-    import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
     if "fork" not in multiprocessing.get_all_start_methods():
         return None
     chunks = min(sim.trials, workers * CHUNKS_PER_WORKER)
     bounds = [sim.trials * k // chunks for k in range(chunks + 1)]
     context = multiprocessing.get_context("fork")
+    process = concurrent.futures.process
     try:
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        with process.ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
             parts = list(pool.map(_run_chunk, [sim] * chunks, bounds[:-1], bounds[1:]))
-    except BrokenProcessPool as exc:
+    except process.BrokenProcessPool as exc:
         raise ChildProcessError(f"a campaign worker process died: {exc}") from exc
     return tuple(np.concatenate(column) for column in zip(*parts))
 
@@ -445,9 +444,13 @@ def default_truncation_radius(
 
 
 def _gamma_density_peak(L: int, lo, hi):
-    """Largest Gamma(L, 1) density on [lo, hi]; the density peaks at L - 1."""
+    """Largest Gamma(L, 1) density on [lo, hi]; the density peaks at L - 1.
+    At L = 1 it is e^-t, 0 log 0 taken as 0."""
     t = np.clip(L - 1.0, lo, hi)
-    return np.exp(scipy.special.xlogy(L - 1.0, t) - t - math.lgamma(L))
+    if L == 1:
+        return np.exp(-t)
+    with np.errstate(divide="ignore"):
+        return np.exp((L - 1.0) * np.log(t) - t - math.lgamma(L))
 
 
 def _truncation_error_bound(model: IntensityModel, link: LinkConfig):
@@ -474,8 +477,8 @@ def _truncation_error_bound(model: IntensityModel, link: LinkConfig):
     with np.errstate(over="ignore"):
         x_dec = evaluator.value(decades) + link.sigma2 * decades
     q = TRUNCATION_GRID_QUANTILE
-    lo = max(np.searchsorted(x_dec, scipy.special.gammaincinv(L, q), "right") - 1, 0)
-    hi = min(np.searchsorted(x_dec, scipy.special.gammainccinv(L, q)), decades.size - 1)
+    lo = max(np.searchsorted(x_dec, gamma_quantile(L, q), "right") - 1, 0)
+    hi = min(np.searchsorted(x_dec, gamma_quantile(L, q, upper=True)), decades.size - 1)
     gamma = np.geomspace(decades[lo], decades[hi], TRUNCATION_GRID_PER_DECADE * (hi - lo) + 1)
     x = gamma_argument(evaluator.value, link.sigma2, gamma)
 

@@ -1,33 +1,56 @@
 """Special functions and the two quadrature rules used by the closed forms.
 
-Everything here is pure and reentrant. Only the special-function shapes
-actually needed by the SINR closed forms are exposed; in particular the
-Gauss hypergeometric function is restricted to the first-parameter-1 shape
-2F1(1, b; b+1; -x), which is the only one the interference integrals
-produce. The special functions are scipy.special ufuncs. The fixed-panel
-Gauss-Legendre rule in log r (integrate_log_panels) is numpy alone. Adaptive
-quadrature, for integrate_radial and for the psi reference in log r, is one
-checked QUADPACK call (_quad), which takes infinite limits as they are and
-imports scipy.integrate only when it runs, since that module costs about
-0.2 s of start-up that a run without quadrature should not pay.
+Everything here is pure and reentrant, and runs on numpy alone: only the
+special-function shapes the SINR closed forms need are exposed, and each is
+computed in the package instead of by scipy.special, whose import pulls in
+scipy's array-API layer and costs about 0.3 s of start-up, more than many
+runs take.
+
+- The regularized incomplete gamma at integer L up to ANTENNAS_MAX is a
+  Poisson sum, taken from the smaller tail outward: P(L, x) directly where
+  it is small, so the lower tail keeps its relative accuracy (P(10, 1e-3)
+  is about 2.8e-37).
+- P(3/2, y) and Q(3/2, y), for the Gaussian cluster's count, are a series
+  below y = 1 and the erfc form above it, with a Newton inverse.
+- The Gauss hypergeometric function is restricted to the first-parameter-1
+  shape 2F1(1, b; b+1; -x), the only one the interference integrals
+  produce: a fixed Gauss-Jacobi rule on its Euler integral up to x = 2, and
+  the 1/x connection formula beyond, written so that it stays exact at and
+  near integer b.
+
+The fixed-panel Gauss-Legendre rule in log r (integrate_log_panels) is numpy
+alone too. Adaptive quadrature, for integrate_radial and for the psi
+reference in log r, is one checked QUADPACK call (_quad), which takes
+infinite limits as they are and imports scipy.integrate only when it runs,
+since that module costs about 0.2 s of start-up that a run without
+quadrature should not pay.
+
+Every array function here computes each element from its own inputs alone,
+so a value does not depend on which other points share its batch.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.special
 
 __all__ = [
+    "ANTENNAS_MAX",
     "QuadratureSpec",
     "DEFAULT_QUADRATURE",
     "AccuracyError",
     "ln_gamma",
     "regularized_upper_gamma",
     "regularized_lower_gamma",
+    "gamma_quantile",
+    "three_halves_gamma",
+    "three_halves_gamma_inverse",
     "hyp2f1_first_unit",
     "integrate_radial",
     "integrate_log_panels",
@@ -39,6 +62,32 @@ __all__ = [
 PANEL_NODES = 16
 PANEL_WIDTH = 0.25
 PANEL_BUFFER = 1 << 14
+
+# A term at most this fraction of a partial sum is below half its ulp and
+# adds nothing to it, so a sum of falling terms is final once one is.
+NO_OP_FRACTION = 2.0**-54
+# Terms of a falling sum taken per block (a power of 2, for the pairwise
+# sum).
+SERIES_BLOCK = 16
+# Largest k whose k! is a finite double; Poisson terms beyond it, or whose
+# factors leave the float range, take Loader's saddle-point form.
+FACTORIAL_MAX = 170
+# Largest antenna count the incomplete gamma takes. Its Poisson sums take
+# O(sqrt L) terms where x is near L; up to here they are checked against
+# mpmath and are as accurate as scipy's asymptotic expansion.
+ANTENNAS_MAX = 100_000
+# 2F1(1, b; b+1; -x): the Gauss-Jacobi rule on the Euler integral serves
+# x <= HYP2F1_SPLIT, with the pole of its integrand at least 1/2 from
+# [0, 1]; beyond it the connection formula's rule (pole at least 2 away)
+# needs fewer nodes.
+HYP2F1_SPLIT = 2.0
+HYP2F1_NODES = 16
+HYP2F1_CONNECTION_NODES = 10
+# P(3/2, y) by its series below this y, by erfc above.
+THREE_HALVES_SERIES_MAX = 1.0
+# Newton steps of the quantile inverses, and the relative step they stop at.
+INVERSE_STEPS = 60
+INVERSE_RTOL = 4.0 * np.finfo(float).eps
 
 
 class AccuracyError(RuntimeError):
@@ -95,61 +144,413 @@ def _as_array(x):
     return arr, arr.ndim == 0
 
 
-def _regularized_gamma(ufunc, L, x):
+def _falling_sum(first, ratio, *args, block=SERIES_BLOCK):
+    """first * (1 + r_1 + r_1 r_2 + ...) per element of the 1-D array first,
+    or for one float (a Python or numpy float).
+
+    ratio(j, *args) gives the ratios r_j, elementwise in args (1-D arrays
+    like first, or floats), for a column j of term indices, one row per
+    index (for floats, one index); the terms must fall. They come block (a
+    power of 2, SERIES_BLOCK or less) at a time; each block is summed
+    pairwise and added to the total. An element is done once its block's
+    last term is so small that no later block can change its sum (block
+    terms, each at most NO_OP_FRACTION / block of the total), so it gets
+    exactly its own sum whatever else shares the batch, and a float the same
+    sum as in an array: its branch forms the block's ratios with the same
+    numpy operations and takes the products and sums on Python floats.
+    A series whose terms are 0 from some index on may take a block just
+    long enough to hold the rest: a pairwise sum is unchanged by trailing
+    zeros, so the sums are those of SERIES_BLOCK-term blocks.
+    """
+    j = 1
+    if isinstance(first, float):
+        total = term = float(first)
+        while True:
+            r = ratio(np.arange(j, j + block, dtype=float), *args).tolist()
+            r = list(itertools.accumulate(r, operator.mul, initial=term))[1:]
+            term = r[-1]
+            while len(r) > 1:
+                pairs = iter(r)
+                r = [a + b for a, b in zip(pairs, pairs)]
+            total = total + r[0]
+            j += block
+            if not term * block > total * NO_OP_FRACTION:
+                return total
+    total = np.array(first, dtype=float)
+    rows = np.arange(total.size)
+    term = total
+    while rows.size:
+        r = ratio(np.arange(j, j + block, dtype=float)[:, None], *(a[rows] for a in args))
+        r[0] *= term
+        for i in range(1, block):
+            r[i] *= r[i - 1]
+        term = r[-1]
+        while len(r) > 1:
+            r = r[0::2] + r[1::2]
+        total[rows] += r[0]
+        j += block
+        active = term * block > total[rows] * NO_OP_FRACTION
+        rows, term = rows[active], term[active]
+    return total
+
+
+# Loader's Stirling-series remainder log(k!) - (k + 1/2) log k + k - log(2 pi)/2
+# at k = 0..15 (0 stands in at k = 0, which never reaches the saddle form);
+# from k = 16 on its five-term series is exact to double precision.
+_STIRLING_ERRORS = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
+_FACTORIALS = np.array([float(math.factorial(k)) for k in range(FACTORIAL_MAX + 1)])
+
+
+def _saddle_pmf(k, lam):
+    """The Poisson pmf in Loader's saddle-point form, for k >= 1:
+    exp(-stirling_error(k) - bd0(k, lam)) / sqrt(2 pi k), with
+    bd0 = k log(k/lam) + lam - k taken by its atanh series near k = lam."""
+    table = k < _STIRLING_ERRORS.size
+    big = np.where(table, _STIRLING_ERRORS.size, k)
+    k2 = big * big
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * k2)) / k2) / k2) / k2) / big
+    tabled = _STIRLING_ERRORS[np.minimum(k, _STIRLING_ERRORS.size - 1).astype(int)]
+    stirling = np.where(table, tabled, series)
+    d = k - lam
+    v = d / (k + lam)
+    v2 = v * v
+    odd = 0.0  # sum of v^(2j) / (2j + 1) over j >= 1, to 1e-17 for |v| < 1/2
+    for j in range(28, 0, -1):
+        odd = (odd + 1.0 / (2 * j + 1)) * v2
+    bd0 = np.where(np.abs(v) < 0.5, d * v + 2.0 * k * v * odd, k * np.log(k / lam) + lam - k)
+    return np.exp(-(stirling + bd0)) / np.sqrt(2.0 * math.pi * k)
+
+
+def _poisson_pmf(k, lam):
+    """exp(-lam) lam^k / k! for whole k >= 0 and lam >= 0 (1-D arrays).
+
+    Each factor is good to an ulp where all three stay normal doubles; where
+    one leaves the float range (or k > FACTORIAL_MAX) the saddle-point form
+    takes over, unless the pmf is below the float range anyway."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        p = np.power(lam, k) * np.exp(-lam) / _FACTORIALS[np.minimum(k, FACTORIAL_MAX).astype(int)]
+        normal = (p >= np.finfo(float).tiny) & (p < np.inf)
+        far = ((k > FACTORIAL_MAX) | ~normal) & (k > 0) & (lam < np.inf)
+        if far.any():
+            kf, lf = k[far], lam[far]
+            # Stirling's log pmf, within 1/(12k) of the true one
+            log_pmf = kf * np.log(lf / kf) - lf + kf - 0.5 * np.log(2.0 * math.pi * kf)
+            p[far] = np.where(log_pmf > -760.0, _saddle_pmf(kf, lf), 0.0)
+        p[lam == np.inf] = 0.0
+    return p
+
+
+def _check_antennas(L):
     L_arr = np.asarray(L)
-    if L_arr.dtype == bool or not np.all(np.mod(L_arr, 1) == 0):
+    if L_arr.dtype.kind not in "iuf" or not (L_arr == np.floor(L_arr)).all():
         raise ValueError(f"antenna count L must be a positive integer, got {L!r}")
-    if np.any(L_arr < 1):
-        raise ValueError(f"antenna count L must be >= 1, got {L!r}")
+    if not ((L_arr >= 1) & (L_arr <= ANTENNAS_MAX)).all():
+        raise ValueError(f"antenna count L must lie in [1, {ANTENNAS_MAX}], got {L!r}")
+    return L_arr
+
+
+def _poisson_pmf_point(k: float, lam: float) -> float:
+    """_poisson_pmf at one point, the same steps on floats."""
+    if k > FACTORIAL_MAX or lam == math.inf:
+        return float(_poisson_pmf(np.array([k]), np.array([lam]))[0])
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        p = float(np.power(lam, k) * np.exp(-lam) / _FACTORIALS[int(k)])
+    if k > 0 and not np.finfo(float).tiny <= p < math.inf:
+        return float(_poisson_pmf(np.array([k]), np.array([lam]))[0])
+    return p
+
+
+def _regularized_gamma(L, x, upper: bool):
+    """P(L, x), or Q(L, x) with upper, for integer L >= 1 and x >= 0.
+
+    Both are Poisson sums: Q(L, x) = sum_{k<L} pmf(k; x) and P the rest.
+    Where x < L the tail from k = L up (P) is the smaller one, else the sum
+    from k = L - 1 down (Q); that tail is summed from its largest term
+    outward by the terms' ratios, and the other is one minus it. A scalar
+    pair takes the same steps on floats."""
+    L_arr = _check_antennas(L)
     x_arr, scalar = _as_array(x)
     if np.any(x_arr < 0):
         raise ValueError(f"the incomplete gamma function requires x >= 0, got {x!r}")
-    out = ufunc(L_arr.astype(float), x_arr)
+    if scalar and L_arr.ndim == 0:
+        L_f, x_f = float(L_arr), float(x_arr)
+        below = x_f < L_f
+        first = _poisson_pmf_point(L_f if below else L_f - 1.0, x_f)
+        if below:
+            tail = _falling_sum(first, _upward_ratio, x_f, L_f)
+        else:
+            tail = _falling_sum(first, _downward_ratio, x_f, L_f, block=_down_block(L_f))
+        return tail if below != upper else 1.0 - tail
+    L_b, x_b = np.broadcast_arrays(L_arr.astype(float), x_arr)
+    L_f, x_f = L_b.ravel(), x_b.ravel()
+    below = x_f < L_f
+    first = _poisson_pmf(np.where(below, L_f, L_f - 1.0), x_f)
+    tail = np.empty_like(first)
+    down_block = _down_block(L_f.max(initial=1))
+    sides = (below, _upward_ratio, SERIES_BLOCK), (~below, _downward_ratio, down_block)
+    with np.errstate(divide="ignore", over="ignore"):
+        for side, ratio, block in sides:
+            if side.any():
+                tail[side] = _falling_sum(first[side], ratio, x_f[side], L_f[side], block=block)
+    out = np.where(below != upper, tail, 1.0 - tail).reshape(x_b.shape)
     return float(out) if scalar and L_arr.ndim == 0 else out
+
+
+def _down_block(L_max: float) -> int:
+    """Block for the sum down from k = L - 1: its L - 1 terms after the
+    first fit one block of a power of 2 up to SERIES_BLOCK."""
+    return min(SERIES_BLOCK, 1 << max(int(L_max) - 2, 0).bit_length())
+
+
+def _upward_ratio(j, x, L):
+    """pmf(L + j) / pmf(L + j - 1): the tail from k = L up."""
+    return x / (L + j)
+
+
+def _downward_ratio(j, x, L):
+    """pmf(L - 1 - j) / pmf(L - j): the sum from k = L - 1 down, 0 past k = 0."""
+    return (L - j) / x
 
 
 def regularized_upper_gamma(L, x):
     """Upper regularized gamma Q(L, x) = Gamma(L, x) / Gamma(L) for integer L.
 
     For integer first argument this is the Poisson CDF identity
-    sum_{k<L} exp(-x) x^k / k!. Evaluated by the scipy.special.gammaincc
-    ufunc; L and x may be scalars or arrays (broadcast together), and a
-    scalar pair returns a float.
+    sum_{k<L} exp(-x) x^k / k!, which is how it is computed (see
+    _regularized_gamma); L and x may be scalars or arrays (broadcast
+    together), and a scalar pair returns a float.
     """
-    return _regularized_gamma(scipy.special.gammaincc, L, x)
+    return _regularized_gamma(L, x, upper=True)
 
 
 def regularized_lower_gamma(L, x):
     """Lower regularized gamma P(L, x) = 1 - Q(L, x) for integer L.
 
-    Evaluated directly by the scipy.special.gammainc ufunc, so it keeps full
-    relative accuracy where P is tiny and 1 - Q would cancel to 0 (P(10,
-    1e-3) is about 2.8e-37). Same arguments and broadcasting as
+    Computed directly where it is the smaller tail, so it keeps full relative
+    accuracy where P is tiny and 1 - Q would cancel to 0 (P(10, 1e-3) is
+    about 2.8e-37). Same arguments and broadcasting as
     regularized_upper_gamma.
     """
-    return _regularized_gamma(scipy.special.gammainc, L, x)
+    return _regularized_gamma(L, x, upper=False)
+
+
+def _newton_inverse(target: float, tail, slope, start: float) -> float:
+    """The x > 0 with tail(x) = target, by Newton steps on the log of the
+    tail in log x: x *= exp(-step), step = log(tail(x) / target) / slope(x,
+    tail(x)), slope the derivative of log tail in log x. Stops once a step,
+    a relative change of x, is within INVERSE_RTOL."""
+    x = start
+    for _ in range(INVERSE_STEPS):
+        value = tail(x)
+        step = math.log(value / target) / slope(x, value)
+        x *= math.exp(-step)
+        if abs(step) <= INVERSE_RTOL:
+            break
+    return x
+
+
+@functools.lru_cache(maxsize=64)
+def gamma_quantile(L: int, q: float, upper: bool = False) -> float:
+    """The x with P(L, x) = q, or Q(L, x) = q with upper, for integer L >= 1
+    and 0 < q < 1: Newton steps on the log of the tail in log x, from the
+    small-x power law of P or from x = L - log q for Q. Both logs are concave
+    in log x, so after the first step Newton approaches the root from one
+    side. Cached: a campaign asks for the same quantiles more than once."""
+    _check_antennas(L)
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"the quantile level must lie in (0, 1), got {q}")
+    tail = regularized_upper_gamma if upper else regularized_lower_gamma
+
+    def slope(x, value):  # x times the Gamma(L, 1) density over the tail
+        return (-x if upper else x) * _poisson_pmf_point(L - 1.0, x) / value
+
+    start = L - math.log(q) if upper else math.exp((math.log(q) + math.lgamma(L + 1.0)) / L)
+    return _newton_inverse(q, lambda x: tail(L, x), slope, start)
+
+
+_THREE_HALVES_SERIES_SCALE = 4.0 / (3.0 * math.sqrt(math.pi))
+
+
+def _three_halves_ratio(j, y):
+    """Term ratio of M(1, 5/2, y) = sum_n y^n / (5/2)_n."""
+    return y / (1.5 + j)
+
+
+def _three_halves_point(y: float, upper: bool) -> float:
+    """three_halves_gamma at one point: the same steps as for an array."""
+    if y < THREE_HALVES_SERIES_MAX:
+        first = _THREE_HALVES_SERIES_SCALE * y * np.sqrt(y) * np.exp(-y)
+        p = _falling_sum(first, _three_halves_ratio, y)
+        return float(1.0 - p if upper else p)
+    q = 0.0 if y == math.inf else math.erfc(np.sqrt(y)) + 2.0 * np.sqrt(y / math.pi) * np.exp(-y)
+    return float(q if upper else 1.0 - q)
+
+
+def three_halves_gamma(y, upper: bool = False):
+    """P(3/2, y), or Q(3/2, y) with upper, for y >= 0 (array or scalar).
+
+    Below y = THREE_HALVES_SERIES_MAX, P = (4 / (3 sqrt(pi))) y^(3/2) e^-y
+    M(1, 5/2, y), summed term by term; above it Q = erfc(sqrt(y)) +
+    2 sqrt(y/pi) e^-y. Each is taken directly where it is the small one, so
+    P keeps its relative accuracy near 0 (like y^(3/2)) and Q far out."""
+    y, scalar = _as_array(y)
+    if y.size == 1:
+        out = _three_halves_point(float(y.reshape(())), upper)
+        return out if scalar else np.full(y.shape, out)
+    flat = y.ravel()
+    series = flat < THREE_HALVES_SERIES_MAX
+    out = np.empty_like(flat)
+    ys = flat[series]
+    first = _THREE_HALVES_SERIES_SCALE * ys * np.sqrt(ys) * np.exp(-ys)
+    p = _falling_sum(first, _three_halves_ratio, ys)
+    out[series] = 1.0 - p if upper else p
+    yt = flat[~series]
+    with np.errstate(invalid="ignore", under="ignore"):
+        erfc = np.frompyfunc(math.erfc, 1, 1)(np.sqrt(yt)).astype(float)
+        q = np.where(yt == np.inf, 0.0, erfc + 2.0 * np.sqrt(yt / math.pi) * np.exp(-yt))
+    out[~series] = q if upper else 1.0 - q
+    return out.reshape(y.shape)
+
+
+def three_halves_gamma_inverse(p):
+    """The y >= 0 with P(3/2, y) = p, for each 0 <= p < 1 of an array:
+    Newton steps on log P in log y from the small-y power law
+    P ~ (4 / (3 sqrt(pi))) y^(3/2), to full precision; p = 0 gives 0.
+    Each element is solved on its own, on Python floats, against the same
+    P as three_halves_gamma."""
+
+    def slope(y, value):  # d log P / d log y = y^(3/2) e^-y / (Gamma(3/2) P)
+        return y * math.sqrt(y) * math.exp(-y) / (0.5 * math.sqrt(math.pi) * value)
+
+    def tail(y):
+        return _three_halves_point(y, False)
+
+    def root(target):
+        start = (target / _THREE_HALVES_SERIES_SCALE) ** (2.0 / 3.0)
+        return _newton_inverse(target, tail, slope, start) if target > 0.0 else 0.0
+
+    p = np.asarray(p, dtype=float)
+    return np.array([root(float(v)) for v in p.ravel()]).reshape(p.shape)
+
+
+@functools.lru_cache(maxsize=1024)
+def _gauss_jacobi(beta: float, nodes: int):
+    """Nodes and weights of the Gauss rule for the weight t^beta on [0, 1],
+    beta > -1, as two columns: eigenvalues of the Jacobi matrix (Golub-Welsch),
+    weights renormalised to the exact mass 1 / (beta + 1)."""
+    n = np.arange(nodes, dtype=float)
+    s = 2.0 * n + beta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diag = np.where(n == 0, beta / (beta + 2.0), beta * beta / (s * (s + 2.0)))
+    k = n[1:]
+    s = 2.0 * k + beta
+    off2 = 4.0 * k * k * (k + beta) ** 2 / (s * s * (s + 1.0) * (s - 1.0))
+    off2[0] = 4.0 * (1.0 + beta) / ((2.0 + beta) ** 2 * (3.0 + beta))
+    off = np.sqrt(off2) / 2.0
+    t, vectors = np.linalg.eigh(np.diag((diag + 1.0) / 2.0) + np.diag(off, 1) + np.diag(off, -1))
+    w = vectors[0] ** 2
+    return t[:, None], (w / (w.sum() * (beta + 1.0)))[:, None]
+
+
+def _node_sum(rule, z):
+    """sum_i w_i / (1 + z t_i) for each z of a 1-D array, summed in node order."""
+    t, w = rule
+    terms = t * z
+    terms += 1.0
+    np.divide(w, terms, out=terms)
+    total = terms[0]
+    for row in terms[1:]:
+        total += row
+    return total
+
+
+def _sinc_parts(delta: float):
+    """g = pi delta / sin(pi delta) and (g - 1) / delta, |delta| <= 1/2, the
+    latter from the series of z - sin z (z = pi delta) so it does not cancel."""
+    if delta == 0.0:
+        return 1.0, 0.0
+    z = math.pi * delta
+    head = 0.0  # (z - sin z) / z
+    for k in range(12, 0, -1):
+        head = (head + (-1) ** (k + 1) / math.factorial(2 * k + 1)) * (z * z)
+    g = z / math.sin(z)
+    return g, head * g / delta
+
+
+@functools.lru_cache(maxsize=1024)
+def _connection(b: float):
+    """What the connection formula needs at b: the step count m and the base
+    b0 = b - m in (0, 3/2] that the upward recurrence starts from, delta =
+    1 - b0, _sinc_parts(delta) when |delta| <= 1/2 (else None), and the
+    Gauss-Jacobi rule for the weight s^delta."""
+    m = max(round(b) - 1, 0)
+    b0 = b - m
+    delta = 1.0 - b0
+    parts = _sinc_parts(delta) if abs(delta) <= 0.5 else None
+    return m, b0, delta, parts, _gauss_jacobi(delta, HYP2F1_CONNECTION_NODES)
+
+
+def _hyp2f1_far(b: float, x):
+    """2F1(1, b; b+1; -x) = b J_b(x) for x > HYP2F1_SPLIT, J_b = integral of
+    t^(b-1) / (1 + x t) over [0, 1].
+
+    For b0 = 1 - delta in (0, 3/2] (DLMF 15.8.2, written for this shape),
+    J_b0 = pi x^-b0 / sin(pi b0) - 1 / (delta x) + x^-2 I(x), where I(x) is
+    the integral of s^delta / (1 + s/x) over [0, 1] (a Gauss-Jacobi rule).
+    The first two terms have opposite poles at b0 = 1; near it they are
+    (g E + h) / x with E = (x^delta - 1) / delta, taken by expm1, so integer
+    b is exact. J_(b+1) = (1/b - J_b) / x then climbs to b; the recurrence
+    divides its errors by x > 2 at each step."""
+    m, b0, delta, parts, rule = _connection(b)
+    inv = 1.0 / x
+    tail = _node_sum(rule, inv) * (inv * inv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if parts is None:  # b0 = b < 1/2: no pole near, no recurrence
+            return math.pi * b / math.sin(math.pi * b) * np.power(x, -b) - b * (inv / delta - tail)
+        g, h = parts
+        if delta == 0.0:
+            E = np.log(x)
+        else:
+            a = delta * np.log(x)
+            E = np.where(np.abs(a) < 1.0, np.expm1(a), np.power(x, delta) - 1.0) / delta
+        J = (g * E + h) * inv + tail
+    for i in range(m):
+        J = (1.0 / (b0 + i) - J) * inv
+    return b * J
 
 
 def hyp2f1_first_unit(b: float, x):
     """Gauss hypergeometric 2F1(1, b; b+1; -x) for b > 0, x >= 0.
 
-    This is the only hypergeometric shape the interference closed forms need.
-    Backed by the scipy.special.hyp2f1 ufunc, which converges for all x >= 0
-    here; the degenerate b = 1 case (where scipy loses precision for very
-    large x) is the elementary identity 2F1(1, 1; 2; -x) = log(1+x)/x. x may
-    be a scalar (float result) or an array.
+    This is the only hypergeometric shape the interference closed forms
+    need, b times the integral of t^(b-1) / (1 + x t) over [0, 1] (DLMF
+    15.6.1). Up to x = HYP2F1_SPLIT it is 1 - b x times the integral of
+    t^b / (1 + x t), by a HYP2F1_NODES-point Gauss-Jacobi rule; beyond it, the
+    connection formula (see _hyp2f1_far). x may be a scalar (float result)
+    or an array; x = inf gives the limit 0.
     """
     if not b > 0:
         raise ValueError(f"hyp2f1_first_unit requires b > 0, got {b}")
     x_arr, scalar = _as_array(x)
     if np.any(x_arr < 0):
         raise ValueError(f"hyp2f1_first_unit requires x >= 0, got {x!r}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if b == 1.0:
-            out = np.log1p(x_arr) / x_arr
-        else:
-            out = scipy.special.hyp2f1(1.0, b, b + 1.0, -x_arr)
-    out = np.where(x_arr == 0.0, 1.0, out)
+    b = float(b)
+    flat = x_arr.ravel()
+    near = flat <= HYP2F1_SPLIT
+    out = np.empty_like(flat)
+    xs = flat[near]
+    out[near] = 1.0 - b * xs * _node_sum(_gauss_jacobi(b, HYP2F1_NODES), xs)
+    far = ~near
+    if far.any():
+        xf = flat[far]
+        out[far] = np.where(xf == np.inf, 0.0, _hyp2f1_far(b, xf))
+    out = out.reshape(x_arr.shape)
     return float(out) if scalar else out
 
 

@@ -9,6 +9,7 @@ import math
 import multiprocessing
 import os
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -764,6 +765,33 @@ def test_main_gaussian_width_whose_square_overflows_is_a_config_error(tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("error: invalid model: width v") and "1e+300" in err
     assert not (tmp_path / "cdf.csv").exists()
+
+
+def test_main_gaussian_total_count_that_overflows_is_a_config_error(tmp_path, capsys):
+    # fig5 at rho = 1.7e308 printed an invalid-value RuntimeWarning from the
+    # cluster's count (inf * 0), then exited 2 with "psi is NaN"
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / "fig5.json").read_text())
+    cfg["model"]["rho"] = 1.7e308
+    cfg["output_path"] = str(tmp_path / "fig5.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["scaling", "--config", json.dumps(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid model: rho = 1.7e+308") and "total count" in err
+    assert not (tmp_path / "fig5.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["outage-sweep", "link"])
+def test_main_antenna_count_above_the_cap_is_a_config_error(tmp_path, capsys, kind):
+    # the incomplete gamma's Poisson sums are checked up to ANTENNAS_MAX only
+    cfg = _outage_config(tmp_path)
+    if kind == "link":
+        cfg["link"]["L"] = sinrdist.cli.ANTENNAS_MAX + 1
+    else:
+        cfg["L_values"] = [4, sinrdist.cli.ANTENNAS_MAX + 1]
+    assert main(["outage-sweep", "--config", json.dumps(cfg)]) == 1
+    assert str(sinrdist.cli.ANTENNAS_MAX) in capsys.readouterr().err
+    assert not (tmp_path / "outage.csv").exists()
 
 
 def test_main_missing_file(tmp_path, capsys):

@@ -56,6 +56,8 @@ def test_link_config_validation():
         LinkConfig(alpha=4.0, sigma2=0.0, r_T=1.0, L=0)
     with pytest.raises(ValueError):
         LinkConfig(alpha=4.0, sigma2=0.0, r_T=1.0, L=2.5)
+    with pytest.raises(ValueError, match="100000"):
+        LinkConfig(alpha=4.0, sigma2=0.0, r_T=1.0, L=100_001)
     assert LinkConfig(alpha=4.0, sigma2=0.0, r_T=1.0, L=4.0).L == 4
 
 
@@ -377,3 +379,4 @@ def test_limit_scan_boundary_case():
 def test_limit_scan_validation():
     with pytest.raises(ValueError):
         regularized_gamma_limit_scan(0.0, [10])
+    assert regularized_gamma_limit_scan(1.0, []) == []

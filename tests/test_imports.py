@@ -1,12 +1,14 @@
 """Import guard: a CLI run loads only the scipy it uses.
 
 scipy.interpolate, scipy.optimize and scipy.integrate (with the scipy.sparse
-stack they share) cost about 0.2 s to import, more than many runs take. The
-package has in-package replacements for the sampler table, the scaling-limit
-root and the fit-poly reference, and imports QUADPACK only inside
-integrate_radial; the simulator factors on numpy.linalg, not scipy.linalg.
-One fresh interpreter runs a tiny config of each route that used the heavy
-modules and reports what it loaded.
+stack they share) cost about 0.2 s to import, and scipy.special, through
+scipy's array-API layer (which also loads numpy.f2py), about 0.3 s: more than
+many runs take. The package has in-package replacements for the sampler
+table, the scaling-limit root, the fit-poly reference and the special
+functions, and imports QUADPACK only inside integrate_radial; the simulator
+factors on numpy.linalg, not scipy.linalg. One fresh interpreter runs a tiny
+config of every CLI kind, and of each route that used the heavy modules, and
+reports what it loaded.
 """
 
 import json
@@ -17,7 +19,15 @@ from pathlib import Path
 
 import sinrdist
 
-HEAVY = ("scipy.interpolate", "scipy.optimize", "scipy.integrate", "scipy.sparse", "scipy.linalg")
+HEAVY = (
+    "scipy.interpolate",
+    "scipy.optimize",
+    "scipy.integrate",
+    "scipy.sparse",
+    "scipy.linalg",
+    "scipy.special",
+    "numpy.f2py",
+)
 
 RUN = """
 import json, sys
@@ -67,6 +77,23 @@ def _configs(out: Path):
             "gamma_grid": {"min": 1e3, "max": 1e7, "points": 3},
             "output_path": str(out / "fit.csv"),
         },
+        {
+            "experiment": "outage-sweep",
+            "link": {"alpha": 4.0, "sigma2": 1e-12, "r_T": 5.0, "L": 1},
+            "tau": 10.0,
+            "R_c": 1000.0,
+            "mu": 3142.0,
+            "eps_grid": {"min": -1.0, "max": 0.0, "points": 3, "spacing": "linear"},
+            "L_values": [1, 4],
+            "output_path": str(out / "outage.csv"),
+        },
+        {
+            "experiment": "sample-points",
+            "model": {"family": "power_law", "rho": 0.1, "eps": -1.0},
+            "region_radius": 100.0,
+            "sim": {"seed": 3},
+            "output_path": str(out / "points.csv"),
+        },
     ]
 
 
@@ -81,6 +108,6 @@ def test_cli_runs_load_no_heavy_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert len(list(tmp_path.glob("*.csv"))) == 4
+    assert len(list(tmp_path.glob("*.csv"))) == 6
     heavy = [m for m in loaded if ".".join(m.split(".")[:2]) in HEAVY]
     assert heavy == []

@@ -40,6 +40,7 @@ from sinrdist import (
 )
 
 from sinrdist.intensity import _piece_psi
+from sinrdist.specfun import gamma_quantile, three_halves_gamma, three_halves_gamma_inverse
 
 mp = pytest.importorskip("mpmath")
 
@@ -51,6 +52,116 @@ def test_hyp2f1_first_unit_arrays_match_mpmath():
         got = hyp2f1_first_unit(b, xs)
         ref = np.array([float(mp.hyp2f1(1, b, b + 1, -mp.mpf(x))) for x in xs])
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0, err_msg=f"b={b}")
+
+
+# The in-package special functions against mpmath, each at least as accurate
+# as the scipy.special function it replaced, at every point. Where both are
+# at the rounding level the comparison has a floor: 4 ulps for the
+# hypergeometric function, and for the incomplete gamma functions also the
+# rounding of an exponent of size |ln f|, which any double evaluation of
+# f = e^(-a) pays (a ulp of a is a relative error of f).
+EPS = np.finfo(float).eps
+
+
+def _assert_no_worse_than_scipy(got, theirs, ref, floor, label):
+    got, theirs, ref = (np.asarray(a, dtype=float) for a in (got, theirs, ref))
+    normal = ref > 1e-300  # below, the float range itself limits both
+    assert np.all(np.abs(got[~normal] - ref[~normal]) <= 1e-300), label
+    ref, got, theirs, floor = ref[normal], got[normal], theirs[normal], np.broadcast_to(floor, normal.shape)[normal]
+    ours = np.abs(got - ref) / ref
+    scipy_error = np.nan_to_num(np.abs(theirs - ref) / ref, nan=np.inf)
+    worse = np.flatnonzero(ours > np.maximum(scipy_error, floor))
+    assert worse.size == 0, f"{label}: " + ", ".join(
+        f"ref {ref[i]:.3e}: {ours[i]:.1e} against scipy's {scipy_error[i]:.1e}" for i in worse[:5]
+    )
+
+
+@pytest.mark.parametrize("L", (1, 2, 3, 5, 10, 20, 64, 100, 170, 171, 200, 500, 1000, 10_000, 100_000))
+def test_regularized_gamma_no_worse_than_scipy(L):
+    """Up to the cap ANTENNAS_MAX = 1e5, with points within a few sqrt(L) of
+    x = L, where the Poisson sums are longest."""
+    special = pytest.importorskip("scipy.special")
+    mp.mp.dps = 40
+    near = np.maximum(L + math.sqrt(L) * np.array([-3.0, -1.0, 1.0, 3.0]), 0.0)
+    x = np.concatenate([[0.0, 1e-12], np.geomspace(1e-10, 1e15, 26), L * np.array([0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0]), near])
+    # mpmath takes the smaller tail (its lower series stalls at large L and
+    # x), the other being 1 minus it at 40 digits
+    lower, upper = [], []
+    for v in x:
+        if v < L:
+            lower.append(mp.gammainc(L, 0, mp.mpf(v), regularized=True))
+            upper.append(1 - lower[-1])
+        else:
+            upper.append(mp.gammainc(L, mp.mpf(v), mp.inf, regularized=True))
+            lower.append(1 - upper[-1])
+    for got, theirs, ref, label in (
+        (regularized_lower_gamma(L, x), special.gammainc(L, x), lower, "P"),
+        (regularized_upper_gamma(L, x), special.gammaincc(L, x), upper, "Q"),
+    ):
+        ref = np.array([float(r) for r in ref])
+        with np.errstate(divide="ignore"):
+            floor = EPS * (4.0 + np.abs(np.log(ref)))
+        _assert_no_worse_than_scipy(got, theirs, ref, floor, f"{label}({L}, x)")
+
+
+@pytest.mark.parametrize("L", (1, 2, 10, 64, 1000))
+def test_gamma_quantile_no_worse_than_scipy(L):
+    """The truncation bracket's Gamma(L) quantiles at 1e-12, both tails,
+    against mpmath roots and scipy's gammaincinv / gammainccinv."""
+    special = pytest.importorskip("scipy.special")
+    mp.mp.dps = 40
+    q = 1e-12
+    for upper, theirs in ((False, special.gammaincinv(L, q)), (True, special.gammainccinv(L, q))):
+        def tail(x):
+            return mp.gammainc(L, x, mp.inf, regularized=True) if upper else mp.gammainc(L, 0, x, regularized=True)
+
+        ref = float(mp.findroot(lambda x: mp.log(tail(x) / q), mp.mpf(theirs)))
+        _assert_no_worse_than_scipy([gamma_quantile(L, q, upper)], [theirs], [ref], 4 * EPS, f"L={L}")
+
+
+def test_three_halves_gamma_no_worse_than_scipy():
+    """P and Q(3/2, y) from deep inside the origin to the 12v tail (y = 72)
+    and beyond, across the switch from the series to erfc at y = 1."""
+    special = pytest.importorskip("scipy.special")
+    mp.mp.dps = 40
+    y = np.concatenate([np.geomspace(1e-30, 700.0, 41), [0.5, 0.999, 1.0, 1.001, 72.0]])
+    lower = [mp.gammainc(1.5, 0, mp.mpf(v), regularized=True) for v in y]
+    upper = [mp.gammainc(1.5, mp.mpf(v), mp.inf, regularized=True) for v in y]
+    for got, theirs, ref, label in (
+        (three_halves_gamma(y), special.gammainc(1.5, y), lower, "P"),
+        (three_halves_gamma(y, upper=True), special.gammaincc(1.5, y), upper, "Q"),
+    ):
+        ref = np.array([float(r) for r in ref])
+        floor = EPS * (4.0 + np.abs(np.log(ref)))
+        _assert_no_worse_than_scipy(got, theirs, ref, floor, f"{label}(3/2, y)")
+    assert three_halves_gamma(0.0) == 0.0 and three_halves_gamma(np.inf, upper=True) == 0.0
+
+
+def test_three_halves_gamma_inverse_round_trip():
+    special = pytest.importorskip("scipy.special")
+    mp.mp.dps = 40
+    p = np.concatenate([[0.0], np.geomspace(1e-30, 0.5, 12)])
+    y = three_halves_gamma_inverse(p)
+    assert y[0] == 0.0
+    np.testing.assert_allclose(three_halves_gamma(y[1:]), p[1:], rtol=4 * EPS, atol=0.0)
+    # the root itself, next to scipy's gammaincinv
+    ref = [float(mp.findroot(lambda t: mp.gammainc(1.5, 0, t, regularized=True) - v, mp.mpf(guess)))
+           for v, guess in zip(p[1:], y[1:])]
+    _assert_no_worse_than_scipy(y[1:], special.gammaincinv(1.5, p[1:]), ref, 4 * EPS, "P^-1(3/2, p)")
+
+
+def test_hyp2f1_no_worse_than_scipy_at_and_near_integer_b():
+    """2F1(1, b; b+1; -x) on a b grid that holds the integers and the points
+    1e-9 either side of them, where scipy's transformation loses up to seven
+    digits, and at b = 32 and 40.5 on the same two routes."""
+    special = pytest.importorskip("scipy.special")
+    mp.mp.dps = 40
+    x = np.concatenate([[0.0], np.geomspace(1e-12, 1e15, 28), [0.999, 1.0, 1.001, 2.0, 2.001]])
+    bs = [k + d for k in range(6) for d in (-1e-9, 0.0, 1e-9) if k + d > 0] + [1 / 3, 0.5, 2 / 3, 2.5, 7.3, 32.0, 40.5]
+    for b in bs:
+        ref = [float(mp.hyp2f1(1, mp.mpf(b), mp.mpf(b) + 1, -mp.mpf(v))) for v in x]
+        theirs = special.hyp2f1(1.0, b, b + 1.0, -x)
+        _assert_no_worse_than_scipy(hyp2f1_first_unit(b, x), theirs, ref, 4 * EPS, f"b={b!r}")
 
 
 def _psi_gaussian_mpmath(v, alpha, gamma, fine=False):
@@ -190,6 +301,19 @@ def test_piece_psi_matches_mpmath(shape):
         got = _piece_psi(*piece, alpha, gammas)
         ref = [_piece_psi_mpmath(*piece, alpha, g) for g in gammas]
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0, err_msg=f"alpha={alpha}")
+
+
+@pytest.mark.parametrize("k", (-2.0 - 1e-7, -2.0 - 1e-9, -2.0, -2.0 + 1e-9, -2.0 + 1e-7))
+def test_annulus_psi_near_k_minus_two_matches_mpmath(k):
+    """The annulus (1, 2] of r**k at alpha = 3: the disk and outer
+    differences cancel like 1/(k + 2) inside the knee (1.8e-9 off at
+    k = -1.9999999, gamma = 1), its count less what the kernel removes does
+    not."""
+    mp.mp.dps = 30
+    gammas = np.array([1e-3, 1.0, 10.0, 1e3, 1e6])
+    got = _piece_psi(1.0, k, 1.0, 2.0, 3.0, gammas)
+    ref = [_piece_psi_mpmath(1.0, k, 1.0, 2.0, 3.0, g) for g in gammas]
+    np.testing.assert_allclose(got, ref, rtol=4e-15, atol=0.0)
 
 
 def _fit_poly_reference_mpmath(profile, scales, rho0, eps_tail, R0, alpha, gamma):
