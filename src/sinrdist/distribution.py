@@ -25,6 +25,7 @@ from .specfun import (
     ANTENNAS_MAX,
     DEFAULT_QUADRATURE,
     QuadratureSpec,
+    poisson_pmf,
     regularized_lower_gamma,
     regularized_upper_gamma,
 )
@@ -173,21 +174,17 @@ def cdf_gamma_double_sum(dist: SinrDistribution, gamma: float) -> float:
 def pdf_gamma(dist: SinrDistribution, gamma):
     """Density of the normalized SINR at gamma > 0 (scalar or array).
 
-    (psi + sigma2*gamma)^(L-1) * exp(-(psi + sigma2*gamma)) *
-    (sigma2 + psi'(gamma)) / (L-1)!, with the power/exponential prefactor
-    accumulated in the log domain so large L and large psi cannot overflow.
+    x^(L-1) e^-x / (L-1)! * (sigma2 + psi'(gamma)) with x = psi(gamma) +
+    sigma2*gamma: the Gamma(L, 1) density at x (specfun.poisson_pmf, finite
+    at any L and x) times the slope of x.
     """
     g = np.asarray(gamma, dtype=float)
     if not np.all(g > 0):
         raise ValueError(f"pdf requires gamma > 0, got {gamma!r}")
-    L = dist.link.L
-    x = _gamma_argument(dist, g)
+    density = poisson_pmf(dist.link.L - 1, _gamma_argument(dist, g))
     slope = dist.link.sigma2 + dist.psi.derivative(g)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_prefactor = (L - 1) * np.log(x) - x - math.lgamma(L)
-    at_zero = slope if L == 1 else 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.where(x > 0.0, np.exp(log_prefactor) * slope, at_zero)
+        out = density * slope
     if not np.all(np.isfinite(out)):
         raise ArithmeticError("the SINR density is not finite: sigma2 + psi' overflows or is NaN")
     return float(out) if g.ndim == 0 else out
@@ -212,18 +209,12 @@ def outage_probability(dist: SinrDistribution, tau, r_target: float | None = Non
 def antenna_gain_delta(dist: SinrDistribution, gamma: float) -> float:
     """Outage reduction from one extra antenna: F_L(gamma) - F_{L+1}(gamma).
 
-    Closed form (psi + sigma2*gamma)^L * exp(-(psi + sigma2*gamma)) / L!,
-    the L-th Poisson term of the incomplete-gamma identity.
+    Closed form x^L e^-x / L! with x = psi(gamma) + sigma2*gamma, the L-th
+    Poisson term of the incomplete-gamma identity (specfun.poisson_pmf).
     """
     if not gamma >= 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    if gamma == 0.0:
-        return 0.0
-    x = _gamma_argument(dist, gamma)
-    if x == 0.0:
-        return 0.0
-    L = dist.link.L
-    return math.exp(L * math.log(x) - x - math.lgamma(L + 1))
+    return poisson_pmf(dist.link.L, _gamma_argument(dist, gamma))
 
 
 def argument_supremum(model: IntensityModel, sigma2: float = 0.0) -> float:

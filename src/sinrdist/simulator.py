@@ -32,7 +32,7 @@ from .intensity import (
     mean_count,
 )
 from .interference import PsiEvaluator
-from .specfun import gamma_quantile, regularized_upper_gamma
+from .specfun import poisson_pmf, regularized_lower_gamma, regularized_upper_gamma
 
 __all__ = [
     "SimConfig",
@@ -78,8 +78,13 @@ BLAS_THREAD_THRESHOLD = 262_144
 # covariance above which the trial switches to the QR route.
 CONDITION_LIMIT = 1e8
 # Largest expected size, in bytes, of what one Poisson draw allocates: a mean
-# count that asks for more is refused before anything is drawn.
+# count that asks for more is refused before anything is drawn. A campaign's
+# per-trial matrices are held to it too, at TRIAL_MATRIX_BYTES per L^2: the
+# real 2L x 2L Gram (32 L^2) and five complex L x L matrices on the Cholesky
+# route (the covariance, its factor, the factor's inverse, its adjoint and
+# their product, 16 L^2 each), which caps a campaign at L = 3096.
 MAX_DRAW_BYTES = 2**30
+TRIAL_MATRIX_BYTES = 32 + 5 * 16
 # Contiguous chunks of trial indices per worker process: a few per worker even
 # out uneven trial costs, and each chunk returns its results as two arrays.
 CHUNKS_PER_WORKER = 4
@@ -367,8 +372,14 @@ def require_draw_fits(mean: float, bytes_per_point: int) -> None:
 
 def _run_arrays(sim: SimConfig, workers: int):
     """SINRs and interferer counts of every trial, in trial order."""
+    L = sim.link.L
+    if not TRIAL_MATRIX_BYTES * L * L <= MAX_DRAW_BYTES:
+        raise ConfigError(
+            f"L = {L} antennas need {TRIAL_MATRIX_BYTES * L * L:.3g} B of matrices per trial, "
+            f"over the {MAX_DRAW_BYTES} B limit"
+        )
     # 2L doubles of normals per interferer, and complex copies on the QR route
-    require_draw_fits(mean_count(sim.model, DiskRegion(sim.truncation_radius)), 32 * sim.link.L)
+    require_draw_fits(mean_count(sim.model, DiskRegion(sim.truncation_radius)), 32 * L)
     workers = min(workers, os.cpu_count() or 1, sim.trials)
     arrays = _run_pool(sim, workers) if workers > 1 else None
     sinr, counts = arrays if arrays is not None else _run_chunk(sim, 0, sim.trials)
@@ -444,28 +455,33 @@ def default_truncation_radius(
 
 
 def _gamma_density_peak(L: int, lo, hi):
-    """Largest Gamma(L, 1) density on [lo, hi]; the density peaks at L - 1.
-    At L = 1 it is e^-t, 0 log 0 taken as 0."""
-    t = np.clip(L - 1.0, lo, hi)
-    if L == 1:
-        return np.exp(-t)
-    with np.errstate(divide="ignore"):
-        return np.exp((L - 1.0) * np.log(t) - t - math.lgamma(L))
+    """Largest Gamma(L, 1) density on [lo, hi]; the density peaks at L - 1."""
+    return poisson_pmf(L - 1, np.clip(L - 1.0, lo, hi))
+
+
+def _quantile_decades(L: int, x_dec):
+    """Indices of the last x_dec (nondecreasing) at or below the q quantile
+    of Gamma(L) and of the first at or above its 1 - q quantile, q =
+    TRUNCATION_GRID_QUANTILE, by counting: #{P(L, x) <= q} - 1, #{Q(L, x) > q}."""
+    q = TRUNCATION_GRID_QUANTILE
+    lo = np.count_nonzero(regularized_lower_gamma(L, x_dec) <= q) - 1
+    hi = np.count_nonzero(regularized_upper_gamma(L, x_dec) > q)
+    return max(lo, 0), min(hi, x_dec.size - 1)
 
 
 def _truncation_error_bound(model: IntensityModel, link: LinkConfig):
     """R -> an upper bound on sup over gamma > 0 of P(L, x) - P(L, x_R).
 
     For a model with an algebraic tail (see truncation_cdf_bound). psi is
-    evaluated once, on a log grid gamma_0 < ... < gamma_N whose x = psi +
-    sigma2*gamma runs from the TRUNCATION_GRID_QUANTILE to the 1 -
-    TRUNCATION_GRID_QUANTILE quantile of Gamma(L); each call then costs one
-    closed-form tail Delta_R on the grid. Between two nodes, x and
+    evaluated once, on a log grid gamma_0 < ... < gamma_N between the decades
+    whose x = psi + sigma2*gamma brackets the TRUNCATION_GRID_QUANTILE tails
+    of Gamma(L) (_quantile_decades); each call then costs one closed-form
+    tail Delta_R and one density call on the grid. Between two nodes, x and
     x_R = x - Delta_R rise with gamma and Delta_R does too, so the error
     P(L, x) - P(L, x_R) there is at most Delta_R(gamma_{i+1}) times the peak of
-    the Gamma(L) density on [x_R(gamma_i), x(gamma_{i+1})]. Below gamma_0 the
-    same holds on [0, x(gamma_0)], and above gamma_N the error is at most
-    Q(L, x_R(gamma_N)). The bound falls as R grows.
+    the Gamma(L) density on [x_R(gamma_i), x(gamma_{i+1})], with x_R(gamma_-1)
+    = 0 below gamma_0; above gamma_N the error is at most Q(L, x_R(gamma_N)).
+    The bound falls as R grows.
     """
     rho, eps, r0 = model.algebraic_tail
     L, alpha = link.L, link.alpha
@@ -476,9 +492,7 @@ def _truncation_error_bound(model: IntensityModel, link: LinkConfig):
     decades = 10.0 ** np.arange(-60.0, 61.0)
     with np.errstate(over="ignore"):
         x_dec = evaluator.value(decades) + link.sigma2 * decades
-    q = TRUNCATION_GRID_QUANTILE
-    lo = max(np.searchsorted(x_dec, gamma_quantile(L, q), "right") - 1, 0)
-    hi = min(np.searchsorted(x_dec, gamma_quantile(L, q, upper=True)), decades.size - 1)
+    lo, hi = _quantile_decades(L, x_dec)
     gamma = np.geomspace(decades[lo], decades[hi], TRUNCATION_GRID_PER_DECADE * (hi - lo) + 1)
     x = gamma_argument(evaluator.value, link.sigma2, gamma)
 
@@ -488,10 +502,9 @@ def _truncation_error_bound(model: IntensityModel, link: LinkConfig):
             # the polynomial part on (radius, r0]: the kernel is below 1
             delta += model.cumulative_count(r0) - model.cumulative_count(radius)
         x_r = np.maximum(x - delta, 0.0)
-        head = delta[0] * _gamma_density_peak(L, 0.0, x[0])
-        gaps = delta[1:] * _gamma_density_peak(L, x_r[:-1], x[1:])
+        gaps = delta * _gamma_density_peak(L, np.r_[0.0, x_r[:-1]], x)
         top = regularized_upper_gamma(L, x_r[-1])
-        return float(max(head, gaps.max(initial=0.0), top))
+        return float(max(gaps.max(), top))
 
     return bound
 
@@ -513,7 +526,7 @@ def truncation_cdf_bound(model: IntensityModel, link: LinkConfig, radius: float)
     if model.algebraic_tail is not None:
         bound = _truncation_error_bound(model, link)(radius)
     else:
-        bound = model.count_beyond(radius) * float(_gamma_density_peak(link.L, 0.0, math.inf))
+        bound = model.count_beyond(radius) * _gamma_density_peak(link.L, 0.0, math.inf)
     return min(bound, 1.0)
 
 

@@ -9,9 +9,11 @@ runs take.
 - The regularized incomplete gamma at integer L up to ANTENNAS_MAX is a
   Poisson sum, taken from the smaller tail outward: P(L, x) directly where
   it is small, so the lower tail keeps its relative accuracy (P(10, 1e-3)
-  is about 2.8e-37).
+  is about 2.8e-37). Its terms and the Gamma(L, 1) density are one array
+  function, poisson_pmf; a scalar call is a batch of one.
 - P(3/2, y) and Q(3/2, y), for the Gaussian cluster's count, are a series
-  below y = 1 and the erfc form above it, with a Newton inverse.
+  below y = 1 and the erfc form above it, with a Newton inverse that takes
+  one point at a time on Python floats.
 - The Gauss hypergeometric function is restricted to the first-parameter-1
   shape 2F1(1, b; b+1; -x), the only one the interference integrals
   produce: a fixed Gauss-Jacobi rule on its Euler integral up to x = 2, and
@@ -48,7 +50,7 @@ __all__ = [
     "ln_gamma",
     "regularized_upper_gamma",
     "regularized_lower_gamma",
-    "gamma_quantile",
+    "poisson_pmf",
     "three_halves_gamma",
     "three_halves_gamma_inverse",
     "hyp2f1_first_unit",
@@ -85,7 +87,7 @@ HYP2F1_NODES = 16
 HYP2F1_CONNECTION_NODES = 10
 # P(3/2, y) by its series below this y, by erfc above.
 THREE_HALVES_SERIES_MAX = 1.0
-# Newton steps of the quantile inverses, and the relative step they stop at.
+# Newton steps of the P(3/2, y) inverse, and the relative step it stops at.
 INVERSE_STEPS = 60
 INVERSE_RTOL = 4.0 * np.finfo(float).eps
 
@@ -146,7 +148,8 @@ def _as_array(x):
 
 def _falling_sum(first, ratio, *args, block=SERIES_BLOCK):
     """first * (1 + r_1 + r_1 r_2 + ...) per element of the 1-D array first,
-    or for one float (a Python or numpy float).
+    or for one float (a Python or numpy float; P(3/2, y) at one point takes
+    this branch).
 
     ratio(j, *args) gives the ratios r_j, elementwise in args (1-D arrays
     like first, or floats), for a column j of term indices, one row per
@@ -228,7 +231,7 @@ def _saddle_pmf(k, lam):
 
 
 def _poisson_pmf(k, lam):
-    """exp(-lam) lam^k / k! for whole k >= 0 and lam >= 0 (1-D arrays).
+    """poisson_pmf for 1-D arrays k and lam of one length, unchecked.
 
     Each factor is good to an ulp where all three stay normal doubles; where
     one leaves the float range (or k > FACTORIAL_MAX) the saddle-point form
@@ -246,6 +249,20 @@ def _poisson_pmf(k, lam):
     return p
 
 
+def poisson_pmf(k, x):
+    """x^k e^-x / k! for whole k >= 0 and x >= 0: the Poisson pmf at k, and
+    the Gamma(k + 1, 1) density at x; pmf(0; 0) = 1 and pmf(k; 0) = 0 for
+    k > 0. k and x broadcast together, and a scalar pair returns a float. k
+    is not capped at ANTENNAS_MAX (the outage reduction at L antennas takes
+    k = L)."""
+    k, x = np.asarray(k, dtype=float), np.asarray(x, dtype=float)
+    if np.any(k < 0) or np.any(k != np.floor(k)) or np.any(x < 0):
+        raise ValueError(f"poisson_pmf requires whole k >= 0 and x >= 0, got k={k!r}, x={x!r}")
+    k_b, x_b = np.broadcast_arrays(k, x)
+    p = _poisson_pmf(k_b.ravel(), x_b.ravel()).reshape(x_b.shape)
+    return float(p) if p.ndim == 0 else p
+
+
 def _check_antennas(L):
     L_arr = np.asarray(L)
     if L_arr.dtype.kind not in "iuf" or not (L_arr == np.floor(L_arr)).all():
@@ -255,17 +272,6 @@ def _check_antennas(L):
     return L_arr
 
 
-def _poisson_pmf_point(k: float, lam: float) -> float:
-    """_poisson_pmf at one point, the same steps on floats."""
-    if k > FACTORIAL_MAX or lam == math.inf:
-        return float(_poisson_pmf(np.array([k]), np.array([lam]))[0])
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        p = float(np.power(lam, k) * np.exp(-lam) / _FACTORIALS[int(k)])
-    if k > 0 and not np.finfo(float).tiny <= p < math.inf:
-        return float(_poisson_pmf(np.array([k]), np.array([lam]))[0])
-    return p
-
-
 def _regularized_gamma(L, x, upper: bool):
     """P(L, x), or Q(L, x) with upper, for integer L >= 1 and x >= 0.
 
@@ -273,20 +279,11 @@ def _regularized_gamma(L, x, upper: bool):
     Where x < L the tail from k = L up (P) is the smaller one, else the sum
     from k = L - 1 down (Q); that tail is summed from its largest term
     outward by the terms' ratios, and the other is one minus it. A scalar
-    pair takes the same steps on floats."""
+    pair is a batch of one, so it gets the value it would get in an array."""
     L_arr = _check_antennas(L)
-    x_arr, scalar = _as_array(x)
+    x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0):
         raise ValueError(f"the incomplete gamma function requires x >= 0, got {x!r}")
-    if scalar and L_arr.ndim == 0:
-        L_f, x_f = float(L_arr), float(x_arr)
-        below = x_f < L_f
-        first = _poisson_pmf_point(L_f if below else L_f - 1.0, x_f)
-        if below:
-            tail = _falling_sum(first, _upward_ratio, x_f, L_f)
-        else:
-            tail = _falling_sum(first, _downward_ratio, x_f, L_f, block=_down_block(L_f))
-        return tail if below != upper else 1.0 - tail
     L_b, x_b = np.broadcast_arrays(L_arr.astype(float), x_arr)
     L_f, x_f = L_b.ravel(), x_b.ravel()
     below = x_f < L_f
@@ -299,7 +296,7 @@ def _regularized_gamma(L, x, upper: bool):
             if side.any():
                 tail[side] = _falling_sum(first[side], ratio, x_f[side], L_f[side], block=block)
     out = np.where(below != upper, tail, 1.0 - tail).reshape(x_b.shape)
-    return float(out) if scalar and L_arr.ndim == 0 else out
+    return float(out) if out.ndim == 0 else out
 
 
 def _down_block(L_max: float) -> int:
@@ -338,40 +335,6 @@ def regularized_lower_gamma(L, x):
     regularized_upper_gamma.
     """
     return _regularized_gamma(L, x, upper=False)
-
-
-def _newton_inverse(target: float, tail, slope, start: float) -> float:
-    """The x > 0 with tail(x) = target, by Newton steps on the log of the
-    tail in log x: x *= exp(-step), step = log(tail(x) / target) / slope(x,
-    tail(x)), slope the derivative of log tail in log x. Stops once a step,
-    a relative change of x, is within INVERSE_RTOL."""
-    x = start
-    for _ in range(INVERSE_STEPS):
-        value = tail(x)
-        step = math.log(value / target) / slope(x, value)
-        x *= math.exp(-step)
-        if abs(step) <= INVERSE_RTOL:
-            break
-    return x
-
-
-@functools.lru_cache(maxsize=64)
-def gamma_quantile(L: int, q: float, upper: bool = False) -> float:
-    """The x with P(L, x) = q, or Q(L, x) = q with upper, for integer L >= 1
-    and 0 < q < 1: Newton steps on the log of the tail in log x, from the
-    small-x power law of P or from x = L - log q for Q. Both logs are concave
-    in log x, so after the first step Newton approaches the root from one
-    side. Cached: a campaign asks for the same quantiles more than once."""
-    _check_antennas(L)
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"the quantile level must lie in (0, 1), got {q}")
-    tail = regularized_upper_gamma if upper else regularized_lower_gamma
-
-    def slope(x, value):  # x times the Gamma(L, 1) density over the tail
-        return (-x if upper else x) * _poisson_pmf_point(L - 1.0, x) / value
-
-    start = L - math.log(q) if upper else math.exp((math.log(q) + math.lgamma(L + 1.0)) / L)
-    return _newton_inverse(q, lambda x: tail(L, x), slope, start)
 
 
 _THREE_HALVES_SERIES_SCALE = 4.0 / (3.0 * math.sqrt(math.pi))
@@ -421,19 +384,24 @@ def three_halves_gamma(y, upper: bool = False):
 def three_halves_gamma_inverse(p):
     """The y >= 0 with P(3/2, y) = p, for each 0 <= p < 1 of an array:
     Newton steps on log P in log y from the small-y power law
-    P ~ (4 / (3 sqrt(pi))) y^(3/2), to full precision; p = 0 gives 0.
-    Each element is solved on its own, on Python floats, against the same
-    P as three_halves_gamma."""
-
-    def slope(y, value):  # d log P / d log y = y^(3/2) e^-y / (Gamma(3/2) P)
-        return y * math.sqrt(y) * math.exp(-y) / (0.5 * math.sqrt(math.pi) * value)
-
-    def tail(y):
-        return _three_halves_point(y, False)
+    P ~ (4 / (3 sqrt(pi))) y^(3/2), y *= exp(-step), until a step (a
+    relative change of y) is within INVERSE_RTOL; p = 0 gives 0. Each
+    element is solved on its own, on Python floats, against the same P as
+    three_halves_gamma."""
 
     def root(target):
-        start = (target / _THREE_HALVES_SERIES_SCALE) ** (2.0 / 3.0)
-        return _newton_inverse(target, tail, slope, start) if target > 0.0 else 0.0
+        if not target > 0.0:
+            return 0.0
+        y = (target / _THREE_HALVES_SERIES_SCALE) ** (2.0 / 3.0)
+        for _ in range(INVERSE_STEPS):
+            value = _three_halves_point(y, False)
+            # d log P / d log y = y^(3/2) e^-y / (Gamma(3/2) P)
+            slope = y * math.sqrt(y) * math.exp(-y) / (0.5 * math.sqrt(math.pi) * value)
+            step = math.log(value / target) / slope
+            y *= math.exp(-step)
+            if abs(step) <= INVERSE_RTOL:
+                break
+        return y
 
     p = np.asarray(p, dtype=float)
     return np.array([root(float(v)) for v in p.ravel()]).reshape(p.shape)

@@ -9,6 +9,8 @@ import math
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -946,6 +948,35 @@ def test_main_outage_overflowing_disk_gives_the_noise_only_outage(tmp_path):
     gamma = cfg["tau"] * cfg["link"]["r_T"] ** cfg["link"]["alpha"]
     noise = regularized_lower_gamma(np.array([4, 12]), cfg["link"]["sigma2"] * gamma)
     np.testing.assert_array_equal(columns["outage"][2:], np.tile(noise, 2))
+
+
+def test_main_campaign_matrices_over_the_draw_limit_are_a_config_error(tmp_path):
+    # ten interferers pass the per-interferer count, but one trial's real
+    # 2L x 2L Gram alone would take 298 GiB at L = 1e5; the run is made in a
+    # child that caps its own address space at 2 GiB, so a failure to refuse
+    # it cannot take the host's memory
+    cfg = {
+        "experiment": "simulate",
+        "model": {"family": "gaussian_cluster", "v": 1.0, "total_count": 10.0},
+        "link": {"alpha": 4.0, "sigma2": 1e-3, "r_T": 1.0, "L": 100_000},
+        "sim": {"trials": 2, "seed": 0, "workers": 1},
+        "output_path": str(tmp_path / "sim.csv"),
+    }
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from sinrdist.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(sinrdist.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-c", child, "simulate", "--config", json.dumps(cfg)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "L = 100000" in done.stderr
 
 
 def test_main_oversized_point_draw_is_a_config_error(tmp_path, capsys):

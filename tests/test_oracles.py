@@ -24,11 +24,13 @@ from sinrdist import (
     PsiEvaluator,
     QuadratureSpec,
     SinrDistribution,
+    antenna_gain_delta,
     budget_truncation_radius,
     cdf_gamma,
     draw_channels,
     hyp2f1_first_unit,
     mmse_sinr,
+    pdf_gamma,
     psi_power_law,
     psi_quadrature,
     psi_quadrature_radial,
@@ -40,7 +42,7 @@ from sinrdist import (
 )
 
 from sinrdist.intensity import _piece_psi
-from sinrdist.specfun import gamma_quantile, three_halves_gamma, three_halves_gamma_inverse
+from sinrdist.specfun import three_halves_gamma, three_halves_gamma_inverse
 
 mp = pytest.importorskip("mpmath")
 
@@ -104,19 +106,75 @@ def test_regularized_gamma_no_worse_than_scipy(L):
         _assert_no_worse_than_scipy(got, theirs, ref, floor, f"{label}({L}, x)")
 
 
-@pytest.mark.parametrize("L", (1, 2, 10, 64, 1000))
-def test_gamma_quantile_no_worse_than_scipy(L):
-    """The truncation bracket's Gamma(L) quantiles at 1e-12, both tails,
-    against mpmath roots and scipy's gammaincinv / gammainccinv."""
-    special = pytest.importorskip("scipy.special")
-    mp.mp.dps = 40
-    q = 1e-12
-    for upper, theirs in ((False, special.gammaincinv(L, q)), (True, special.gammainccinv(L, q))):
-        def tail(x):
-            return mp.gammainc(L, x, mp.inf, regularized=True) if upper else mp.gammainc(L, 0, x, regularized=True)
+@pytest.mark.parametrize("L", (1, 2, 10, 64, 1000, 2000, 10_000, 100_000))
+def test_truncation_decades_bracket_the_gamma_quantiles(L):
+    """The truncation grid's decade bracket, counted from P(L, x) <= q and
+    Q(L, x) > q, is the one the Gamma(L) quantiles at q (mpmath roots) give:
+    on x = psi + sigma2*gamma of the fig3 field at the 121 decades of gamma,
+    and on grids packed within 1% of either quantile."""
+    from sinrdist.simulator import TRUNCATION_GRID_QUANTILE, _quantile_decades
 
-        ref = float(mp.findroot(lambda x: mp.log(tail(x) / q), mp.mpf(theirs)))
-        _assert_no_worse_than_scipy([gamma_quantile(L, q, upper)], [theirs], [ref], 4 * EPS, f"L={L}")
+    mp.mp.dps = 40
+    q = TRUNCATION_GRID_QUANTILE
+
+    def quantile(upper):
+        # Q(L, x) at 40 digits serves both tails (mpmath's lower series
+        # stalls at large L), solved in s = log x from the Wilson-Hilferty
+        # start at the normal quantile z = 7.03 of q
+        def log_ratio(s):
+            tail = mp.gammainc(L, mp.exp(s), mp.inf, regularized=True)
+            return mp.log((tail if upper else 1 - tail) / q)
+
+        z = 7.03 if upper else -7.03
+        start = L * max(1 - 1 / (9 * L) + z / (3 * math.sqrt(L)), 0.05) ** 3
+        return float(mp.exp(mp.findroot(log_ratio, math.log(start))))
+
+    x_lo, x_hi = quantile(False), quantile(True)
+    decades = 10.0 ** np.arange(-60.0, 61.0)
+    grids = [PsiEvaluator(PowerLaw(0.023, -0.5), 4.0).value(decades) + 1e-12 * decades]
+    grids += [x * np.linspace(0.99, 1.01, 120) for x in (x_lo, x_hi)]
+    for x_dec in grids:
+        lo = max(np.searchsorted(x_dec, x_lo, "right") - 1, 0)
+        hi = min(np.searchsorted(x_dec, x_hi), x_dec.size - 1)
+        assert _quantile_decades(L, x_dec) == (lo, hi), f"L={L}"
+
+
+@pytest.mark.parametrize("L", (1, 2, 10, 100, 171, 1000, 10_000, 100_000))
+def test_gamma_density_matches_mpmath(L):
+    """The Poisson term x^k e^-x / k! as the SINR density (k = L - 1, times
+    the slope of x), the outage reduction of one more antenna (k = L) and
+    the truncation bound's density peak (k = L - 1 at x = L - 1, times the
+    count beyond the disk) take it, at x near L/2, L, L + 3 sqrt(L) and
+    1.5 L: within 4 ulps plus the rounding of its exponent, as for the
+    incomplete gamma. A log-domain x^k e^-x / k! is off by up to 3e-10 at
+    L = 1e5."""
+    mp.mp.dps = 40
+
+    def pmf(k, x):
+        x = mp.mpf(float(x))
+        return mp.exp(-x) * x**k / mp.factorial(k)
+
+    link = LinkConfig(4.0, 0.0, 1.0, L)
+    dist = SinrDistribution(PsiEvaluator(PowerLaw(0.023, -0.5), 4.0), link)
+    # psi = psi(1) gamma^(3/8) on this field
+    targets = np.array([L / 2, L, L + 3 * math.sqrt(L), 1.5 * L])
+    gammas = (targets / dist.psi.value(1.0)) ** (8.0 / 3.0)
+    x, slope = dist.psi.value(gammas), dist.psi.derivative(gammas)
+    cluster = GaussianCluster.with_total_count(1000.0, 500.0)
+    count = cluster.count_beyond(4000.0)
+    cases = (
+        ("pdf_gamma", pdf_gamma(dist, gammas), [pmf(L - 1, a) * mp.mpf(float(b)) for a, b in zip(x, slope)]),
+        ("antenna_gain_delta", [antenna_gain_delta(dist, g) for g in gammas], [pmf(L, a) for a in x]),
+        ("peak", [truncation_cdf_bound(cluster, link, 4000.0)], [mp.mpf(count) * pmf(L - 1, L - 1)]),
+    )
+    for label, got, ref in cases:
+        got, ref = np.asarray(got, dtype=float), np.array([float(r) for r in ref])
+        with np.errstate(divide="ignore"):
+            floor = EPS * (4.0 + np.abs(np.log(ref)))
+        normal = ref > 1e-300  # below, the float range itself limits the value
+        assert np.all(np.abs(got[~normal] - ref[~normal]) <= 1e-300), label
+        error = np.abs(got[normal] - ref[normal]) / ref[normal]
+        assert np.all(error <= floor[normal]), f"{label} at L={L}: {error / EPS} ulps"
 
 
 def test_three_halves_gamma_no_worse_than_scipy():

@@ -11,6 +11,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sinrdist.simulator
 from sinrdist import (
@@ -41,6 +43,7 @@ from sinrdist import (
     DiskRegion,
 )
 from sinrdist.intensity import ConfigError, _outer_term
+from sinrdist.specfun import ANTENNAS_MAX
 
 LINK = LinkConfig(alpha=4.0, sigma2=1e-12, r_T=10.0, L=4)
 
@@ -529,6 +532,11 @@ def test_oversized_campaign_draw_is_refused_before_drawing(monkeypatch):
     sim = SimConfig(trials=4, truncation_radius=1000.0, seed=0, link=LINK, model=model)
     with pytest.raises(ConfigError, match="Poisson mean of 3.14159e\\+09 points"):
         run_campaign(sim)
+    # 112 L^2 B of per-trial matrices pass 1 GiB from L = 3097 on, whatever the count
+    link = LinkConfig(alpha=4.0, sigma2=1e-12, r_T=10.0, L=3097)
+    sim = SimConfig(trials=4, truncation_radius=1.0, seed=0, link=link, model=PowerLaw(rho=1e-3, eps=0.0))
+    with pytest.raises(ConfigError, match="L = 3097 antennas"):
+        run_campaign(sim)
 
 
 def test_campaign_truncation_insensitive():
@@ -629,6 +637,36 @@ def test_budget_radius_keeps_the_fixed_rules():
         )
     with pytest.raises(TypeError):
         budget_truncation_radius(object(), FIELD_LINK, 1000)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    tail=st.booleans(),
+    L=st.floats(0.0, math.log(ANTENNAS_MAX)).map(lambda s: min(round(math.exp(s)), ANTENNAS_MAX)),
+    alpha=st.floats(2.0, 6.0, exclude_min=True),
+    shape=st.floats(0.01, 0.99),
+    rho=st.floats(-6.0, 2.0).map(lambda e: 10.0**e),
+    sigma2=st.one_of(st.just(0.0), st.floats(-20.0, 0.0).map(lambda e: 10.0**e)),
+    trials=st.integers(1, 100_000),
+)
+def test_truncation_sizing_is_finite_or_a_typed_error(tail, L, alpha, shape, rho, sigma2, trials):
+    """Over power laws and polynomials with a tail, at any L up to the cap:
+    the budget radius is finite, at least the tail's start r0 and within
+    its budget, and the bound there is a probability; or sizing raises
+    ArithmeticError or ConfigError, never a bare ValueError."""
+    if tail:
+        eps = -2.0 + shape
+        model = PolynomialWithTail(coeffs=(rho,), R0=100.0, rho0=rho * 100.0**-eps, eps_tail=eps)
+    else:
+        model = PowerLaw(rho=rho, eps=-2.0 + shape * alpha)  # eps < alpha - 2
+    link = LinkConfig(alpha=alpha, sigma2=sigma2, r_T=1.0, L=L)
+    try:
+        radius = budget_truncation_radius(model, link, trials)
+        bound = truncation_cdf_bound(model, link, radius)
+    except (ArithmeticError, ConfigError):
+        return
+    assert math.isfinite(radius) and radius >= model.algebraic_tail[2]
+    assert 0.0 <= bound <= 0.01 * 1.36 / math.sqrt(trials)
 
 
 def test_truncation_cdf_bound_of_the_fixed_families():

@@ -22,7 +22,7 @@ from sinrdist import (
     regularized_lower_gamma,
     regularized_upper_gamma,
 )
-from sinrdist.specfun import ANTENNAS_MAX, three_halves_gamma
+from sinrdist.specfun import ANTENNAS_MAX, poisson_pmf, three_halves_gamma
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +95,13 @@ def test_upper_gamma_large_argument_tails():
 
 
 def test_gamma_functions_arrays_match_scalars():
-    """An element's value is its own, whatever shares its batch: the Poisson
-    sums and P(3/2, y) take the same steps for one float as in an array."""
+    """An element's value is its own, whatever shares its batch: a scalar
+    pair of the Poisson sums is a batch of one, and P(3/2, y) takes the same
+    steps for one float as in an array. The first two points are where a
+    float twin of the sums was an ulp off the array value."""
     rng = np.random.default_rng(5)
-    L = rng.integers(1, 300, 200)
-    x = L * np.exp(rng.normal(0.0, 0.5, 200))
+    L = np.r_[3, 3, rng.integers(1, 300, 200)]
+    x = np.r_[3.7524112570756003, 12.970147236465635, L[2:] * np.exp(rng.normal(0.0, 0.5, 200))]
     for f in (regularized_lower_gamma, regularized_upper_gamma):
         got = f(L, x)
         assert np.array_equal(got, [f(int(a), float(b)) for a, b in zip(L, x)])
@@ -127,6 +129,23 @@ def test_gamma_antenna_cap_and_time_there():
     q = regularized_upper_gamma(ANTENNAS_MAX, x)
     assert time.perf_counter() - start < 1.0  # about 0.06 s on one Xeon core
     np.testing.assert_allclose(p + q, 1.0, rtol=0.0, atol=4e-16)
+
+
+def test_poisson_pmf_edges_and_shapes():
+    """pmf(0; 0) = 1 and pmf(k; 0) = 0 for k > 0 stand in for the special
+    cases of a log-domain form; x = inf gives 0; k is not capped at
+    ANTENNAS_MAX; k and x broadcast, and a scalar pair returns a float."""
+    assert poisson_pmf(0, 0.0) == 1.0 and poisson_pmf(3, 0.0) == 0.0
+    assert poisson_pmf(0, np.inf) == 0.0 and poisson_pmf(ANTENNAS_MAX + 1, np.inf) == 0.0
+    assert isinstance(poisson_pmf(2, 1.5), float)
+    at_cap = poisson_pmf(ANTENNAS_MAX + 1, float(ANTENNAS_MAX + 1))
+    assert at_cap == pytest.approx(1.0 / math.sqrt(2.0 * math.pi * (ANTENNAS_MAX + 1)), rel=1e-5)
+    grid = poisson_pmf(np.arange(4)[:, None], np.array([0.5, 2.0]))
+    assert grid.shape == (4, 2)
+    assert grid[2, 1] == poisson_pmf(2, 2.0)
+    for k, x in ((-1, 1.0), (1.5, 1.0), (2, -1.0)):
+        with pytest.raises(ValueError):
+            poisson_pmf(k, x)
 
 
 @given(
