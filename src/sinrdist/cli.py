@@ -447,10 +447,9 @@ class Scaling(ExperimentConfig):
         n = self.gamma_grid.size
         # psi is linear in beta: psi of the beta = 1 profile, scaled to each
         # beta_L = beta * (q L), and one P(L, x) call for the (L, gamma) grid
-        unit = dataclasses.replace(nominal, beta=1.0)
-        psi = PsiEvaluator(unit, link.alpha, self.quad).value(self.gamma_grid)
+        unit = PsiEvaluator(dataclasses.replace(nominal, beta=1.0), link.alpha, self.quad)
         beta = nominal.beta * (self.q * L)
-        x = gamma_argument(lambda g: beta[:, None] * psi, link.sigma2, self.gamma_grid)
+        x = gamma_argument(lambda g: beta[:, None] * unit.value(g), link.sigma2, self.gamma_grid)
         extra = {"sinr_limit": limit, "sinr_limit_db": 10.0 * math.log10(limit), "q": self.q}
         return {
             "L": np.repeat(L, n),

@@ -227,6 +227,9 @@ def argument_supremum(model: IntensityModel, sigma2: float = 0.0) -> float:
     return mass + sigma2 * float(np.finfo(float).max)
 
 
+# as in gamma_argument: an overflowing count or psi is judged by its value
+# (a saturation, NaN or bracket error), not warned about
+@np.errstate(over="ignore", invalid="ignore")
 def scaling_limit(
     nominal: IntensityModel,
     q: float,

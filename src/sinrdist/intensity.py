@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .specfun import _as_array, hyp2f1_first_unit, three_halves_gamma, three_halves_gamma_inverse
+from .specfun import _as_array, hyp2f1_first_unit, three_halves_gamma
 
 __all__ = [
     "ConfigError",
@@ -61,11 +61,6 @@ TWO_PI = 2.0 * math.pi
 NONNEGATIVITY_GRID = 1024
 # Knot count of the tabulated inverse radial CDF used by table-driven samplers.
 INVERSE_CDF_KNOTS = 4096
-# Below the CDF value at this knot of its table a Gaussian-cluster radius is
-# drawn by the exact (Maxwell) inverse. Near the origin the radius goes like
-# u^(1/3), which the cubic table follows badly: 5% off at u = 1e-9 on the 8v
-# disk, while above knot 64 (u = 5.2e-4 there) at most 1.1e-8.
-EXACT_INVERSE_KNOTS = 64
 # Step cap of the exact inverse that polishes table draws, and the relative
 # step (or a quarter of the relative bracket) it stops at.
 NEWTON_STEPS = 60
@@ -80,6 +75,10 @@ FIT_DEGREE_CAP = 30
 GAUSSIAN_SPLIT_FACTOR = 6.0
 GAUSSIAN_TRUNCATION_FACTOR = 8.0
 GAUSSIAN_SUPPORT_FACTOR = 12.0
+# The median of the Maxwell law in units of v, where P(3/2, m^2 / 2) = 1/2:
+# on a Gaussian-cluster disk at least this wide at least half of the radii
+# v |Z| fall inside, so a radius takes at most two draws on average.
+MAXWELL_MEDIAN = 1.5381722544550522
 # Annulus pieces closer than this to the outer-form pole at k = alpha - 2 are
 # evaluated with the disk form instead.
 _POLE_MARGIN = 0.01
@@ -400,6 +399,12 @@ class IntensityModel:
         support = self.cumulative_count(self.support_radius)
         return float(support - self.cumulative_count(min(r, self.support_radius)))
 
+    def draw_radii(self, rng, n: int, r_max: float):
+        """n radii drawn from rng by the radial law on [0, r_max] (cut to
+        the support; r_max is math.inf for the whole plane): by default
+        sample_radii at n uniforms open at 0, so the radii stay positive."""
+        return self.sample_radii(1.0 - rng.random(n), r_max)
+
     def sample_radii(self, u, r_max: float):
         """The radial inverse CDF on [0, r_max] (cut to the support; r_max is
         math.inf for the whole plane) at uniforms u in (0, 1].
@@ -554,14 +559,6 @@ class PowerLaw(PowerLawSum):
     @functools.cached_property
     def pieces(self):
         return ((self.rho, self.eps, 0.0, math.inf),)
-
-    def cumulative_count(self, r):
-        # each campaign trial asks for the Poisson mean twice: 2.4 us a call
-        # here, against 8.0 us for the sum over pieces (2-core Xeon)
-        r, scalar = _as_array(r)
-        p = 2.0 + self.eps
-        out = TWO_PI * self.beta * self.rho * np.power(r, p) / p
-        return float(out) if scalar else out
 
     def dpsi_closed_form(self, alpha: float, gamma, psi):
         # psi is a power of gamma, (2 + eps) / alpha
@@ -785,25 +782,22 @@ class GaussianCluster(IntensityModel):
         of two counts cancels far out (to 0 at 12v)."""
         return self.total_count * three_halves_gamma(0.5 * (r / self.v) ** 2, upper=True)
 
-    def sample_radii(self, u, r_max: float):
-        """The table, with draws below its EXACT_INVERSE_KNOTS-th knot taken
-        by the exact inverse: the radial density is proportional to
-        r^2 exp(-r^2 / 2v^2), so the CDF is P(3/2, r^2/2v^2) /
-        P(3/2, r_max^2/2v^2), P the regularized lower incomplete gamma."""
+    def draw_radii(self, rng, n: int, r_max: float):
+        """v |Z| with Z ~ N(0, I_3): the radial density is proportional to
+        r^2 exp(-r^2 / 2v^2), the Maxwell law (Devroye 1986, ch. IX), so the
+        length of a 3-D standard normal vector times v is a draw on the plane.
+        Radii beyond the disk are drawn again until none is left. A disk
+        narrower than MAXWELL_MEDIAN v would redraw more than half of them,
+        so there the inherited inverse CDF draws instead."""
         r_max = min(r_max, self.support_radius)
-        r, knots = _table_radii(self, r_max, u)
-        near = u < knots[EXACT_INVERSE_KNOTS]
-        if near.any():
-            mass = _maxwell_mass(0.5 * (r_max / self.v) ** 2)
-            r[near] = self.v * np.sqrt(2.0 * three_halves_gamma_inverse(u[near] * mass))
+        if r_max < MAXWELL_MEDIAN * self.v:
+            return super().draw_radii(rng, n, r_max)
+        r = np.empty(n)
+        todo = np.arange(n)
+        while todo.size:
+            r[todo] = self.v * np.linalg.norm(rng.standard_normal((todo.size, 3)), axis=1)
+            todo = todo[r[todo] > r_max]
         return r
-
-
-@functools.lru_cache(maxsize=64)
-def _maxwell_mass(y: float) -> float:
-    """P(3/2, y), the Gaussian cluster's share of its count within
-    sqrt(2 y) v; cached, as each trial of a campaign needs it."""
-    return three_halves_gamma(y)
 
 
 FAMILIES = {
@@ -880,10 +874,10 @@ def sample_location(model: IntensityModel, region: DiskRegion, rng, size=None):
     """Draw point locations (r, theta) from the normalized intensity.
 
     theta is uniform on [0, 2*pi); r follows the radial marginal, drawn by
-    the family's sample_radii: analytic inversion for the power-law
-    families, and for the polynomial and Gaussian ones a 4096-knot cubic
-    Hermite inverse-CDF table with slopes from the density, Newton-polished
-    for the polynomial and exact for the Gaussian below its 64th knot. Pass
+    the family's draw_radii after the angles: analytic inversion for the
+    power-law families, a 4096-knot cubic Hermite inverse-CDF table with
+    slopes from the density and Newton polish for the polynomial, and for
+    the Gaussian cluster v |Z| with Z a 3-D standard normal vector. Pass
     size=None for one (float, float) pair, or an integer for arrays.
 
     rng must be an exclusive numpy Generator (one per thread).
@@ -893,9 +887,7 @@ def sample_location(model: IntensityModel, region: DiskRegion, rng, size=None):
         raise ValueError("intensity has zero mass over the region; nothing to sample")
     n = 1 if size is None else int(size)
     theta = rng.uniform(0.0, TWO_PI, size=n)
-    # open at 0 so inverted radii stay strictly positive
-    u = 1.0 - rng.random(n)
-    r = model.sample_radii(u, region.radius)
+    r = model.draw_radii(rng, n, region.radius)
     if size is None:
         return float(r[0]), float(theta[0])
     return r, theta

@@ -69,9 +69,9 @@ TRUNCATION_GRID_QUANTILE = 1e-12
 # bisection stops.
 TRUNCATION_RADIUS_RANGE = (1e-20, 1e20)
 TRUNCATION_RADIUS_RTOL = 1e-3
-# Largest number of interferers per block of the MMSE Gram (and of the QR
-# route), and OpenBLAS's multithreading threshold on m*n*k: blocks stay below
-# it (see _gram_block), so BLAS stays single-threaded inside each worker process.
+# Largest number of interferers per block of the MMSE Gram, and OpenBLAS's
+# multithreading threshold on m*n*k: blocks stay below it (see _gram_block),
+# so the Gram's dgemms stay single-threaded inside each worker process.
 GRAM_BLOCK = 256
 BLAS_THREAD_THRESHOLD = 262_144
 # Bound on LAPACK's estimate of the 1-norm condition number of the MMSE
@@ -177,8 +177,7 @@ def draw_network(model: IntensityModel, R_sim: float, rng) -> np.ndarray:
     region = DiskRegion(R_sim)
     mu = mean_count(model, region)
     n = int(rng.poisson(mu)) if mu != 0.0 else 0
-    # uniforms open at 0 so inverted radii stay strictly positive
-    return model.sample_radii(1.0 - rng.random(n), region.radius) if n else np.empty(0)
+    return model.draw_radii(rng, n, region.radius) if n else np.empty(0)
 
 
 def _draw_normals(n: int, L: int, rng):
@@ -264,12 +263,13 @@ def _qr_quadratic_form(powers, g, S, sigma2: float) -> float:
     order = np.argsort(powers)[::-1]
     rows = (_complex(S[:, order]) * np.sqrt(powers[order])).conj().T
     A = np.vstack((rows, math.sqrt(sigma2) * np.eye(L)))
-    # factor _gram_block(L) rows at a time beneath the R of the rows before
-    # them: the same R up to the phases of its rows, and every QR stays
-    # small enough that OpenBLAS never wakes threads that would spin on the
-    # cores of the other campaign workers
+    # factor the rows a block at a time beneath the R of the rows before
+    # them: the same R up to the phases of its rows. The block is the
+    # Gram's, _gram_block(L), up to L = 40; from there on that is fewer than
+    # L rows (one from L = 182), so the block is L rows, which bounds the
+    # QR count by ceil((n + L) / L) where the Gram's would take up to n + L
     R = A[:0]
-    step = _gram_block(L)
+    step = max(_gram_block(L), L)
     for start in range(0, A.shape[0], step):
         R = np.linalg.qr(np.vstack((R, A[start : start + step])), mode="r")
     if not np.all(np.diag(R) != 0.0):

@@ -12,8 +12,8 @@ runs take.
   is about 2.8e-37). Its terms and the Gamma(L, 1) density are one array
   function, poisson_pmf; a scalar call is a batch of one.
 - P(3/2, y) and Q(3/2, y), for the Gaussian cluster's count, are a series
-  below y = 1 and the erfc form above it, with a Newton inverse that takes
-  one point at a time on Python floats.
+  below y = 1 and the erfc form above it; a scalar call is a batch of one
+  here too.
 - The Gauss hypergeometric function is restricted to the first-parameter-1
   shape 2F1(1, b; b+1; -x), the only one the interference integrals
   produce: a fixed Gauss-Jacobi rule on its Euler integral up to x = 2, and
@@ -34,9 +34,7 @@ so a value does not depend on which other points share its batch.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -52,7 +50,6 @@ __all__ = [
     "regularized_lower_gamma",
     "poisson_pmf",
     "three_halves_gamma",
-    "three_halves_gamma_inverse",
     "hyp2f1_first_unit",
     "integrate_radial",
     "integrate_log_panels",
@@ -87,9 +84,6 @@ HYP2F1_NODES = 16
 HYP2F1_CONNECTION_NODES = 10
 # P(3/2, y) by its series below this y, by erfc above.
 THREE_HALVES_SERIES_MAX = 1.0
-# Newton steps of the P(3/2, y) inverse, and the relative step it stops at.
-INVERSE_STEPS = 60
-INVERSE_RTOL = 4.0 * np.finfo(float).eps
 
 
 class AccuracyError(RuntimeError):
@@ -147,38 +141,20 @@ def _as_array(x):
 
 
 def _falling_sum(first, ratio, *args, block=SERIES_BLOCK):
-    """first * (1 + r_1 + r_1 r_2 + ...) per element of the 1-D array first,
-    or for one float (a Python or numpy float; P(3/2, y) at one point takes
-    this branch).
+    """first * (1 + r_1 + r_1 r_2 + ...) per element of the 1-D array first.
 
     ratio(j, *args) gives the ratios r_j, elementwise in args (1-D arrays
-    like first, or floats), for a column j of term indices, one row per
-    index (for floats, one index); the terms must fall. They come block (a
-    power of 2, SERIES_BLOCK or less) at a time; each block is summed
-    pairwise and added to the total. An element is done once its block's
-    last term is so small that no later block can change its sum (block
-    terms, each at most NO_OP_FRACTION / block of the total), so it gets
-    exactly its own sum whatever else shares the batch, and a float the same
-    sum as in an array: its branch forms the block's ratios with the same
-    numpy operations and takes the products and sums on Python floats.
+    like first), for a column j of term indices, one row per index; the
+    terms must fall. They come block (a power of 2, SERIES_BLOCK or less) at
+    a time; each block is summed pairwise and added to the total. An element
+    is done once its block's last term is so small that no later block can
+    change its sum (block terms, each at most NO_OP_FRACTION / block of the
+    total), so it gets exactly its own sum whatever else shares the batch.
     A series whose terms are 0 from some index on may take a block just
     long enough to hold the rest: a pairwise sum is unchanged by trailing
     zeros, so the sums are those of SERIES_BLOCK-term blocks.
     """
     j = 1
-    if isinstance(first, float):
-        total = term = float(first)
-        while True:
-            r = ratio(np.arange(j, j + block, dtype=float), *args).tolist()
-            r = list(itertools.accumulate(r, operator.mul, initial=term))[1:]
-            term = r[-1]
-            while len(r) > 1:
-                pairs = iter(r)
-                r = [a + b for a, b in zip(pairs, pairs)]
-            total = total + r[0]
-            j += block
-            if not term * block > total * NO_OP_FRACTION:
-                return total
     total = np.array(first, dtype=float)
     rows = np.arange(total.size)
     term = total
@@ -345,27 +321,15 @@ def _three_halves_ratio(j, y):
     return y / (1.5 + j)
 
 
-def _three_halves_point(y: float, upper: bool) -> float:
-    """three_halves_gamma at one point: the same steps as for an array."""
-    if y < THREE_HALVES_SERIES_MAX:
-        first = _THREE_HALVES_SERIES_SCALE * y * np.sqrt(y) * np.exp(-y)
-        p = _falling_sum(first, _three_halves_ratio, y)
-        return float(1.0 - p if upper else p)
-    q = 0.0 if y == math.inf else math.erfc(np.sqrt(y)) + 2.0 * np.sqrt(y / math.pi) * np.exp(-y)
-    return float(q if upper else 1.0 - q)
-
-
 def three_halves_gamma(y, upper: bool = False):
     """P(3/2, y), or Q(3/2, y) with upper, for y >= 0 (array or scalar).
 
     Below y = THREE_HALVES_SERIES_MAX, P = (4 / (3 sqrt(pi))) y^(3/2) e^-y
     M(1, 5/2, y), summed term by term; above it Q = erfc(sqrt(y)) +
     2 sqrt(y/pi) e^-y. Each is taken directly where it is the small one, so
-    P keeps its relative accuracy near 0 (like y^(3/2)) and Q far out."""
+    P keeps its relative accuracy near 0 (like y^(3/2)) and Q far out. A
+    scalar y returns a float."""
     y, scalar = _as_array(y)
-    if y.size == 1:
-        out = _three_halves_point(float(y.reshape(())), upper)
-        return out if scalar else np.full(y.shape, out)
     flat = y.ravel()
     series = flat < THREE_HALVES_SERIES_MAX
     out = np.empty_like(flat)
@@ -378,33 +342,7 @@ def three_halves_gamma(y, upper: bool = False):
         erfc = np.frompyfunc(math.erfc, 1, 1)(np.sqrt(yt)).astype(float)
         q = np.where(yt == np.inf, 0.0, erfc + 2.0 * np.sqrt(yt / math.pi) * np.exp(-yt))
     out[~series] = q if upper else 1.0 - q
-    return out.reshape(y.shape)
-
-
-def three_halves_gamma_inverse(p):
-    """The y >= 0 with P(3/2, y) = p, for each 0 <= p < 1 of an array:
-    Newton steps on log P in log y from the small-y power law
-    P ~ (4 / (3 sqrt(pi))) y^(3/2), y *= exp(-step), until a step (a
-    relative change of y) is within INVERSE_RTOL; p = 0 gives 0. Each
-    element is solved on its own, on Python floats, against the same P as
-    three_halves_gamma."""
-
-    def root(target):
-        if not target > 0.0:
-            return 0.0
-        y = (target / _THREE_HALVES_SERIES_SCALE) ** (2.0 / 3.0)
-        for _ in range(INVERSE_STEPS):
-            value = _three_halves_point(y, False)
-            # d log P / d log y = y^(3/2) e^-y / (Gamma(3/2) P)
-            slope = y * math.sqrt(y) * math.exp(-y) / (0.5 * math.sqrt(math.pi) * value)
-            step = math.log(value / target) / slope
-            y *= math.exp(-step)
-            if abs(step) <= INVERSE_RTOL:
-                break
-        return y
-
-    p = np.asarray(p, dtype=float)
-    return np.array([root(float(v)) for v in p.ravel()]).reshape(p.shape)
+    return float(out[0]) if scalar else out.reshape(y.shape)
 
 
 @functools.lru_cache(maxsize=1024)

@@ -855,6 +855,26 @@ def test_main_saturated_scaling_limit_is_a_config_error(tmp_path, capsys):
     assert "limit does not exist" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"family": "power_law", "rho": 1e307, "eps": -0.5},
+        {"family": "power_law", "rho": 1.7e308, "eps": -0.5},
+        {"family": "piecewise_power_law", "segments": [[1.7e308, -0.5, 10.0], [1.0, 0.0, 50.0]]},
+        {"family": "polynomial_with_tail", "coeffs": [1.7e308], "R0": 1.0, "rho0": 1.7e308, "eps_tail": -1.5},
+    ],
+    ids=["power-law-1e307", "power-law-1.7e308", "piecewise-1.7e308", "polynomial-1.7e308"],
+)
+def test_main_scaling_with_an_overflowing_scale_exits_cleanly(tmp_path, capsys, model):
+    # the psi, psi' and count evaluations of scaling_limit raised overflow and
+    # invalid-value RuntimeWarnings before the run exited 2
+    cfg = _scaling_config(tmp_path, model, 1.0)
+    assert main(["scaling", "--config", json.dumps(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "scaling.csv").exists()
+
+
 def test_main_unreachable_quantile_is_numerical(tmp_path, capsys):
     # without noise a 5-interferer cluster caps the CDF at 1 - Q(10, 5) ~ 0.03
     cfg = {

@@ -33,9 +33,9 @@ from sinrdist import (
     sample_location,
 )
 from sinrdist.intensity import (
-    EXACT_INVERSE_KNOTS,
     FAMILIES,
     INVERSE_CDF_KNOTS,
+    MAXWELL_MEDIAN,
     ConfigError,
     IntensityModel,
     PowerLawSum,
@@ -331,7 +331,7 @@ def test_sample_polynomial_matches_cumulative():
 
 
 def test_sample_gaussian_chi_square():
-    """Binned goodness of fit for the table-inverted Gaussian radial law."""
+    """Binned goodness of fit for the Gaussian radial law drawn as v |Z|."""
     gc = GaussianCluster(rho=1.0, v=500.0)
     region = DiskRegion(5 * 500.0)
     rng = np.random.default_rng(505)
@@ -343,6 +343,27 @@ def test_sample_gaussian_chi_square():
     observed, _ = np.histogram(r, bins=edges)
     result = scipy.stats.chisquare(observed, expected)
     assert result.pvalue > 0.001
+
+
+@pytest.mark.parametrize("disk", [8.0, 12.0, math.inf, 1.6, 1.0])
+def test_gaussian_draw_radii_follow_the_maxwell_law(disk):
+    """draw_radii against P(3/2, r^2/2v^2) / P(3/2, r_max^2/2v^2): v |Z| on
+    the plane (cut at 12v) down to 1.6v, where about half of the draws fall
+    outside and are drawn again, and the inherited inverse CDF on the v disk,
+    below the Maxwell median. Every radius lies in (0, r_max], and a seed
+    replays its radii."""
+    v, n = 500.0, 100_000
+    model = GaussianCluster(rho=1.0, v=v)
+    r_max = min(disk * v, model.support_radius)
+    r = model.draw_radii(np.random.default_rng(606), n, disk * v)
+    assert r.shape == (n,) and r.min() > 0.0 and r.max() <= r_max
+    np.testing.assert_array_equal(r, model.draw_radii(np.random.default_rng(606), n, disk * v))
+    mass = scipy.special.gammainc(1.5, 0.5 * (r_max / v) ** 2)
+    ks = scipy.stats.kstest(r, lambda x: scipy.special.gammainc(1.5, 0.5 * (x / v) ** 2) / mass)
+    assert ks.pvalue > 0.001
+    if disk < MAXWELL_MEDIAN:
+        fallback = model.sample_radii(1.0 - np.random.default_rng(606).random(n), r_max)
+        np.testing.assert_array_equal(r, fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +385,14 @@ FOUR_ANNULI = PiecewisePowerLaw(
 
 @pytest.mark.parametrize("disk", [5.0, 8.0, 12.0])
 def test_inverse_cdf_table_follows_the_exact_gaussian_inverse(disk):
-    """Above the knot where the Gaussian's exact inverse takes over, the
-    table's radii are within 2e-12 of that inverse in the median and 1.2e-8
-    at worst."""
+    """Above its 64th knot the table's guess for the Newton polish is within
+    2e-12 of the Gaussian's exact inverse in the median and 1.2e-8 at worst
+    (below it the radius goes like u^(1/3), which the cubics follow badly)."""
     v = 500.0
     model, R = GaussianCluster.with_total_count(1000.0, v), disk * v
     u = 1.0 - np.random.default_rng(11).random(200_000)
     radii, knots = _table_radii(model, R, u)
-    far = u >= knots[EXACT_INVERSE_KNOTS]
+    far = u >= knots[64]
     mass = scipy.special.gammainc(1.5, 0.5 * (R / v) ** 2)
     exact = v * np.sqrt(2.0 * scipy.special.gammaincinv(1.5, u[far] * mass))
     error = np.abs(radii[far] / exact - 1.0)

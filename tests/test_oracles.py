@@ -41,8 +41,8 @@ from sinrdist import (
     truncation_cdf_bound,
 )
 
-from sinrdist.intensity import _piece_psi
-from sinrdist.specfun import three_halves_gamma, three_halves_gamma_inverse
+from sinrdist.intensity import MAXWELL_MEDIAN, _piece_psi
+from sinrdist.specfun import three_halves_gamma
 
 mp = pytest.importorskip("mpmath")
 
@@ -195,17 +195,12 @@ def test_three_halves_gamma_no_worse_than_scipy():
     assert three_halves_gamma(0.0) == 0.0 and three_halves_gamma(np.inf, upper=True) == 0.0
 
 
-def test_three_halves_gamma_inverse_round_trip():
-    special = pytest.importorskip("scipy.special")
+def test_maxwell_median_matches_mpmath():
+    """The radius, in units of v, within which half a Gaussian cluster's
+    count lies: P(3/2, m^2 / 2) = 1/2."""
     mp.mp.dps = 40
-    p = np.concatenate([[0.0], np.geomspace(1e-30, 0.5, 12)])
-    y = three_halves_gamma_inverse(p)
-    assert y[0] == 0.0
-    np.testing.assert_allclose(three_halves_gamma(y[1:]), p[1:], rtol=4 * EPS, atol=0.0)
-    # the root itself, next to scipy's gammaincinv
-    ref = [float(mp.findroot(lambda t: mp.gammainc(1.5, 0, t, regularized=True) - v, mp.mpf(guess)))
-           for v, guess in zip(p[1:], y[1:])]
-    _assert_no_worse_than_scipy(y[1:], special.gammaincinv(1.5, p[1:]), ref, 4 * EPS, "P^-1(3/2, p)")
+    m = mp.findroot(lambda t: mp.gammainc(1.5, 0, t * t / 2, regularized=True) - 0.5, 1.5)
+    assert MAXWELL_MEDIAN == float(m)
 
 
 def test_hyp2f1_no_worse_than_scipy_at_and_near_integer_b():
@@ -450,18 +445,20 @@ class _FixedUniforms:
 
 
 def test_gaussian_sampler_near_origin_matches_mpmath():
-    """Radii drawn at u <= 1e-6 sit where the Maxwell radial CDF equals u."""
+    """The inherited inverse CDF (table and Newton polish) puts u <= 1e-6,
+    and u across (0, 1], where the Maxwell radial CDF equals u, on disks of
+    1.2v (where draw_radii uses it), 8v and 12v."""
     mp.mp.dps = 30
-    v, R = 500.0, 4000.0
-    rng = _FixedUniforms([1e-15, 1e-12, 1e-10, 1e-9, 1e-8, 1e-6])
-    u = 1.0 - rng.random(rng.u.size)  # the uniforms the sampler inverts
-    r, _ = sample_location(GaussianCluster(rho=1.0, v=v), DiskRegion(R), rng, size=u.size)
+    v = 500.0
+    u = np.array([1e-15, 1e-12, 1e-10, 1e-9, 1e-8, 1e-6, 0.3, 0.9, 1.0])
 
     def maxwell_cdf(x):
         return mp.gammainc(1.5, 0, mp.mpf(x) ** 2 / (2 * v**2), regularized=True)
 
-    ref = [float(maxwell_cdf(x) / maxwell_cdf(R)) for x in r]
-    np.testing.assert_allclose(ref, u, rtol=1e-12, atol=0.0)
+    for R in (1.2 * v, 8.0 * v, 12.0 * v):
+        r = GaussianCluster(rho=1.0, v=v).sample_radii(u, R)
+        ref = [float(maxwell_cdf(x) / maxwell_cdf(R)) for x in r]
+        np.testing.assert_allclose(ref, u, rtol=1e-12, atol=0.0, err_msg=f"R = {R}")
 
 
 @pytest.mark.parametrize(

@@ -271,6 +271,23 @@ def test_mmse_qr_route_agrees_with_cholesky_route(monkeypatch):
     np.testing.assert_allclose(qr, cholesky, rtol=1e-10, atol=0.0)
 
 
+def test_mmse_qr_route_factors_blocks_of_at_least_L_rows(monkeypatch):
+    """From L = 182 on the Gram's block is one interferer, and the QR route
+    took its rows one at a time: 276 factorizations for n = 20 at L = 256."""
+    L, n = 256, 20
+    link = LinkConfig(alpha=4.0, sigma2=1.0, r_T=1.0, L=L)
+    rng = trial_rng(11, 0)
+    radii = 1.0 + rng.random(n)
+    g_t, G = draw_channels(n, L, rng)
+    cholesky = mmse_sinr(radii, g_t, G, link)
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
+    monkeypatch.setattr(sinrdist.simulator, "CONDITION_LIMIT", 0.0)
+    assert mmse_sinr(radii, g_t, G, link) == pytest.approx(cholesky, rel=1e-10)
+    assert 0 < len(calls) <= math.ceil((n + L) / L)
+
+
 def test_mmse_singular_covariance_is_a_numerical_error():
     """No noise and fewer interferers than antennas: the SINR is unbounded."""
     link = LinkConfig(alpha=4.0, sigma2=0.0, r_T=1.0, L=3)

@@ -96,9 +96,9 @@ def test_upper_gamma_large_argument_tails():
 
 def test_gamma_functions_arrays_match_scalars():
     """An element's value is its own, whatever shares its batch: a scalar
-    pair of the Poisson sums is a batch of one, and P(3/2, y) takes the same
-    steps for one float as in an array. The first two points are where a
-    float twin of the sums was an ulp off the array value."""
+    call of the Poisson sums or of P(3/2, y) is a batch of one. The first
+    two points are where a float twin of the sums was an ulp off the array
+    value."""
     rng = np.random.default_rng(5)
     L = np.r_[3, 3, rng.integers(1, 300, 200)]
     x = np.r_[3.7524112570756003, 12.970147236465635, L[2:] * np.exp(rng.normal(0.0, 0.5, 200))]
