@@ -8,6 +8,12 @@ the analytic CDF, which is exactly what the test suite uses it for.
 Determinism contract: trial t draws all of its randomness from a counter-based
 stream keyed by (seed, t), so a campaign is a pure function of its config and
 is bit-identical no matter how its trials are split across worker processes.
+
+A campaign runs in chunks of consecutive trials (_run_chunk), which take the
+Poisson mean once, re-key one generator to each trial's stream and factor
+their trials' covariances a batch at a time, in one stacked Cholesky pass
+(_cholesky_quadratic_forms); run_trial and mmse_sinr take the same pass with
+a stack of one, so a trial's SINR does not depend on the batch it lands in.
 """
 
 from __future__ import annotations
@@ -80,11 +86,15 @@ CONDITION_LIMIT = 1e8
 # Largest expected size, in bytes, of what one Poisson draw allocates: a mean
 # count that asks for more is refused before anything is drawn. A campaign's
 # per-trial matrices are held to it too, at TRIAL_MATRIX_BYTES per L^2: the
-# real 2L x 2L Gram (32 L^2) and five complex L x L matrices on the Cholesky
-# route (the covariance, its factor, the factor's inverse, its adjoint and
-# their product, 16 L^2 each), which caps a campaign at L = 3096.
+# real 2L x 2L Gram (32 L^2) and the five complex L x L matrices each trial
+# keeps in its batch's stacks (the covariance, its Cholesky factor, the
+# factor's inverse, its adjoint and their product, 16 L^2 each), which caps
+# a campaign at L = 3096. A batch takes as many trials as fit in
+# BATCH_MATRIX_BYTES, and at least one (see _batch_size), so its matrices fit
+# in MAX_DRAW_BYTES at every L a campaign accepts.
 MAX_DRAW_BYTES = 2**30
 TRIAL_MATRIX_BYTES = 32 + 5 * 16
+BATCH_MATRIX_BYTES = 2**20
 # Contiguous chunks of trial indices per worker process: a few per worker even
 # out uneven trial costs, and each chunk returns its results as two arrays.
 CHUNKS_PER_WORKER = 4
@@ -168,6 +178,12 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _draw_radii(model: IntensityModel, mean: float, radius: float, rng) -> np.ndarray:
+    """A Poisson count of the given mean, then that many i.i.d. radii on the disk."""
+    n = int(rng.poisson(mean)) if mean != 0.0 else 0
+    return model.draw_radii(rng, n, radius) if n else np.empty(0)
+
+
 def draw_network(model: IntensityModel, R_sim: float, rng) -> np.ndarray:
     """Draw one network: Poisson count, then i.i.d. radii on the disk.
 
@@ -175,9 +191,7 @@ def draw_network(model: IntensityModel, R_sim: float, rng) -> np.ndarray:
     angles are drawn.
     """
     region = DiskRegion(R_sim)
-    mu = mean_count(model, region)
-    n = int(rng.poisson(mu)) if mu != 0.0 else 0
-    return model.draw_radii(rng, n, region.radius) if n else np.empty(0)
+    return _draw_radii(model, mean_count(model, region), region.radius, rng)
 
 
 def _draw_normals(n: int, L: int, rng):
@@ -189,10 +203,12 @@ def _draw_normals(n: int, L: int, rng):
     return z[: 2 * L], z[2 * L :].reshape(2 * L, n)
 
 
-def _complex(stacked):
-    """re + i im from [re; im] stacked along the first axis."""
-    re, im = np.split(stacked, 2)
-    out = np.empty(re.shape, dtype=complex)
+def _complex(stacked, out=None):
+    """re + i im from [re; im] stacked along the first axis, into out if given."""
+    half = len(stacked) // 2
+    re, im = stacked[:half], stacked[half:]
+    if out is None:
+        out = np.empty(re.shape, dtype=complex)
     out.real, out.imag = re, im
     return out
 
@@ -220,8 +236,9 @@ def _gram_block(L: int) -> int:
     return max(1, min(GRAM_BLOCK, BLAS_THREAD_THRESHOLD // (4 * L * L)))
 
 
-def _interference_covariance(powers, S, sigma2: float) -> np.ndarray:
-    """G P G^H + sigma2 I from the real Gram of S = [Re G; Im G] by column blocks."""
+def _interference_covariance(powers, S, sigma2: float, out=None) -> np.ndarray:
+    """G P G^H + sigma2 I from the real Gram of S = [Re G; Im G] by column
+    blocks, into out (L x L complex) if given."""
     L = S.shape[0] // 2
     M = np.zeros((2 * L, 2 * L))
     block = _gram_block(L)
@@ -229,29 +246,36 @@ def _interference_covariance(powers, S, sigma2: float) -> np.ndarray:
         cols = S[:, start : start + block]
         M += (cols * powers[start : start + block]) @ cols.T
     # with M = S P S^T, G P G^H = (M_rr + M_ii) + i (M_ir - M_ri)
-    cov = np.empty((L, L), dtype=complex)
+    cov = np.empty((L, L), dtype=complex) if out is None else out
     np.add(M[:L, :L], M[L:, L:], out=cov.real)
     np.subtract(M[L:, :L], M[:L, L:], out=cov.imag)
     cov.flat[:: L + 1] += sigma2
     return cov
 
 
-def _cholesky_quadratic_form(cov, g):
-    """g^H cov^{-1} g by Cholesky, or None when cov is too ill-conditioned."""
+def _cholesky_quadratic_forms(cov, g):
+    """g_k^H cov_k^{-1} g_k for a stack of covariances cov (B x L x L) and
+    vectors g (B x L), by one stacked Cholesky pass, and a mask of the trials
+    the pass accepts: those whose factorization succeeds and whose exact
+    1-norm condition number is at most CONDITION_LIMIT. A stacked
+    factorization fails as a whole when one matrix fails, and the stack is
+    then factored a matrix at a time. Forms the pass rejects are 0."""
     try:
         inverse = np.linalg.inv(np.linalg.cholesky(cov))
     except np.linalg.LinAlgError:
-        return None
+        if len(cov) == 1:
+            return np.zeros(1, dtype=complex), np.zeros(1, dtype=bool)
+        parts = [_cholesky_quadratic_forms(cov[k : k + 1], g[k : k + 1]) for k in range(len(cov))]
+        return tuple(np.concatenate(column) for column in zip(*parts))
     # cov^{-1} = F^-H F^-1 gives the exact 1-norm condition number
-    adjoint = inverse.conj().T
-    if not np.linalg.norm(cov, 1) * np.linalg.norm(adjoint @ inverse, 1) <= CONDITION_LIMIT:
-        return None
-    quad = complex(np.vdot(g, adjoint @ (inverse @ g)))
-    if abs(quad.imag) > 1e-12 * max(1.0, abs(quad.real)):
-        raise ArithmeticError(
-            f"MMSE quadratic form has non-negligible imaginary part: {quad!r}"
-        )
-    return quad.real
+    adjoint = inverse.conj().swapaxes(-1, -2)
+    condition = np.linalg.norm(cov, 1, axis=(-2, -1)) * np.linalg.norm(
+        adjoint @ inverse, 1, axis=(-2, -1)
+    )
+    accepted = condition <= CONDITION_LIMIT
+    y = adjoint @ (inverse @ g[..., None])
+    quad = (g.conj()[..., None, :] @ y)[:, 0, 0]
+    return np.where(accepted, quad, 0.0), accepted
 
 
 def _qr_quadratic_form(powers, g, S, sigma2: float) -> float:
@@ -281,13 +305,21 @@ def _qr_quadratic_form(powers, g, S, sigma2: float) -> float:
     return float(np.vdot(y, y).real)
 
 
-def _sinr(radii, g, S, link: LinkConfig) -> float:
-    """mmse_sinr of g_T = g (complex) and G = S_re + i S_im, S = [S_re; S_im]."""
-    powers = radii ** (-link.alpha)
-    quad = _cholesky_quadratic_form(_interference_covariance(powers, S, link.sigma2), g)
-    if quad is None:
-        quad = _qr_quadratic_form(powers, g, S, link.sigma2)
-    return quad * link.r_T ** (-link.alpha)
+def _sinrs(cov, g, link: LinkConfig, redraw) -> np.ndarray:
+    """SINRs of a stack of trials from their covariances and target channels:
+    the stacked Cholesky pass, then, in trial order, the QR route for each
+    trial the pass rejects, on the powers, g_T and S that redraw(k) gives for
+    trial k of the stack."""
+    quad, accepted = _cholesky_quadratic_forms(cov, g)
+    out = quad.real.copy()
+    imaginary = np.abs(quad.imag) > 1e-12 * np.maximum(1.0, np.abs(quad.real))
+    for k in np.flatnonzero(~accepted | imaginary):
+        if accepted[k]:
+            raise ArithmeticError(
+                f"MMSE quadratic form has non-negligible imaginary part: {complex(quad[k])!r}"
+            )
+        out[k] = _qr_quadratic_form(*redraw(k), link.sigma2)
+    return out * link.r_T ** (-link.alpha)
 
 
 def mmse_sinr(radii, g_t, G, link: LinkConfig) -> float:
@@ -300,12 +332,14 @@ def mmse_sinr(radii, g_t, G, link: LinkConfig) -> float:
     large enough to start BLAS threads inside a campaign's worker processes.
 
     The quadratic form is g_T^H F^-H F^-1 g_T, F the Cholesky factor of the
-    covariance; an imaginary part above 1e-12 (relative) aborts the trial. A
-    close interferer can make the covariance so ill-conditioned that forming
-    it squares away the digits that matter: when the factorization fails or
-    the exact 1-norm condition number (from F^-1) exceeds CONDITION_LIMIT,
-    the trial factors the (n+L) x L matrix [(G P^(1/2))^H; sigma I] = QR
-    instead, so cov = R^H R and SINR = ||R^-H g_T||^2 r_T^-alpha without
+    covariance, from the stacked pass a campaign factors its batches in, on a
+    stack of one (_cholesky_quadratic_forms), so the SINR is bit for bit the
+    one a campaign gets for the same draws; an imaginary part above 1e-12
+    (relative) aborts the trial. A close interferer can make the covariance
+    so ill-conditioned that forming it squares away the digits that matter:
+    when the factorization fails or the exact 1-norm condition number (from
+    F^-1) exceeds CONDITION_LIMIT, the trial factors the (n+L) x L matrix
+    [(G P^(1/2))^H; sigma I] = QR instead, so cov = R^H R and SINR = ||R^-H g_T||^2 r_T^-alpha without
     squaring the condition number. An exactly singular covariance (sigma2 = 0
     with fewer interferers than antennas) raises ArithmeticError.
     """
@@ -316,25 +350,78 @@ def mmse_sinr(radii, g_t, G, link: LinkConfig) -> float:
         raise ValueError(
             f"channel matrix shape {G.shape} does not match L={g_t.shape[0]}, n={radii.size}"
         )
-    return _sinr(radii, g_t, np.vstack((G.real, G.imag)), link)
+    powers = radii ** (-link.alpha)
+    S = np.vstack((G.real, G.imag))
+    cov = _interference_covariance(powers, S, link.sigma2)
+    return float(_sinrs(cov[None], g_t[None], link, lambda k: (powers, g_t, S))[0])
 
 
 def run_trial(sim: SimConfig, trial_index: int) -> TrialResult:
     """One deterministic trial, a pure function of (config, trial index): bit
     for bit the mmse_sinr of draw_network and draw_channels on the trial's
-    stream, computed on the real block the channels are drawn in."""
-    rng = trial_rng(sim.seed, trial_index)
-    radii = draw_network(sim.model, sim.truncation_radius, rng)
-    g, S = _draw_normals(radii.size, sim.link.L, rng)
-    return TrialResult(sinr=_sinr(radii, _complex(g), S, sim.link), n_interferers=radii.size)
+    stream, and the trial a campaign runs (a chunk of one)."""
+    sinr, counts = _run_chunk(sim, trial_index, trial_index + 1)
+    return TrialResult(sinr=float(sinr[0]), n_interferers=int(counts[0]))
+
+
+def _draw_trial(sim: SimConfig, trial_index: int, mean: float, rng):
+    """Radii and normals g, S (see _draw_normals) of one trial, drawn as
+    draw_network and _draw_normals draw them on trial_rng(sim.seed,
+    trial_index), by rng (a Philox generator) re-keyed to that stream, with
+    the disk's Poisson mean given. Re-keying through the state setter is
+    several times cheaper than building a generator for each trial."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([sim.seed & _MASK64, trial_index & _MASK64], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    radii = _draw_radii(sim.model, mean, sim.truncation_radius, rng)
+    return (radii, *_draw_normals(radii.size, sim.link.L, rng))
+
+
+def _batch_size(L: int) -> int:
+    """Trials per stacked factor pass at L antennas: as many as fit in
+    BATCH_MATRIX_BYTES at TRIAL_MATRIX_BYTES per L^2, and at least one (93 at
+    L = 10, one from L = 69 on)."""
+    return max(1, BATCH_MATRIX_BYTES // (TRIAL_MATRIX_BYTES * L * L))
 
 
 def _run_chunk(sim: SimConfig, start: int, stop: int):
-    """SINRs (float64) and interferer counts (int) of trials start..stop-1."""
+    """SINRs (float64) and interferer counts (int) of trials start..stop-1.
+
+    The disk's Poisson mean is taken once and one generator is re-keyed to
+    each trial's stream (_draw_trial). Each batch of _batch_size(L) trials
+    writes its covariances and target channels into stacks that one Cholesky
+    pass factors (_sinrs); a trial the pass rejects is drawn again from its
+    own stream for the QR route.
+    """
+    link, L = sim.link, sim.link.L
+    mean = mean_count(sim.model, DiskRegion(sim.truncation_radius))
+    rng = np.random.Generator(np.random.Philox(0))
     sinr = np.empty(stop - start)
     counts = np.empty(stop - start, dtype=int)
-    for i in range(stop - start):
-        sinr[i], counts[i] = run_trial(sim, start + i)
+    batch = _batch_size(L)
+    for first in range(start, stop, batch):
+        trials = range(first, min(first + batch, stop))
+        cov = np.empty((len(trials), L, L), dtype=complex)
+        g = np.empty((len(trials), L), dtype=complex)
+        for k, t in enumerate(trials):
+            radii, g_k, S = _draw_trial(sim, t, mean, rng)
+            counts[t - start] = radii.size
+            _complex(g_k, out=g[k])
+            _interference_covariance(radii ** (-link.alpha), S, link.sigma2, out=cov[k])
+
+        def redraw(k):
+            radii, g_k, S = _draw_trial(sim, trials[k], mean, rng)
+            return radii ** (-link.alpha), _complex(g_k), S
+
+        sinr[first - start : trials.stop - start] = _sinrs(cov, g, link, redraw)
     return sinr, counts
 
 

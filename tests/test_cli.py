@@ -1053,15 +1053,15 @@ def test_main_worker_numerical_error_exits_2(tmp_path, capsys, monkeypatch):
 
 @needs_fork
 def test_main_dead_worker_exits_1(tmp_path, capsys, monkeypatch):
-    run_trial = sinrdist.simulator.run_trial
+    draw_trial = sinrdist.simulator._draw_trial
 
-    def dies_at_trial_5(sim, trial_index):
+    def dies_at_trial_5(sim, trial_index, *args):
         if trial_index == 5:
             os._exit(3)
-        return run_trial(sim, trial_index)
+        return draw_trial(sim, trial_index, *args)
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(sinrdist.simulator, "run_trial", dies_at_trial_5)
+    monkeypatch.setattr(sinrdist.simulator, "_draw_trial", dies_at_trial_5)
     assert main(["cdf", "--config", json.dumps(_pool_cdf_config(tmp_path))]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: a campaign worker process died") and err.count("\n") == 1

@@ -362,6 +362,64 @@ def test_field_campaign_bytes_independent_of_worker_count():
     assert serial[71] == pytest.approx(38.713300630146966181, rel=1e-9)
 
 
+def _field_trial_bytes(sim, workers=1):
+    return np.array([t.sinr for t in run_trials(sim, workers=workers)]).tobytes()
+
+
+def test_campaign_is_run_trial_bit_for_bit_across_chunks_and_batches(monkeypatch):
+    """Serially the 348 trials make batches of 93 (four of them); two workers
+    make eight chunks of 43 or 44; trials 59 and 71 take the QR route."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    sim = _field_sim(trials=348, seed=123)
+    assert sinrdist.simulator._batch_size(sim.link.L) == 93
+    single = np.array([run_trial(sim, t).sinr for t in range(sim.trials)])
+    for workers in (1, 2):
+        assert _field_trial_bytes(sim, workers) == single.tobytes()
+        samples = run_campaign(sim, workers=workers).samples
+        assert samples.tobytes() == np.sort(single).tobytes()
+
+
+def test_failed_stacked_factorization_gives_the_same_bytes(monkeypatch):
+    """A stacked Cholesky that raises for the whole stack: the batch is
+    factored one matrix at a time, with the same SINRs."""
+    sim = _field_sim(trials=100, seed=123)
+    expected = _field_trial_bytes(sim)
+    cholesky = np.linalg.cholesky
+    stacks = []
+
+    def fails_on_stacks(a, *args, **kwargs):
+        if a.ndim == 3 and len(a) > 1:
+            stacks.append(len(a))
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", fails_on_stacks)
+    assert _field_trial_bytes(sim) == expected
+    assert stacks == [93, 7]
+
+
+def test_shrunken_batch_budget_gives_the_same_bytes(monkeypatch):
+    sim = _field_sim(trials=100, seed=123)
+    expected = _field_trial_bytes(sim)
+    sim_module, L = sinrdist.simulator, sim.link.L
+    monkeypatch.setattr(sim_module, "BATCH_MATRIX_BYTES", 3 * sim_module.TRIAL_MATRIX_BYTES * L * L)
+    assert sim_module._batch_size(L) == 3
+    assert _field_trial_bytes(sim) == expected
+
+
+def test_batch_matrices_stay_within_the_draw_limit():
+    """A batch holds at least one trial, and more only within
+    BATCH_MATRIX_BYTES: one trial at the largest campaign L, 3096."""
+    sim_module = sinrdist.simulator
+    batch = sim_module._batch_size
+    assert [batch(L) for L in (1, 10, 68, 69, 3096)] == [9362, 93, 2, 1, 1]
+    for L in (1, 4, 10, 32, 68, 69, 100, 1000, 3096):
+        per_trial = sim_module.TRIAL_MATRIX_BYTES * L * L
+        assert batch(L) * per_trial <= max(sim_module.BATCH_MATRIX_BYTES, per_trial)
+        assert batch(L) * per_trial <= sim_module.MAX_DRAW_BYTES
+    assert sim_module.TRIAL_MATRIX_BYTES * 3097**2 > sim_module.MAX_DRAW_BYTES
+
+
 def test_campaign_trials_are_mmse_sinr_of_the_public_draws(monkeypatch):
     """run_trial on its real block against mmse_sinr on draw_network and
     draw_channels from the same stream, QR-route trials included."""
@@ -444,15 +502,15 @@ def test_worker_numerical_error_keeps_its_type(monkeypatch):
 
 @needs_fork
 def test_dead_worker_is_a_child_process_error(monkeypatch):
-    run_trial = sinrdist.simulator.run_trial
+    draw_trial = sinrdist.simulator._draw_trial
 
-    def dies_at_trial_5(sim, trial_index):
+    def dies_at_trial_5(sim, trial_index, *args):
         if trial_index == 5:
             os._exit(3)
-        return run_trial(sim, trial_index)
+        return draw_trial(sim, trial_index, *args)
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(sinrdist.simulator, "run_trial", dies_at_trial_5)
+    monkeypatch.setattr(sinrdist.simulator, "_draw_trial", dies_at_trial_5)
     with pytest.raises(ChildProcessError, match="worker process died"):
         run_campaign(_small_sim(trials=8), workers=2)
 
