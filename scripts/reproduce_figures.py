@@ -37,7 +37,7 @@ from sinrdist.cli import main as cli_main, sidecar_path  # noqa: E402
 
 FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5")
 # sidecar keys worth echoing per experiment kind
-SUMMARY_KEYS = ("count", "ks_distance", "sinr_limit_db", "mean_interferers")
+SUMMARY_KEYS = ("count", "ks_distance", "disk_cdf_gap", "sinr_limit_db", "mean_interferers")
 # Monte-Carlo trial count the committed outputs/ were generated with
 GOLDEN_TRIALS = 800
 # the sidecar's library versions, the one block --check does not compare

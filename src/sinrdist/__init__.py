@@ -67,8 +67,7 @@ from .simulator import (
     run_trials,
     run_campaign,
     default_truncation_radius,
-    budget_truncation_radius,
-    truncation_cdf_bound,
+    campaign_truncation_radius,
 )
 
 __version__ = "0.1.0"
@@ -124,7 +123,6 @@ __all__ = [
     "run_trials",
     "run_campaign",
     "default_truncation_radius",
-    "budget_truncation_radius",
-    "truncation_cdf_bound",
+    "campaign_truncation_radius",
     "__version__",
 ]

@@ -57,11 +57,10 @@ from .intensity import (
 from .interference import PsiEvaluator, _psi_panels, psi_polynomial, psi_power_law
 from .simulator import (
     SimConfig,
-    budget_truncation_radius,
+    campaign_truncation_radius,
     require_draw_fits,
     run_campaign,
     trial_rng,
-    truncation_cdf_bound,
 )
 from .specfun import (
     ANTENNAS_MAX,
@@ -167,7 +166,7 @@ class Seed:
 @dataclass(frozen=True)
 class Campaign(Seed):
     """The sim block of a Monte-Carlo campaign. Without a truncation_radius
-    the run sizes the disk (see _run_sim)."""
+    the run sizes the disk from model and link (see _disk_law)."""
 
     trials: int | None = None
     truncation_radius: float | None = None
@@ -288,34 +287,42 @@ def _db(values: np.ndarray) -> np.ndarray:
     return np.array([10.0 * math.log10(x) for x in values.tolist()])
 
 
-def _run_sim(config: ExperimentConfig, dist: SinrDistribution):
-    """The campaign's empirical distribution and its sidecar entries.
-
-    Without an explicit sim.truncation_radius the disk is sized by
-    budget_truncation_radius, and the resolved radius is written back into
-    the sim block so the sidecar's config block replays the same campaign.
+def _disk_law(config: ExperimentConfig, dist: SinrDistribution):
+    """F_R(gamma) = P(L, psi_R(gamma) + sigma2*gamma), psi_R psi over the
+    campaign's disk: the exact SINR law of the intensity cut off there, which
+    the campaign samples. Without an explicit sim.truncation_radius the disk
+    is campaign_truncation_radius, and the resolved radius is written back
+    into the sim block so the sidecar's config block replays the campaign.
     """
+    if config.sim.truncation_radius is None:
+        radius = float(campaign_truncation_radius(config.model, config.link))
+        config.sim = dataclasses.replace(config.sim, truncation_radius=radius)
+    radius, link = config.sim.truncation_radius, config.link
+
+    def disk_cdf(gamma):
+        x = gamma_argument(lambda g: dist.psi.value(g, radius), link.sigma2, gamma)
+        return regularized_lower_gamma(link.L, x)
+
+    return disk_cdf
+
+
+def _run_sim(config: ExperimentConfig, disk_cdf):
+    """The campaign's empirical distribution and its sidecar entries, its
+    ks_distance taken against the disk law disk_cdf (see _disk_law)."""
     sim = config.sim
-    if sim.truncation_radius is None:
-        radius = float(budget_truncation_radius(config.model, config.link, sim.trials))
-        sim = config.sim = dataclasses.replace(sim, truncation_radius=radius)
-    radius = sim.truncation_radius
     scale = _sinr_scale(config.link)
     campaign = SimConfig(
         trials=sim.trials,
-        truncation_radius=radius,
+        truncation_radius=sim.truncation_radius,
         seed=sim.seed,
         link=config.link,
         model=config.model,
     )
-    # bounded before any trial is drawn, so a numerical failure there costs none
-    bound = truncation_cdf_bound(config.model, config.link, radius)
     empirical = run_campaign(campaign, sim.workers)
     extra = {
         "trials": sim.trials,
-        "truncation_radius": radius,
-        "truncation_cdf_bound": bound,
-        "ks_distance": empirical.ks_distance(lambda s: cdf_gamma(dist, s / scale)),
+        "truncation_radius": sim.truncation_radius,
+        "ks_distance": empirical.ks_distance(lambda s: disk_cdf(s / scale)),
     }
     return empirical, extra
 
@@ -338,7 +345,6 @@ class Cdf(ExperimentConfig):
     def run(self):
         evaluator = PsiEvaluator(self.model, self.link.alpha, self.quad)
         dist = SinrDistribution(evaluator, self.link)
-        empirical, extra = (None, {}) if self.sim is None else _run_sim(self, dist)
         gammas = self.gamma_grid
         sinr = gammas * _sinr_scale(self.link)
         columns = {
@@ -348,8 +354,15 @@ class Cdf(ExperimentConfig):
         }
         if self.include_pdf:
             columns["analytic_pdf"] = pdf_gamma(dist, gammas)
-        if empirical is not None:
-            columns["empirical_cdf"] = empirical.cdf(sinr)
+        if self.sim is None:
+            return columns, {}
+        # the analytic columns come before any trial, so a numerical failure
+        # there costs none
+        disk_cdf = _disk_law(self, dist)
+        disk = columns["disk_cdf"] = disk_cdf(gammas)
+        empirical, extra = _run_sim(self, disk_cdf)
+        columns["empirical_cdf"] = empirical.cdf(sinr)
+        extra["disk_cdf_gap"] = float(np.max(np.abs(columns["analytic_cdf"] - disk)))
         return columns, extra
 
 
@@ -481,7 +494,7 @@ class Simulate(ExperimentConfig):
             x_sup = argument_supremum(self.model, self.link.sigma2)
             if regularized_lower_gamma(self.link.L, x_sup) < p_hi:
                 raise BracketingError("analytic CDF never reaches the requested quantile")
-        empirical, extra = _run_sim(self, dist)
+        empirical, extra = _run_sim(self, _disk_law(self, dist))
         extra["mean_interferers"] = mean_count(self.model, DiskRegion(self.truncation_radius))
         return {"sinr": empirical.samples, "sinr_db": _db(empirical.samples)}, extra
 

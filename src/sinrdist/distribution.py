@@ -230,48 +230,25 @@ def argument_supremum(model: IntensityModel, sigma2: float = 0.0) -> float:
 # as in gamma_argument: an overflowing count or psi is judged by its value
 # (a saturation, NaN or bracket error), not warned about
 @np.errstate(over="ignore", invalid="ignore")
-def scaling_limit(
-    nominal: IntensityModel,
-    q: float,
-    alpha: float,
-    r_T: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
-    """Deterministic SINR limit when antennas grow linearly with density.
+def _psi_inverse(evaluator: PsiEvaluator, target: float, name: str) -> float:
+    """The gamma at which psi(gamma) reaches target > 0, the level called
+    name in errors.
 
-    With L antennas and intensity beta * Lambda_c at beta = q * L, the SINR
-    concentrates (noise neglected) on psi_c^{-1}(1/q) * r_T^{-alpha}, where
-    psi_c is the interference functional of the nominal model. The inverse
-    solves log psi_c(e^s) = log(1/q) by Newton's method in s = log gamma,
-    whose slope is the elasticity gamma*psi_c'/psi_c in (0, 1]. The bracket
-    starts as gamma in [1e-300, 1e300], each evaluation moves one end by the
-    sign of its residual, and a step that would leave it bisects it instead;
-    the search stops at a zero residual or a step of NEWTON_STEP_TOL.
-
-    Models with finite total mass (bounded psi_c) may never reach 1/q; that
-    saturation is a ValueError. A NaN psi_c, a root outside the range, or
-    NEWTON_MAX_STEPS steps without convergence raise BracketingError.
+    Newton's method on log psi(e^s) = log target in s = log gamma, whose
+    slope is the elasticity gamma*psi'/psi in (0, 1]. The bracket starts as
+    gamma in [1e-300, 1e300], each evaluation moves one end by the sign of
+    its residual, and a step that would leave it bisects it instead; the
+    search stops at a zero residual or a step of NEWTON_STEP_TOL. A NaN
+    psi, a root outside the range, or NEWTON_MAX_STEPS steps without
+    convergence raise BracketingError.
     """
-    if not q > 0:
-        raise ValueError(f"q must be > 0, got {q}")
-    if not r_T > 0:
-        raise ValueError(f"r_T must be > 0, got {r_T}")
-    evaluator = PsiEvaluator(nominal, alpha, spec)
-    target = 1.0 / q
-    sup_psi = argument_supremum(nominal)
-    if target >= sup_psi:
-        raise ValueError(
-            f"interference functional saturates at {sup_psi:.6g} below the "
-            f"required level 1/q = {target:.6g}; the limit does not exist"
-        )
-
     lo, hi = -_LOG_GAMMA_RANGE, _LOG_GAMMA_RANGE
     s = 0.0
     for _ in range(NEWTON_MAX_STEPS):
         gamma = math.exp(s)
         psi = evaluator.value(gamma)
         if math.isnan(psi):
-            raise BracketingError(f"psi is NaN at gamma = {gamma!r}; the limit cannot be found")
+            raise BracketingError(f"psi is NaN at gamma = {gamma!r}; {name} cannot be reached")
         ratio = psi / target
         residual = math.log(ratio) if ratio > 0 else -math.inf
         if residual == 0.0:
@@ -291,9 +268,42 @@ def scaling_limit(
     if abs(s) > _LOG_GAMMA_RANGE - 1e-9:
         side = "above" if s > 0 else "below"
         raise BracketingError(
-            f"psi reaches 1/q = {target:.6g} only {side} gamma = {math.exp(s):.3g}"
+            f"psi reaches {name} = {target:.6g} only {side} gamma = {math.exp(s):.3g}"
         )
-    return math.exp(s) * r_T ** (-alpha)
+    return math.exp(s)
+
+
+def scaling_limit(
+    nominal: IntensityModel,
+    q: float,
+    alpha: float,
+    r_T: float,
+    spec: QuadratureSpec = DEFAULT_QUADRATURE,
+) -> float:
+    """Deterministic SINR limit when antennas grow linearly with density.
+
+    With L antennas and intensity beta * Lambda_c at beta = q * L, the SINR
+    concentrates (noise neglected) on psi_c^{-1}(1/q) * r_T^{-alpha}, where
+    psi_c is the interference functional of the nominal model, inverted by
+    _psi_inverse.
+
+    Models with finite total mass (bounded psi_c) may never reach 1/q; that
+    saturation is a ValueError. A NaN psi_c, a root outside the range, or
+    NEWTON_MAX_STEPS steps without convergence raise BracketingError.
+    """
+    if not q > 0:
+        raise ValueError(f"q must be > 0, got {q}")
+    if not r_T > 0:
+        raise ValueError(f"r_T must be > 0, got {r_T}")
+    evaluator = PsiEvaluator(nominal, alpha, spec)
+    target = 1.0 / q
+    sup_psi = argument_supremum(nominal)
+    if target >= sup_psi:
+        raise ValueError(
+            f"interference functional saturates at {sup_psi:.6g} below the "
+            f"required level 1/q = {target:.6g}; the limit does not exist"
+        )
+    return _psi_inverse(evaluator, target, "1/q") * r_T ** (-alpha)
 
 
 def regularized_gamma_limit_scan(q: float, L_list: Sequence[int]) -> list:

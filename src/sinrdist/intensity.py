@@ -608,6 +608,12 @@ class PiecewisePowerLaw(PowerLawSum):
             raise ValueError(f"innermost segment must have eps > -2, got {segs[0][1]}")
         _check_beta(self.beta)
         object.__setattr__(self, "segments", segs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = self.cumulative_count(self.support_radius)
+        if not math.isfinite(total):
+            raise ValueError(
+                f"segments {segs} with beta = {self.beta} make the total count overflow"
+            )
 
     @functools.cached_property
     def pieces(self):
@@ -777,11 +783,6 @@ class GaussianCluster(IntensityModel):
         out = self.total_count * three_halves_gamma(0.5 * (r / self.v) ** 2)
         return float(out) if scalar else out
 
-    def count_beyond(self, r: float) -> float:
-        """The total times Q(3/2, r^2 / 2v^2), taken directly: a difference
-        of two counts cancels far out (to 0 at 12v)."""
-        return self.total_count * three_halves_gamma(0.5 * (r / self.v) ** 2, upper=True)
-
     def draw_radii(self, rng, n: int, r_max: float):
         """v |Z| with Z ~ N(0, I_3): the radial density is proportional to
         r^2 exp(-r^2 / 2v^2), the Maxwell law (Devroye 1986, ch. IX), so the
@@ -813,11 +814,13 @@ def mean_count(model: IntensityModel, region: DiskRegion) -> float:
     the total mass converges (Gaussian cluster, or a piecewise model whose
     support is bounded); otherwise a DivergenceError is raised. Models and
     regions are immutable, so the value is cached: a campaign asks for it
-    once per trial.
+    once per trial. A count past the float range is inf, for the caller to
+    judge.
     """
-    if not region.is_finite:
-        return model.count_beyond(0.0)
-    return float(model.cumulative_count(min(region.radius, model.support_radius)))
+    with np.errstate(over="ignore"):
+        if not region.is_finite:
+            return model.count_beyond(0.0)
+        return float(model.cumulative_count(min(region.radius, model.support_radius)))
 
 
 def location_pdf(model: IntensityModel, region: DiskRegion, r, theta=0.0):

@@ -43,6 +43,7 @@ from .intensity import (
     IntensityModel,
     _check_alpha,
     _gamma_array,
+    _psi_sum,
     psi_piecewise,
     psi_polynomial,
     psi_power_law,
@@ -246,23 +247,36 @@ class PsiEvaluator:
             raise ValueError(f"method must be auto or quadrature, got {self.method!r}")
         self.model.check_alpha(self.alpha)
 
-    def _adaptive(self, fn, g, scalar):
-        out = np.array([fn(self.model, self.alpha, x, self.spec) for x in g.ravel().tolist()])
+    def _adaptive(self, g, scalar, **options):
+        """The adaptive reference at each gamma, 0 at gamma = 0."""
+        m, alpha, spec = self.model, self.alpha, self.spec
+        x = g.ravel().tolist()
+        out = np.array([_psi_adaptive(m, alpha, t, spec, **options) if t > 0 else 0.0 for t in x])
         return float(out[0]) if scalar else out.reshape(g.shape)
 
-    def value(self, gamma):
-        """psi(gamma) via the configured route (includes the model's beta)."""
+    def value(self, gamma, radius=math.inf):
+        """psi(gamma) over the disk (0, radius], the whole plane by default,
+        via the configured route (includes the model's beta).
+
+        A closed form is a sum of power-law pieces (see PowerLawSum): on a
+        finite disk each piece is cut at radius, and one that starts beyond
+        it drops out. The panel rule and the quadrature integrate over the
+        disk.
+        """
         g, scalar, _ = _gamma_array(gamma)
         m = self.model
         if self.method == "quadrature":
-            return self._adaptive(psi_quadrature, g, scalar)
+            return self._adaptive(g, scalar, radius=radius)
         if m.psi_closed_form is not None:
-            return m.beta * m.psi_closed_form(self.alpha, g)
+            if math.isinf(radius):
+                return m.beta * m.psi_closed_form(self.alpha, g)
+            pieces = tuple((c, k, lo, min(hi, radius)) for c, k, lo, hi in m.pieces if lo < radius)
+            return m.beta * _psi_sum(pieces, self.alpha, g)
         # the panel rule on the nominal profile, scaled after the sum
         nominal = dataclasses.replace(m, beta=1.0)
         out = np.zeros(g.shape)
         pos = g > 0
-        out[pos] = _psi_panels(nominal, self.alpha, g[pos], self.spec, False)
+        out[pos] = _psi_panels(nominal, self.alpha, g[pos], self.spec, False, radius)
         return m.beta * (float(out) if scalar else out)
 
     __call__ = value
@@ -281,7 +295,7 @@ class PsiEvaluator:
         scalar = g.ndim == 0
         m = self.model
         if self.method == "quadrature":
-            return self._adaptive(functools.partial(_psi_adaptive, derivative=True), g, scalar)
+            return self._adaptive(g, scalar, derivative=True)
         if m.dpsi_closed_form is not None:
             out = m.dpsi_closed_form(self.alpha, g, self.value(g))
         else:

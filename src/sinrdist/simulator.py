@@ -28,17 +28,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 import numpy.random  # loaded with the simulator, not by its first trial
 
-from .distribution import LinkConfig, gamma_argument
-from .intensity import (
-    TWO_PI,
-    ConfigError,
-    DiskRegion,
-    IntensityModel,
-    _outer_term,
-    mean_count,
-)
+from .distribution import LinkConfig, _psi_inverse
+from .intensity import TWO_PI, ConfigError, DiskRegion, IntensityModel, mean_count
 from .interference import PsiEvaluator
-from .specfun import poisson_pmf, regularized_lower_gamma, regularized_upper_gamma
 
 __all__ = [
     "SimConfig",
@@ -51,8 +43,7 @@ __all__ = [
     "run_trials",
     "run_campaign",
     "default_truncation_radius",
-    "budget_truncation_radius",
-    "truncation_cdf_bound",
+    "campaign_truncation_radius",
     "require_draw_fits",
 ]
 
@@ -60,21 +51,11 @@ _MASK64 = (1 << 64) - 1
 # Default bound on the interference mass ignored by truncation: the tail of
 # psi beyond the simulation radius stays below this fraction of the total.
 DEFAULT_TAIL_FRACTION = 1e-3
-# Share of the 95% Kolmogorov-Smirnov critical value, KS_CRITICAL_95 /
-# sqrt(trials), that truncating the simulation disk may add to the CDF the
-# campaign samples from.
-TRUNCATION_KS_SHARE = 0.01
-KS_CRITICAL_95 = 1.36
-# Nodes per decade of the gamma grid on which the truncation error is bounded,
-# and the Gamma(L) quantiles (q, 1 - q) of psi + sigma2*gamma the grid spans.
-# The bound holds for every gamma > 0 whatever the grid; the grid only sets
-# how tight it is.
-TRUNCATION_GRID_PER_DECADE = 128
-TRUNCATION_GRID_QUANTILE = 1e-12
-# Radii the budget search spans, and the relative width at which its
-# bisection stops.
-TRUNCATION_RADIUS_RANGE = (1e-20, 1e20)
-TRUNCATION_RADIUS_RTOL = 1e-3
+# The disk a campaign samples (campaign_truncation_radius): the share of psi
+# it may leave out at gamma*, and the bound on P(N <= L - 1), N ~ Poisson of
+# mean psi(gamma*), that fixes gamma*.
+CAMPAIGN_TAIL_FRACTION = 0.01
+CAMPAIGN_COUNT_TAIL = 1e-4
 # Largest number of interferers per block of the MMSE Gram, and OpenBLAS's
 # multithreading threshold on m*n*k: blocks stay below it (see _gram_block),
 # so the Gram's dgemms stay single-threaded inside each worker process.
@@ -493,14 +474,6 @@ def run_campaign(sim: SimConfig, workers: int = 1) -> EmpiricalDistribution:
     return EmpiricalDistribution(_run_arrays(sim, workers)[0])
 
 
-def _truncation_data(model: IntensityModel):
-    """The model's fixed truncation radius and its algebraic tail (rho, eps,
-    r0), one of them None; TypeError for anything that is not a model."""
-    if not isinstance(model, IntensityModel):
-        raise TypeError(f"unsupported model type: {type(model).__name__}")
-    return model.fixed_truncation_radius, model.algebraic_tail
-
-
 def default_truncation_radius(
     model: IntensityModel,
     alpha: float,
@@ -515,8 +488,8 @@ def default_truncation_radius(
     exact support; Gaussian clusters: 8v, the mass beyond is astronomically
     small); an algebraic tail (power law from the origin, polynomial tail
     from r0 > 0) solves a bound on the tail in closed form, and never
-    returns less than r0. The CLI sizes its campaigns with
-    budget_truncation_radius instead.
+    returns less than r0. The CLI sizes its campaigns with it, at the
+    gamma campaign_truncation_radius picks.
     """
     if not alpha > 2:
         raise ValueError(f"alpha must exceed 2, got {alpha}")
@@ -525,10 +498,11 @@ def default_truncation_radius(
     if not 0 < tail_fraction < 1:
         raise ValueError(f"tail_fraction must be in (0, 1), got {tail_fraction}")
 
-    fixed, tail = _truncation_data(model)
-    if fixed is not None:
-        return fixed
-    rho, eps, r0 = tail
+    if not isinstance(model, IntensityModel):
+        raise TypeError(f"unsupported model type: {type(model).__name__}")
+    if model.fixed_truncation_radius is not None:
+        return model.fixed_truncation_radius
+    rho, eps, r0 = model.algebraic_tail
     # the psi tail beyond R is at most 2 pi rho gamma R^(2+eps-alpha)/(alpha-2-eps),
     # since the kernel is below gamma r^-alpha; R holds that to tail_fraction of
     # the total psi, closed form from the origin, the model's own beyond r0
@@ -541,116 +515,20 @@ def default_truncation_radius(
     return max(r0, (TWO_PI * rho * gamma_max / (k * tail_fraction * total)) ** (1.0 / k))
 
 
-def _gamma_density_peak(L: int, lo, hi):
-    """Largest Gamma(L, 1) density on [lo, hi]; the density peaks at L - 1."""
-    return poisson_pmf(L - 1, np.clip(L - 1.0, lo, hi))
+def campaign_truncation_radius(model: IntensityModel, link: LinkConfig) -> float:
+    """The disk a campaign samples, sized from the model and the link alone.
 
-
-def _quantile_decades(L: int, x_dec):
-    """Indices of the last x_dec (nondecreasing) at or below the q quantile
-    of Gamma(L) and of the first at or above its 1 - q quantile, q =
-    TRUNCATION_GRID_QUANTILE, by counting: #{P(L, x) <= q} - 1, #{Q(L, x) > q}."""
-    q = TRUNCATION_GRID_QUANTILE
-    lo = np.count_nonzero(regularized_lower_gamma(L, x_dec) <= q) - 1
-    hi = np.count_nonzero(regularized_upper_gamma(L, x_dec) > q)
-    return max(lo, 0), min(hi, x_dec.size - 1)
-
-
-def _truncation_error_bound(model: IntensityModel, link: LinkConfig):
-    """R -> an upper bound on sup over gamma > 0 of P(L, x) - P(L, x_R).
-
-    For a model with an algebraic tail (see truncation_cdf_bound). psi is
-    evaluated once, on a log grid gamma_0 < ... < gamma_N between the decades
-    whose x = psi + sigma2*gamma brackets the TRUNCATION_GRID_QUANTILE tails
-    of Gamma(L) (_quantile_decades); each call then costs one closed-form
-    tail Delta_R and one density call on the grid. Between two nodes, x and
-    x_R = x - Delta_R rise with gamma and Delta_R does too, so the error
-    P(L, x) - P(L, x_R) there is at most Delta_R(gamma_{i+1}) times the peak of
-    the Gamma(L) density on [x_R(gamma_i), x(gamma_{i+1})], with x_R(gamma_-1)
-    = 0 below gamma_0; above gamma_N the error is at most Q(L, x_R(gamma_N)).
-    The bound falls as R grows.
+    A model's fixed_truncation_radius wins (piecewise: its support; Gaussian
+    cluster: 8v). An algebraic tail takes default_truncation_radius at the
+    gamma* where psi reaches x* = L + l + sqrt(l^2 + 2 L l), l =
+    -log(CAMPAIGN_COUNT_TAIL) (by _psi_inverse), so the disk holds 99% of
+    psi(gamma*) = x*. A Poisson count N of mean x >= L has P(N <= L - 1) <=
+    exp(-(x - L)^2 / 2x), which is CAMPAIGN_COUNT_TAIL at x*: few trials draw
+    fewer interferers than antennas, a singular covariance at sigma2 = 0.
     """
-    rho, eps, r0 = model.algebraic_tail
-    L, alpha = link.L, link.alpha
-    evaluator = PsiEvaluator(model, alpha)
-
-    # the decades that bracket the two quantiles of x, within 10^(+-60); an
-    # x that overflows lies above the top quantile, as an infinite one does
-    decades = 10.0 ** np.arange(-60.0, 61.0)
-    with np.errstate(over="ignore"):
-        x_dec = evaluator.value(decades) + link.sigma2 * decades
-    lo, hi = _quantile_decades(L, x_dec)
-    gamma = np.geomspace(decades[lo], decades[hi], TRUNCATION_GRID_PER_DECADE * (hi - lo) + 1)
-    x = gamma_argument(evaluator.value, link.sigma2, gamma)
-
-    def bound(radius: float) -> float:
-        delta = model.beta * _outer_term(rho, eps, alpha, gamma, max(radius, r0))
-        if radius < r0:
-            # the polynomial part on (radius, r0]: the kernel is below 1
-            delta += model.cumulative_count(r0) - model.cumulative_count(radius)
-        x_r = np.maximum(x - delta, 0.0)
-        gaps = delta * _gamma_density_peak(L, np.r_[0.0, x_r[:-1]], x)
-        top = regularized_upper_gamma(L, x_r[-1])
-        return float(max(gaps.max(), top))
-
-    return bound
-
-
-def truncation_cdf_bound(model: IntensityModel, link: LinkConfig, radius: float) -> float:
-    """Bound on the largest CDF error that truncating the disk at radius leaves.
-
-    The analytic CDF is F(gamma) = P(L, x) with x = psi(gamma) + sigma2*gamma
-    for any intensity, the one cut off at radius included, so a campaign on
-    the disk samples exactly P(L, x_R) with x_R = x - Delta_R, Delta_R being
-    the part of psi from beyond radius. This returns an upper bound on
-    sup over gamma > 0 of F - P(L, x_R): for algebraic tails from the exact
-    closed-form Delta_R on a log grid in gamma (see _truncation_error_bound);
-    for the other families the kernel is below 1, so Delta_R is at most the
-    mean count beyond radius and the bound is that count times the peak of
-    the Gamma(L) density (0.0 for a piecewise model cut at its support).
-    A bound above 1 says nothing, and is reported as 1.
-    """
-    if model.algebraic_tail is not None:
-        bound = _truncation_error_bound(model, link)(radius)
-    else:
-        bound = model.count_beyond(radius) * _gamma_density_peak(link.L, 0.0, math.inf)
-    return min(bound, 1.0)
-
-
-def budget_truncation_radius(model: IntensityModel, link: LinkConfig, trials: int) -> float:
-    """Simulation disk radius sized by an error budget on the sampled CDF.
-
-    Algebraic-tail families (power law, polynomial with tail) take the
-    smallest R >= r0 (0 for the power law, R0 for the polynomial) at which
-    truncation_cdf_bound stays within TRUNCATION_KS_SHARE * 1.36 /
-    sqrt(trials), a hundredth of the 95% Kolmogorov-Smirnov critical value
-    of the campaign; the search bisects in log R over
-    TRUNCATION_RADIUS_RANGE down to a relative TRUNCATION_RADIUS_RTOL.
-    Piecewise models keep their exact support and Gaussian clusters 8v, as
-    in default_truncation_radius.
-    """
-    if not trials >= 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    fixed, tail = _truncation_data(model)
-    if fixed is not None:
-        return fixed
-    r0 = tail[2]
-    budget = TRUNCATION_KS_SHARE * KS_CRITICAL_95 / math.sqrt(trials)
-    bound = _truncation_error_bound(model, link)
-
-    def fits(radius):
-        return bound(radius) <= budget
-
-    # bisection in log R between the smallest and the largest radius searched
-    lo, hi = max(r0, TRUNCATION_RADIUS_RANGE[0]), TRUNCATION_RADIUS_RANGE[1]
-    if fits(lo):
-        return lo
-    if not fits(hi):
-        raise ArithmeticError("truncation error never falls within its budget")
-    while hi > lo * (1.0 + TRUNCATION_RADIUS_RTOL):
-        mid = math.sqrt(lo * hi)
-        if fits(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    if model.fixed_truncation_radius is not None:
+        return model.fixed_truncation_radius
+    ell = -math.log(CAMPAIGN_COUNT_TAIL)
+    x = link.L + ell + math.sqrt(ell * ell + 2.0 * link.L * ell)
+    gamma = _psi_inverse(PsiEvaluator(model, link.alpha), x, "the disk count x*")
+    return default_truncation_radius(model, link.alpha, gamma, CAMPAIGN_TAIL_FRACTION)

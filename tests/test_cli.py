@@ -23,13 +23,20 @@ import sinrdist.cli
 import sinrdist.distribution
 import sinrdist.simulator
 from sinrdist import (
+    DiskRegion,
+    EmpiricalDistribution,
     GaussianCluster,
     LinkConfig,
     PiecewisePowerLaw,
     PowerLaw,
     PsiEvaluator,
+    SinrDistribution,
+    campaign_truncation_radius,
+    cdf_gamma,
+    mean_count,
+    psi_piecewise,
     regularized_lower_gamma,
-    truncation_cdf_bound,
+    regularized_upper_gamma,
 )
 from sinrdist.cli import (
     CSV_CHUNK_ROWS,
@@ -454,8 +461,74 @@ def test_explicit_truncation_radius_is_honoured(tmp_path):
     cfg["sim"]["truncation_radius"] = 250.0
     meta = sidecar(cfg)
     assert meta["truncation_radius"] == meta["config"]["sim"]["truncation_radius"] == 250.0
-    model, link = PowerLaw(rho=0.023, eps=-0.5), LinkConfig(alpha=4.0, sigma2=1e-12, r_T=10.0, L=10)
-    assert meta["truncation_cdf_bound"] == truncation_cdf_bound(model, link, 250.0)
+    # the disk law: the power law cut at 250 is one piecewise segment
+    header, rows = _read_csv(tmp_path / "cdf.csv")
+    columns = {name: np.array(column) for name, column in zip(header, zip(*rows))}
+    g = columns["gamma"]
+    disk = regularized_lower_gamma(10, psi_piecewise(((0.023, -0.5, 250.0),), 4.0, g) + 1e-12 * g)
+    np.testing.assert_array_equal(columns["disk_cdf"], disk)
+    assert meta["disk_cdf_gap"] == np.max(np.abs(columns["analytic_cdf"] - disk)) > 0.0
+
+
+# the link of _cdf_config
+FIELD_LINK = LinkConfig(alpha=4.0, sigma2=1e-12, r_T=10.0, L=10)
+
+
+def _run(tmp_path, kind, cfg, *flags):
+    """main on an inline config, and the CSV columns and sidecar it wrote."""
+    cfg = {**cfg, "experiment": kind, "output_path": str(tmp_path / f"{kind}.csv")}
+    assert main([kind, "--config", json.dumps(cfg), *flags]) == 0
+    header, rows = _read_csv(cfg["output_path"])
+    columns = {name: np.array(column) for name, column in zip(header, zip(*rows))}
+    return columns, json.loads(sidecar_path(cfg["output_path"]).read_text())
+
+
+@pytest.mark.parametrize("eps", [-1.9, -1.5])
+def test_campaign_disk_rarely_holds_fewer_interferers_than_antennas(tmp_path, eps):
+    """Without noise a trial with fewer interferers than antennas is
+    singular. The disk the CLI sizes holds a mean count mu with
+    Q(L, mu) = P(N <= L - 1) <= 1e-4 (6e-8 at eps = -1.9); 99% of psi at the
+    grid's median gamma would give mu = 10.2 and Q = 0.43 there."""
+    cfg = _cdf_config(tmp_path, model={"family": "power_law", "rho": 0.023, "eps": eps})
+    cfg["link"]["sigma2"] = 0.0
+    cfg["gamma_grid"] = {"min": 1e2, "max": 1e8, "points": 61}
+    _, meta = _run(tmp_path, "cdf", cfg, "--trials", "20")
+    model = PowerLaw(rho=0.023, eps=eps)
+    mu = mean_count(model, DiskRegion(meta["truncation_radius"]))
+    assert regularized_upper_gamma(10, mu) <= 1e-4
+
+
+def test_campaign_disk_does_not_depend_on_the_trial_count(tmp_path):
+    cfg = _cdf_config(tmp_path)
+    for kind in ("cdf", "simulate"):
+        if kind == "simulate":
+            del cfg["gamma_grid"]
+        radii = [_run(tmp_path, kind, cfg, "--trials", n)[1]["truncation_radius"] for n in ("10", "1000")]
+        assert radii[0] == radii[1] == campaign_truncation_radius(PowerLaw(0.023, -0.5), FIELD_LINK)
+
+
+def test_disk_cdf_of_a_model_cut_at_its_support_is_the_analytic_cdf(tmp_path):
+    segments = [[0.5, -0.5, 100.0], [0.2, -2.5, 1000.0]]
+    cfg = _cdf_config(tmp_path, model={"family": "piecewise_power_law", "segments": segments})
+    columns, meta = _run(tmp_path, "cdf", cfg, "--trials", "10")
+    assert meta["truncation_radius"] == 1000.0
+    np.testing.assert_array_equal(columns["disk_cdf"], columns["analytic_cdf"])
+    assert meta["disk_cdf_gap"] == 0.0
+
+
+def test_small_disk_campaign_passes_against_its_disk_law_only(tmp_path):
+    """fig3's field on a disk of radius 20 (about 9 interferers, a third of
+    psi at mid-grid): the campaign follows the disk law F_R, and the plane's
+    F, which counts the interference from beyond the disk, rejects it."""
+    cfg = _cdf_config(tmp_path, sim={"trials": 2000, "seed": 1, "truncation_radius": 20.0})
+    del cfg["gamma_grid"]
+    columns, meta = _run(tmp_path, "simulate", cfg)
+    critical = 1.36 / math.sqrt(2000)
+    assert meta["mean_interferers"] == pytest.approx(2 * math.pi * 0.023 * 20.0**1.5 / 1.5)
+    assert meta["ks_distance"] < critical
+    dist = SinrDistribution(PsiEvaluator(PowerLaw(0.023, -0.5), 4.0), FIELD_LINK)
+    plane = EmpiricalDistribution(columns["sinr"]).ks_distance(lambda s: cdf_gamma(dist, s * 1e4))
+    assert plane > critical
 
 
 def test_sidecar_round_trips(tmp_path):
@@ -855,24 +928,44 @@ def test_main_saturated_scaling_limit_is_a_config_error(tmp_path, capsys):
     assert "limit does not exist" in capsys.readouterr().err
 
 
+OVERFLOWING_MODELS = [
+    {"family": "power_law", "rho": 1e307, "eps": -0.5},
+    {"family": "power_law", "rho": 1.7e308, "eps": -0.5},
+    {"family": "piecewise_power_law", "segments": [[1.7e308, -0.5, 10.0], [1.0, 0.0, 50.0]]},
+    {"family": "polynomial_with_tail", "coeffs": [1.7e308], "R0": 1.0, "rho0": 1.7e308, "eps_tail": -1.5},
+]
+OVERFLOWING_IDS = ["power-law-1e307", "power-law-1.7e308", "piecewise-1.7e308", "polynomial-1.7e308"]
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize(
-    "model",
-    [
-        {"family": "power_law", "rho": 1e307, "eps": -0.5},
-        {"family": "power_law", "rho": 1.7e308, "eps": -0.5},
-        {"family": "piecewise_power_law", "segments": [[1.7e308, -0.5, 10.0], [1.0, 0.0, 50.0]]},
-        {"family": "polynomial_with_tail", "coeffs": [1.7e308], "R0": 1.0, "rho0": 1.7e308, "eps_tail": -1.5},
-    ],
-    ids=["power-law-1e307", "power-law-1.7e308", "piecewise-1.7e308", "polynomial-1.7e308"],
-)
+@pytest.mark.parametrize("model", OVERFLOWING_MODELS, ids=OVERFLOWING_IDS)
 def test_main_scaling_with_an_overflowing_scale_exits_cleanly(tmp_path, capsys, model):
     # the psi, psi' and count evaluations of scaling_limit raised overflow and
-    # invalid-value RuntimeWarnings before the run exited 2
+    # invalid-value RuntimeWarnings before the run exited 2; a piecewise
+    # model whose total count overflows is refused as a config error
     cfg = _scaling_config(tmp_path, model, 1.0)
-    assert main(["scaling", "--config", json.dumps(cfg)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    piecewise = "segments" in model  # its whole-plane count was inf * 0 = NaN
+    assert main(["scaling", "--config", json.dumps(cfg)]) == (1 if piecewise else 2)
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("segments" in err) == piecewise
     assert not (tmp_path / "scaling.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("model", OVERFLOWING_MODELS, ids=OVERFLOWING_IDS)
+@pytest.mark.parametrize("kind", ["cdf", "simulate"])
+@pytest.mark.parametrize("radius", [None, 10.0])
+def test_main_campaign_with_an_overflowing_scale_exits_cleanly(tmp_path, capsys, model, kind, radius):
+    # the disk sizing, the disk law and the campaign's Poisson mean on the
+    # disk (which overflowed with a RuntimeWarning for rho = 1e307 at
+    # radius 10) end in a one-line error
+    cfg = _cdf_config(tmp_path, model=model, experiment=kind, sim={"trials": 4, "seed": 1})
+    if kind == "simulate":
+        del cfg["gamma_grid"]
+    if radius is not None:
+        cfg["sim"]["truncation_radius"] = radius
+    assert main([kind, "--config", json.dumps(cfg)]) in (1, 2)
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_main_unreachable_quantile_is_numerical(tmp_path, capsys):
@@ -938,7 +1031,7 @@ def test_main_simulate_huge_noise_sizes_its_disk_without_warnings(tmp_path):
 
 @pytest.mark.filterwarnings("error")
 def test_main_non_finite_bound_grid_fails_before_any_trial(tmp_path, capsys, monkeypatch):
-    # psi overflows above gamma = 1e5, which the bound's gamma grid reaches
+    # psi overflows above gamma = 1e5, which the CDF grid reaches
     closed_form = PowerLaw.psi_closed_form
 
     def overflowing(self, alpha, gamma):
@@ -1036,7 +1129,7 @@ def test_power_law_campaign_bytes_do_not_depend_on_workers(tmp_path, monkeypatch
     pooled = run_experiment(parse_config(json.dumps(cfg)))
     assert pooled.read_bytes() == serial.read_bytes()
     first, second = (json.loads(sidecar_path(p).read_text()) for p in (serial, pooled))
-    for key in ("truncation_radius", "truncation_cdf_bound", "ks_distance"):
+    for key in ("truncation_radius", "disk_cdf_gap", "ks_distance"):
         assert first[key] == second[key]
 
 

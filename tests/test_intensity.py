@@ -81,6 +81,22 @@ def test_piecewise_validation():
     assert model.support_radius == 1000.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_piecewise_overflowing_count_is_refused():
+    # 2 pi rho overflows: the whole-plane count was inf * 0 = NaN at r = 0,
+    # with an invalid-value RuntimeWarning; so does a scale beta that
+    # carries a finite count past the float range
+    with pytest.raises(ValueError, match="segments .* make the total count overflow"):
+        PiecewisePowerLaw(segments=((1.7e308, -0.5, 10.0), (1.0, 0.0, 50.0)))
+    with pytest.raises(ValueError, match="total count overflow"):
+        PiecewisePowerLaw(segments=((1e300, 0.0, 1e4),), beta=1e10)
+
+
+@pytest.mark.filterwarnings("error")
+def test_mean_count_overflow_is_inf_without_a_warning():
+    assert mean_count(PowerLaw(rho=1e307, eps=-0.5), DiskRegion(10.0)) == math.inf
+
+
 def test_polynomial_validation():
     with pytest.raises(ValueError):
         PolynomialWithTail(coeffs=(1.0,), R0=100.0, rho0=1.0, eps_tail=-2.3)

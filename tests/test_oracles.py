@@ -2,8 +2,8 @@
 special functions, the psi of each power-law piece, the Gaussian-cluster
 panel rule and count, the adaptive psi reference near its hard cases, the
 fit-poly reference, the Gaussian and polynomial samplers (near the origin
-and across the polynomial's kink), the truncation budget, the Gaussian's
-truncation bound and the MMSE combiner on near-singular covariances.
+and across the polynomial's kink), psi over a disk for every family and
+the MMSE combiner on near-singular covariances.
 
 mpmath is a test-only dependency: the whole module is skipped without it.
 """
@@ -19,13 +19,13 @@ from sinrdist import (
     DiskRegion,
     GaussianCluster,
     LinkConfig,
+    PiecewisePowerLaw,
     PolynomialWithTail,
     PowerLaw,
     PsiEvaluator,
     QuadratureSpec,
     SinrDistribution,
     antenna_gain_delta,
-    budget_truncation_radius,
     cdf_gamma,
     draw_channels,
     hyp2f1_first_unit,
@@ -38,7 +38,6 @@ from sinrdist import (
     regularized_upper_gamma,
     sample_location,
     trial_rng,
-    truncation_cdf_bound,
 )
 
 from sinrdist.intensity import MAXWELL_MEDIAN, _piece_psi
@@ -106,48 +105,13 @@ def test_regularized_gamma_no_worse_than_scipy(L):
         _assert_no_worse_than_scipy(got, theirs, ref, floor, f"{label}({L}, x)")
 
 
-@pytest.mark.parametrize("L", (1, 2, 10, 64, 1000, 2000, 10_000, 100_000))
-def test_truncation_decades_bracket_the_gamma_quantiles(L):
-    """The truncation grid's decade bracket, counted from P(L, x) <= q and
-    Q(L, x) > q, is the one the Gamma(L) quantiles at q (mpmath roots) give:
-    on x = psi + sigma2*gamma of the fig3 field at the 121 decades of gamma,
-    and on grids packed within 1% of either quantile."""
-    from sinrdist.simulator import TRUNCATION_GRID_QUANTILE, _quantile_decades
-
-    mp.mp.dps = 40
-    q = TRUNCATION_GRID_QUANTILE
-
-    def quantile(upper):
-        # Q(L, x) at 40 digits serves both tails (mpmath's lower series
-        # stalls at large L), solved in s = log x from the Wilson-Hilferty
-        # start at the normal quantile z = 7.03 of q
-        def log_ratio(s):
-            tail = mp.gammainc(L, mp.exp(s), mp.inf, regularized=True)
-            return mp.log((tail if upper else 1 - tail) / q)
-
-        z = 7.03 if upper else -7.03
-        start = L * max(1 - 1 / (9 * L) + z / (3 * math.sqrt(L)), 0.05) ** 3
-        return float(mp.exp(mp.findroot(log_ratio, math.log(start))))
-
-    x_lo, x_hi = quantile(False), quantile(True)
-    decades = 10.0 ** np.arange(-60.0, 61.0)
-    grids = [PsiEvaluator(PowerLaw(0.023, -0.5), 4.0).value(decades) + 1e-12 * decades]
-    grids += [x * np.linspace(0.99, 1.01, 120) for x in (x_lo, x_hi)]
-    for x_dec in grids:
-        lo = max(np.searchsorted(x_dec, x_lo, "right") - 1, 0)
-        hi = min(np.searchsorted(x_dec, x_hi), x_dec.size - 1)
-        assert _quantile_decades(L, x_dec) == (lo, hi), f"L={L}"
-
-
 @pytest.mark.parametrize("L", (1, 2, 10, 100, 171, 1000, 10_000, 100_000))
 def test_gamma_density_matches_mpmath(L):
     """The Poisson term x^k e^-x / k! as the SINR density (k = L - 1, times
-    the slope of x), the outage reduction of one more antenna (k = L) and
-    the truncation bound's density peak (k = L - 1 at x = L - 1, times the
-    count beyond the disk) take it, at x near L/2, L, L + 3 sqrt(L) and
-    1.5 L: within 4 ulps plus the rounding of its exponent, as for the
-    incomplete gamma. A log-domain x^k e^-x / k! is off by up to 3e-10 at
-    L = 1e5."""
+    the slope of x) and the outage reduction of one more antenna (k = L)
+    take it, at x near L/2, L, L + 3 sqrt(L) and 1.5 L: within 4 ulps plus
+    the rounding of its exponent, as for the incomplete gamma. A log-domain
+    x^k e^-x / k! is off by up to 3e-10 at L = 1e5."""
     mp.mp.dps = 40
 
     def pmf(k, x):
@@ -160,12 +124,9 @@ def test_gamma_density_matches_mpmath(L):
     targets = np.array([L / 2, L, L + 3 * math.sqrt(L), 1.5 * L])
     gammas = (targets / dist.psi.value(1.0)) ** (8.0 / 3.0)
     x, slope = dist.psi.value(gammas), dist.psi.derivative(gammas)
-    cluster = GaussianCluster.with_total_count(1000.0, 500.0)
-    count = cluster.count_beyond(4000.0)
     cases = (
         ("pdf_gamma", pdf_gamma(dist, gammas), [pmf(L - 1, a) * mp.mpf(float(b)) for a, b in zip(x, slope)]),
         ("antenna_gain_delta", [antenna_gain_delta(dist, g) for g in gammas], [pmf(L, a) for a in x]),
-        ("peak", [truncation_cdf_bound(cluster, link, 4000.0)], [mp.mpf(count) * pmf(L - 1, L - 1)]),
     )
     for label, got, ref in cases:
         got, ref = np.asarray(got, dtype=float), np.array([float(r) for r in ref])
@@ -217,8 +178,9 @@ def test_hyp2f1_no_worse_than_scipy_at_and_near_integer_b():
         _assert_no_worse_than_scipy(hyp2f1_first_unit(b, x), theirs, ref, 4 * EPS, f"b={b!r}")
 
 
-def _psi_gaussian_mpmath(v, alpha, gamma, fine=False):
-    """psi of GaussianCluster(rho=1, v) as an mpmath integral over s = log r."""
+def _psi_gaussian_mpmath(v, alpha, gamma, fine=False, radius=None):
+    """psi of GaussianCluster(rho=1, v) as an mpmath integral over s = log r,
+    on the disk (0, radius] if given."""
     v, alpha, log_gamma = mp.mpf(v), mp.mpf(alpha), mp.log(gamma)
 
     def integrand(s):
@@ -227,7 +189,7 @@ def _psi_gaussian_mpmath(v, alpha, gamma, fine=False):
         return 2 * mp.pi * r**3 / v**2 * mp.exp(-(r**2) / (2 * v**2)) * kernel
 
     knee, scale = log_gamma / alpha, mp.log(v)
-    lo, hi = min(knee, scale) - 30, scale + mp.log(14)
+    lo, hi = min(knee, scale) - 30, scale + mp.log(14) if radius is None else mp.log(radius)
     cuts = sorted({lo, hi, *(p for p in (knee, scale, scale + mp.log(6)) if lo < p < hi)})
     if fine:
         # where psi is tiny (gamma = 1e-30, v = 500, alpha = 3) mpmath needs
@@ -369,6 +331,58 @@ def test_annulus_psi_near_k_minus_two_matches_mpmath(k):
     np.testing.assert_allclose(got, ref, rtol=4e-15, atol=0.0)
 
 
+# (model, disk radius, the power-law pieces (c, k, lo, hi) of the profile
+# cut at the disk, written out by hand)
+_POLYNOMIAL = PolynomialWithTail(coeffs=(0.005, 1e-4), R0=110.0, rho0=0.016 * 110.0**1.5, eps_tail=-1.5)
+DISKS = {
+    "power law": (PowerLaw(rho=0.023, eps=-0.5), 20.0, [(0.023, -0.5, 0.0, 20.0)]),
+    "piecewise cut inside its support": (
+        PiecewisePowerLaw(segments=((0.5, -0.5, 100.0), (0.2, -2.5, 1000.0))),
+        300.0,
+        [(0.5, -0.5, 0.0, 100.0), (0.2, -2.5, 100.0, 300.0)],
+    ),
+    "polynomial cut below R0": (_POLYNOMIAL, 50.0, [(0.005, 0.0, 0.0, 50.0), (1e-4, 1.0, 0.0, 50.0)]),
+    "polynomial cut above R0": (
+        _POLYNOMIAL,
+        500.0,
+        [(0.005, 0.0, 0.0, 110.0), (1e-4, 1.0, 0.0, 110.0), (0.016 * 110.0**1.5, -1.5, 110.0, 500.0)],
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", DISKS)
+def test_disk_psi_matches_mpmath(shape):
+    """psi over a disk, by the closed form (the model's pieces cut at the
+    disk) and by the adaptive reference, against mpmath on the pieces of
+    the cut profile."""
+    mp.mp.dps = 30
+    model, radius, pieces = DISKS[shape]
+    gammas = np.geomspace(1e-3, 1e12, 6)
+    for alpha in (2.5, 4.0):
+        ref = [float(mp.fsum(_piece_psi_mpmath(*piece, alpha, g) for piece in pieces)) for g in gammas]
+        got = PsiEvaluator(model, alpha).value(gammas, radius)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0, err_msg=f"alpha={alpha}")
+        quadrature = PsiEvaluator(model, alpha, method="quadrature").value(gammas, radius)
+        np.testing.assert_allclose(quadrature, ref, rtol=1e-9, atol=0.0, err_msg=f"alpha={alpha}")
+
+
+@pytest.mark.parametrize("disk", (3.0, 7.0))
+def test_gaussian_disk_psi_matches_mpmath(disk):
+    """A Gaussian cluster's psi over disks inside its 8v simulation radius,
+    one inside and one beyond the 6v split: the panel rule to rel_tol, and
+    the adaptive reference to its own max(abs_tol, rel_tol * |psi|)."""
+    mp.mp.dps = 20
+    v, spec = 500.0, DEFAULT_QUADRATURE
+    gammas = np.geomspace(1e-6, 1e12, 7)
+    for alpha in (2.5, 3.0, 4.0):
+        model = GaussianCluster(rho=1.0, v=v)
+        ref = [_psi_gaussian_mpmath(v, alpha, g, radius=disk * v) for g in gammas]
+        got = PsiEvaluator(model, alpha).value(gammas, disk * v)
+        np.testing.assert_allclose(got, ref, rtol=spec.rel_tol, atol=0.0, err_msg=f"alpha={alpha}")
+        got = PsiEvaluator(model, alpha, method="quadrature").value(gammas, disk * v)
+        np.testing.assert_allclose(got, ref, rtol=spec.rel_tol, atol=spec.abs_tol, err_msg=f"alpha={alpha}")
+
+
 def _fit_poly_reference_mpmath(profile, scales, rho0, eps_tail, R0, alpha, gamma):
     """psi of profile(r) on (0, R0] plus rho0 * r**eps_tail beyond, as an
     mpmath integral over s = log r, cut at the knee, the profile's scales
@@ -507,90 +521,6 @@ def test_polynomial_sampler_across_the_kink_matches_root(coeffs, R0, rho0, R):
         for ui in u
     ]
     np.testing.assert_allclose(r, roots, rtol=1e-12, atol=0.0)
-
-
-def _truncation_error_mpmath(model, link, psi, radius, gamma):
-    """P(L, x) - P(L, x - tail) at gamma, the tail of psi beyond radius by mpmath.quad.
-
-    psi is the untruncated functional at gamma (beta = 1 models only); the
-    tail integrates 2 pi rho r^(1+eps) gamma / (r^alpha + gamma) over (radius, inf).
-    """
-    if isinstance(model, PowerLaw):
-        rho, eps = model.rho, model.eps
-    else:
-        rho, eps = model.rho0, model.eps_tail
-    rho, eps, alpha, g = mp.mpf(rho), mp.mpf(eps), mp.mpf(link.alpha), mp.mpf(gamma)
-    knee = g ** (1 / alpha)
-
-    def integrand(r):
-        return 2 * mp.pi * rho * r ** (1 + eps) * g / (r**alpha + g)
-
-    edges = sorted({mp.mpf(radius), max(mp.mpf(radius), knee), 10 * max(mp.mpf(radius), knee)})
-    tail = mp.quad(integrand, [*edges, mp.inf])
-    x = mp.mpf(psi) + mp.mpf(link.sigma2) * g
-    L = link.L
-    return mp.gammainc(L, 0, x, regularized=True) - mp.gammainc(L, 0, x - tail, regularized=True)
-
-
-def _power_law_psi_mpmath(model, alpha, gamma):
-    c = (2 + mp.mpf(model.eps)) / alpha
-    return 2 * mp.pi**2 * model.rho / alpha * mp.mpf(gamma) ** c / mp.sin(mp.pi * c)
-
-
-FIELD_LINK = LinkConfig(alpha=4.0, sigma2=1e-12, r_T=10.0, L=10)
-TAIL_POLYNOMIAL = PolynomialWithTail(
-    coeffs=(0.005, 0.0), R0=110.0, rho0=0.005 * 110.0**1.5, eps_tail=-1.5
-)
-
-
-@pytest.mark.parametrize(
-    "model, trials",
-    [
-        (PowerLaw(rho=0.023, eps=-0.5), 60),
-        (PowerLaw(rho=0.023, eps=-0.5), 1000),
-        (PowerLaw(rho=0.023, eps=-0.5), 20000),
-        (TAIL_POLYNOMIAL, 1000),
-    ],
-    ids=["power_law-60", "power_law-1000", "power_law-20000", "polynomial-1000"],
-)
-def test_budget_truncation_radius_meets_its_budget(model, trials):
-    """At the budget radius the CDF error stays within 1% of 1.36/sqrt(trials),
-    and at 0.9 of it the error exceeds that budget."""
-    mp.mp.dps = 30
-    link = FIELD_LINK
-    budget = 0.01 * 1.36 / math.sqrt(trials)
-    R = budget_truncation_radius(model, link, trials)
-    evaluator = PsiEvaluator(model, link.alpha)
-
-    # the whole functional: mpmath's cosecant form for the power law, the
-    # polynomial's closed form (checked against quadrature elsewhere); the
-    # truncated part is always mpmath's integral
-    def psi(g):
-        if isinstance(model, PowerLaw):
-            return _power_law_psi_mpmath(model, link.alpha, g)
-        return evaluator.value(g)
-
-    gammas = np.geomspace(1e2, 1e10, 33)
-    errors = [_truncation_error_mpmath(model, link, psi(g), R, g) for g in gammas]
-    assert max(errors) <= budget
-    worst = float(gammas[np.argmax(errors)])
-    assert _truncation_error_mpmath(model, link, psi(worst), 0.9 * R, worst) > budget
-
-
-@pytest.mark.parametrize("disk", [5.0, 8.0, 12.0])
-def test_gaussian_truncation_bound_matches_mpmath(disk):
-    """The Gaussian cluster's bound is its count beyond the disk times the
-    Gamma(L) density peak, with the count taken directly rather than as a
-    difference that cancels to 0 at 12v."""
-    mp.mp.dps = 40
-    v, L = 500.0, 10
-    model = GaussianCluster.with_total_count(1000.0, v)
-    link = LinkConfig(alpha=3.0, sigma2=1e-14, r_T=20.0, L=L)
-    R = disk * v
-    beyond = model.total_count * mp.gammainc(1.5, mp.mpf(R) ** 2 / (2 * v**2), mp.inf, regularized=True)
-    peak = mp.mpf(L - 1) ** (L - 1) * mp.exp(-(L - 1)) / mp.factorial(L - 1)  # Gamma(L) density at L - 1
-    assert model.count_beyond(R) == pytest.approx(float(beyond), rel=1e-12)
-    assert truncation_cdf_bound(model, link, R) == pytest.approx(float(beyond * peak), rel=1e-12)
 
 
 def test_lower_gamma_small_argument_matches_mpmath():

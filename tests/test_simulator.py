@@ -25,7 +25,7 @@ from sinrdist import (
     PsiEvaluator,
     SimConfig,
     SinrDistribution,
-    budget_truncation_radius,
+    campaign_truncation_radius,
     cdf_gamma,
     default_truncation_radius,
     draw_channels,
@@ -39,7 +39,6 @@ from sinrdist import (
     run_trials,
     sample_location,
     trial_rng,
-    truncation_cdf_bound,
     DiskRegion,
 )
 from sinrdist.intensity import ConfigError, _outer_term
@@ -680,38 +679,13 @@ def test_truncation_validation():
 
 
 # ---------------------------------------------------------------------------
-# budget truncation radius
+# campaign truncation radius
 
 
-TAIL_POLYNOMIAL = PolynomialWithTail(
-    coeffs=(0.005, 0.0), R0=110.0, rho0=0.005 * 110.0**1.5, eps_tail=-1.5
-)
-
-
-@pytest.mark.parametrize("model", [FIELD_MODEL, TAIL_POLYNOMIAL], ids=["power_law", "polynomial"])
-def test_budget_radius_grows_with_the_trial_count(model):
-    radii = [budget_truncation_radius(model, FIELD_LINK, n) for n in (10, 100, 1000, 10_000)]
-    assert all(a < b for a, b in zip(radii, radii[1:]))
-    for n, R in zip((10, 100, 1000, 10_000), radii):
-        assert truncation_cdf_bound(model, FIELD_LINK, R) <= 0.01 * 1.36 / math.sqrt(n)
-
-
-def test_budget_radius_of_the_field_shape():
-    # far inside the radius the old rule gives for the grid maximum 1e8
-    R = budget_truncation_radius(FIELD_MODEL, FIELD_LINK, 1000)
-    assert 350.0 < R < 365.0
-    assert truncation_cdf_bound(FIELD_MODEL, FIELD_LINK, 1172.2876300701066) < 2.3e-5
-
-
-def test_budget_radius_keeps_the_fixed_rules():
+def test_campaign_radius_keeps_the_fixed_rules():
     piecewise = PiecewisePowerLaw(segments=((0.5, -0.5, 100.0), (0.2, -2.5, 1000.0)))
-    cluster = GaussianCluster(rho=1.0, v=500.0)
-    for model in (piecewise, cluster):
-        assert budget_truncation_radius(model, FIELD_LINK, 1000) == default_truncation_radius(
-            model, FIELD_LINK.alpha, 1e8
-        )
-    with pytest.raises(TypeError):
-        budget_truncation_radius(object(), FIELD_LINK, 1000)
+    assert campaign_truncation_radius(piecewise, FIELD_LINK) == 1000.0
+    assert campaign_truncation_radius(GaussianCluster(rho=1.0, v=500.0), FIELD_LINK) == 4000.0
 
 
 @settings(max_examples=25, deadline=None)
@@ -721,38 +695,24 @@ def test_budget_radius_keeps_the_fixed_rules():
     alpha=st.floats(2.0, 6.0, exclude_min=True),
     shape=st.floats(0.01, 0.99),
     rho=st.floats(-6.0, 2.0).map(lambda e: 10.0**e),
-    sigma2=st.one_of(st.just(0.0), st.floats(-20.0, 0.0).map(lambda e: 10.0**e)),
-    trials=st.integers(1, 100_000),
 )
-def test_truncation_sizing_is_finite_or_a_typed_error(tail, L, alpha, shape, rho, sigma2, trials):
+def test_truncation_sizing_is_finite_or_a_typed_error(tail, L, alpha, shape, rho):
     """Over power laws and polynomials with a tail, at any L up to the cap:
-    the budget radius is finite, at least the tail's start r0 and within
-    its budget, and the bound there is a probability; or sizing raises
-    ArithmeticError or ConfigError, never a bare ValueError."""
+    the campaign radius is finite and at least the tail's start r0, and its
+    disk holds a mean count of at least 99% of x* = L + l + sqrt(l^2 + 2 L l),
+    l = log 1e4 (at least the psi it holds at gamma*); or sizing raises
+    ArithmeticError, never a bare ValueError."""
     if tail:
         eps = -2.0 + shape
         model = PolynomialWithTail(coeffs=(rho,), R0=100.0, rho0=rho * 100.0**-eps, eps_tail=eps)
     else:
         model = PowerLaw(rho=rho, eps=-2.0 + shape * alpha)  # eps < alpha - 2
-    link = LinkConfig(alpha=alpha, sigma2=sigma2, r_T=1.0, L=L)
+    link = LinkConfig(alpha=alpha, sigma2=0.0, r_T=1.0, L=L)
     try:
-        radius = budget_truncation_radius(model, link, trials)
-        bound = truncation_cdf_bound(model, link, radius)
-    except (ArithmeticError, ConfigError):
+        radius = campaign_truncation_radius(model, link)
+    except ArithmeticError:
         return
     assert math.isfinite(radius) and radius >= model.algebraic_tail[2]
-    assert 0.0 <= bound <= 0.01 * 1.36 / math.sqrt(trials)
-
-
-def test_truncation_cdf_bound_of_the_fixed_families():
-    peak = scipy.stats.gamma.pdf(FIELD_LINK.L - 1, FIELD_LINK.L)
-    piecewise = PiecewisePowerLaw(segments=((0.5, -0.5, 100.0), (0.2, -2.5, 1000.0)))
-    assert truncation_cdf_bound(piecewise, FIELD_LINK, 1000.0) == 0.0
-    beyond = piecewise.cumulative_count(1000.0) - piecewise.cumulative_count(300.0)
-    assert truncation_cdf_bound(piecewise, FIELD_LINK, 300.0) == pytest.approx(
-        min(1.0, peak * beyond), rel=1e-12
-    )
-    cluster = GaussianCluster(rho=1e-3, v=50.0)
-    beyond = cluster.total_count - cluster.cumulative_count(150.0)
-    bound = truncation_cdf_bound(cluster, FIELD_LINK, 150.0)
-    assert bound == pytest.approx(peak * beyond, rel=1e-9)
+    ell = math.log(1e4)
+    x = L + ell + math.sqrt(ell * ell + 2.0 * L * ell)
+    assert mean_count(model, DiskRegion(radius)) >= 0.99 * x * (1.0 - 1e-9)
