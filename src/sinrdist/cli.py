@@ -57,6 +57,7 @@ from .intensity import (
 from .interference import PsiEvaluator, _psi_panels, psi_polynomial, psi_power_law
 from .simulator import (
     SimConfig,
+    _require_bytes,
     campaign_truncation_radius,
     require_draw_fits,
     run_campaign,
@@ -117,6 +118,10 @@ def _parse_grid(raw, where, positive) -> np.ndarray:
             raise ConfigError(f"'spacing' in {where} must be 'log' or 'linear'")
         if points < 2:
             raise ConfigError(f"'points' in {where} must be >= 2")
+        # a run holds up to 400 B per grid point at once: its CSV columns,
+        # the psi and CDF arrays on them and the sidecar's copy of the grid
+        # (about 390 B at the peak of a pdf run with a campaign)
+        _require_bytes(points * 400, f"the columns of 'points' = {points} in {where}")
         if not lo < hi:
             raise ConfigError(f"{where} needs min < max, got [{lo}, {hi}]")
         if spacing == "log":

@@ -67,13 +67,11 @@ NEWTON_STEPS = 60
 NEWTON_RTOL = 4.0 * np.finfo(float).eps
 # Beyond this degree the monomial representation is too ill-conditioned.
 FIT_DEGREE_CAP = 30
-# The Gaussian cluster's three scales, in units of v: both psi quadratures
-# split the bulk from the exponential tail at 6v; simulations truncate at 8v
-# (nearly all the mass lies within 5v); its support_radius is 12v, where
-# psi quadrature and sampling stop: the mass beyond is Q(3/2, 72), about
-# 5e-31 of the total.
+# The Gaussian cluster's two scales, in units of v: both psi quadratures
+# split the bulk from the exponential tail at 6v; its support_radius is 12v,
+# where psi, its count, sampling and a campaign's disk all stop: the mass
+# beyond is Q(3/2, 72), about 5e-31 of the total.
 GAUSSIAN_SPLIT_FACTOR = 6.0
-GAUSSIAN_TRUNCATION_FACTOR = 8.0
 GAUSSIAN_SUPPORT_FACTOR = 12.0
 # The median of the Maxwell law in units of v, where P(3/2, m^2 / 2) = 1/2:
 # on a Gaussian-cluster disk at least this wide at least half of the radii
@@ -252,7 +250,7 @@ def _piece_psi(c, k, lo, hi, alpha: float, gamma):
 
     def count_less_removed(g):
         removed = _disk_term(c, k + alpha, alpha, g, hi) - _disk_term(c, k + alpha, alpha, g, lo)
-        return _annulus_count(c, k, lo, hi) - removed / g
+        return _power_mass(c, k, lo, hi) - removed / g
 
     if k >= alpha - 2.0 - _POLE_MARGIN:
         return disk(gamma)
@@ -267,19 +265,6 @@ def _piece_psi(c, k, lo, hi, alpha: float, gamma):
     return out
 
 
-def _annulus_count(c, k, lo, hi):
-    """Mean count of c * r**k on (lo, hi], 0 < lo < hi < inf: 2 pi c
-    (hi^p - lo^p) / p with p = k + 2, taken as lo^p expm1(p log(hi/lo)) / p
-    where the difference would cancel (small |p log(hi/lo)|)."""
-    p = k + 2.0
-    log_ratio = math.log(hi / lo)
-    if abs(p * log_ratio) >= 1.0:
-        return TWO_PI * c * (hi**p - lo**p) / p
-    if p == 0.0:
-        return TWO_PI * c * log_ratio
-    return TWO_PI * c * lo**p * math.expm1(p * log_ratio) / p
-
-
 def _psi_sum(pieces, alpha: float, gamma):
     """psi of a sum of power-law pieces (see PowerLawSum), term by term."""
     _check_alpha(alpha)
@@ -288,11 +273,19 @@ def _psi_sum(pieces, alpha: float, gamma):
 
 
 def _power_mass(c, k, lo, r):
-    """Mean count of c * t**k on the annulus (lo, r], 2 pi int_lo^r c t^(k+1) dt."""
+    """Mean count of c * t**k on the annulus (lo, r], 2 pi int_lo^r c t^(k+1)
+    dt = 2 pi c (r^p - lo^p) / p with p = k + 2. Where lo > 0 and
+    |p log(r/lo)| < 1 the difference would cancel (near k = -2), so there it
+    is lo^p expm1(p log(r/lo)) / p, and 2 pi c log(r/lo) at p = 0."""
     p = 2.0 + k
+    if lo == 0.0:
+        return TWO_PI * c * np.power(r, p) / p
+    log_ratio = np.log(r / lo)
     if p == 0.0:
-        return TWO_PI * c * np.log(r / lo)
-    return TWO_PI * c * (np.power(r, p) - np.power(lo, p)) / p
+        return TWO_PI * c * log_ratio
+    x, lo_p = p * log_ratio, np.power(lo, p)
+    near = lo_p * np.expm1(np.clip(x, -1.0, 1.0))
+    return TWO_PI * c * np.where(np.abs(x) < 1.0, near, np.power(r, p) - lo_p) / p
 
 
 def _polynomial_pieces(coeffs, R0, rho0, eps_tail):
@@ -350,10 +343,6 @@ class DiskRegion:
         if not self.radius > 0:
             raise ValueError(f"disk radius must be positive, got {self.radius}")
 
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.radius)
-
 
 FULL_PLANE = DiskRegion(math.inf)
 
@@ -369,35 +358,20 @@ class IntensityModel:
     laws derives all of these from its pieces (see PowerLawSum).
     """
 
-    # where Lambda ends, and the radii adaptive quadrature splits at
+    # where Lambda ends (a finite support is also a campaign's disk), and
+    # the radii adaptive quadrature splits at
     support_radius = math.inf
     quadrature_breakpoints = ()
-    # psi_closed_form(alpha, gamma), psi of the nominal (beta = 1) profile,
-    # and dpsi_closed_form(alpha, gamma, psi), d psi / d gamma from psi (beta
-    # included); None sends either to the panel rule
-    psi_closed_form = None
+    # the nominal (beta = 1) profile as power-law pieces (see PowerLawSum),
+    # psi's closed form, and dpsi_closed_form(alpha, gamma, psi), d psi /
+    # d gamma from psi (beta included); None sends either to the panel rule
+    pieces = None
     dpsi_closed_form = None
     # (rho, eps, r0) when Lambda is beta * rho * r**eps beyond r0
     algebraic_tail = None
 
     def check_alpha(self, alpha: float) -> None:
         """Raise DivergenceError where psi diverges at this alpha."""
-
-    @property
-    def fixed_truncation_radius(self):
-        """A simulation radius that needs no link or trial count, for a family
-        without an algebraic tail: by default its finite support."""
-        return self.support_radius if math.isfinite(self.support_radius) else None
-
-    def count_beyond(self, r: float) -> float:
-        """Mean count beyond radius r, finite only for a finite support."""
-        if not math.isfinite(self.support_radius):
-            raise DivergenceError(
-                f"{type(self).__name__} intensity has infinite mean count over the "
-                "plane; use a finite region"
-            )
-        support = self.cumulative_count(self.support_radius)
-        return float(support - self.cumulative_count(min(r, self.support_radius)))
 
     def draw_radii(self, rng, n: int, r_max: float):
         """n radii drawn from rng by the radial law on [0, r_max] (cut to
@@ -529,9 +503,6 @@ class PowerLawSum(IntensityModel):
                 "power-law interference is finite only for eps < alpha - 2; got "
                 f"eps={tail[1]} with alpha={alpha}"
             )
-
-    def psi_closed_form(self, alpha: float, gamma):
-        return _psi_sum(self.pieces, alpha, gamma)
 
 
 @dataclass(frozen=True)
@@ -766,10 +737,6 @@ class GaussianCluster(IntensityModel):
     def quadrature_breakpoints(self):
         return (GAUSSIAN_SPLIT_FACTOR * self.v,)
 
-    @property
-    def fixed_truncation_radius(self) -> float:
-        return GAUSSIAN_TRUNCATION_FACTOR * self.v
-
     def radial_intensity(self, r):
         r, scalar = _as_array(r)
         out = self.beta * self.rho * (r / self.v**2) * np.exp(-0.5 * (r / self.v) ** 2)
@@ -808,19 +775,23 @@ FAMILIES = {
 
 @functools.lru_cache(maxsize=64)
 def mean_count(model: IntensityModel, region: DiskRegion) -> float:
-    """Mean number of process points inside the region (the Poisson mean).
+    """Mean number of process points inside the region (the Poisson mean):
+    the cumulative count at the region's radius, cut to the support.
 
     Closed form for every family. An infinite region is only meaningful when
-    the total mass converges (Gaussian cluster, or a piecewise model whose
-    support is bounded); otherwise a DivergenceError is raised. Models and
-    regions are immutable, so the value is cached: a campaign asks for it
-    once per trial. A count past the float range is inf, for the caller to
-    judge.
+    the support is finite (Gaussian cluster, piecewise model); otherwise a
+    DivergenceError is raised. Models and regions are immutable, so the
+    value is cached: a campaign asks for it once per chunk. A count past the
+    float range is inf, for the caller to judge.
     """
+    radius = min(region.radius, model.support_radius)
+    if math.isinf(radius):
+        raise DivergenceError(
+            f"{type(model).__name__} intensity has infinite mean count over the "
+            "plane; use a finite region"
+        )
     with np.errstate(over="ignore"):
-        if not region.is_finite:
-            return model.count_beyond(0.0)
-        return float(model.cumulative_count(min(region.radius, model.support_radius)))
+        return float(model.cumulative_count(radius))
 
 
 def location_pdf(model: IntensityModel, region: DiskRegion, r, theta=0.0):

@@ -225,10 +225,10 @@ def _psi_panels(
 class PsiEvaluator:
     """Bundles a model with alpha and an evaluation route.
 
-    method is "auto" or "quadrature". Auto uses the model's psi_closed_form
-    where it has one (power law, piecewise, polynomial) and the log-r panel
-    rule where it has none (Gaussian cluster); quadrature is the adaptive
-    reference, one point at a time.
+    method is "auto" or "quadrature". Auto sums the closed forms of the
+    model's power-law pieces where it has them (power law, piecewise,
+    polynomial) and takes the log-r panel rule where it has none (Gaussian
+    cluster); quadrature is the adaptive reference, one point at a time.
     value and derivative take a scalar gamma (float result) or an array,
     through the same code, so a point's value does not depend on the batch
     it is evaluated in.
@@ -258,18 +258,16 @@ class PsiEvaluator:
         """psi(gamma) over the disk (0, radius], the whole plane by default,
         via the configured route (includes the model's beta).
 
-        A closed form is a sum of power-law pieces (see PowerLawSum): on a
-        finite disk each piece is cut at radius, and one that starts beyond
-        it drops out. The panel rule and the quadrature integrate over the
-        disk.
+        A closed form is a sum of power-law pieces (see PowerLawSum): each
+        piece is cut at radius, and one that starts beyond it drops out (on
+        the plane nothing is cut). The panel rule and the quadrature
+        integrate over the disk.
         """
         g, scalar, _ = _gamma_array(gamma)
         m = self.model
         if self.method == "quadrature":
             return self._adaptive(g, scalar, radius=radius)
-        if m.psi_closed_form is not None:
-            if math.isinf(radius):
-                return m.beta * m.psi_closed_form(self.alpha, g)
+        if m.pieces is not None:
             pieces = tuple((c, k, lo, min(hi, radius)) for c, k, lo, hi in m.pieces if lo < radius)
             return m.beta * _psi_sum(pieces, self.alpha, g)
         # the panel rule on the nominal profile, scaled after the sum

@@ -29,7 +29,7 @@ import numpy as np
 import numpy.random  # loaded with the simulator, not by its first trial
 
 from .distribution import LinkConfig, _psi_inverse
-from .intensity import TWO_PI, ConfigError, DiskRegion, IntensityModel, mean_count
+from .intensity import TWO_PI, ConfigError, DiskRegion, IntensityModel, _psi_sum, mean_count
 from .interference import PsiEvaluator
 
 __all__ = [
@@ -428,24 +428,26 @@ def _run_pool(sim: SimConfig, workers: int):
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
+def _require_bytes(nbytes: float, what: str) -> None:
+    """Raise ConfigError naming what unless its nbytes fit in MAX_DRAW_BYTES."""
+    if not nbytes <= MAX_DRAW_BYTES:
+        raise ConfigError(f"{what} would take {nbytes:.3g} B, over the {MAX_DRAW_BYTES} B limit")
+
+
 def require_draw_fits(mean: float, bytes_per_point: int) -> None:
     """Raise ConfigError unless a Poisson draw of this mean, at
     bytes_per_point, is expected to fit in MAX_DRAW_BYTES."""
-    if not mean * bytes_per_point <= MAX_DRAW_BYTES:
-        raise ConfigError(
-            f"a Poisson mean of {mean:.6g} points needs {mean * bytes_per_point:.3g} B "
-            f"per draw, over the {MAX_DRAW_BYTES} B limit"
-        )
+    _require_bytes(mean * bytes_per_point, f"a draw at a Poisson mean of {mean:.6g} points")
 
 
 def _run_arrays(sim: SimConfig, workers: int):
     """SINRs and interferer counts of every trial, in trial order."""
     L = sim.link.L
-    if not TRIAL_MATRIX_BYTES * L * L <= MAX_DRAW_BYTES:
-        raise ConfigError(
-            f"L = {L} antennas need {TRIAL_MATRIX_BYTES * L * L:.3g} B of matrices per trial, "
-            f"over the {MAX_DRAW_BYTES} B limit"
-        )
+    _require_bytes(TRIAL_MATRIX_BYTES * L * L, f"the matrices of a trial at L = {L} antennas")
+    # a run holds up to 320 B per trial at once: the SINRs and counts, the
+    # pool's concatenation of them, the sorted samples and the KS's psi and
+    # CDF arrays on them (about 300 B at the peak of a cdf or simulate run)
+    _require_bytes(int(sim.trials) * 320, f"the arrays of trials = {sim.trials}")
     # 2L doubles of normals per interferer, and complex copies on the QR route
     require_draw_fits(mean_count(sim.model, DiskRegion(sim.truncation_radius)), 32 * L)
     workers = min(workers, os.cpu_count() or 1, sim.trials)
@@ -484,12 +486,12 @@ def default_truncation_radius(
 
     Chooses R so the part of the interference functional beyond R, at the
     largest normalized SINR of interest, stays below tail_fraction of the
-    total. A model's fixed_truncation_radius wins (piecewise models: their
-    exact support; Gaussian clusters: 8v, the mass beyond is astronomically
-    small); an algebraic tail (power law from the origin, polynomial tail
-    from r0 > 0) solves a bound on the tail in closed form, and never
-    returns less than r0. The CLI sizes its campaigns with it, at the
-    gamma campaign_truncation_radius picks.
+    total. A finite support is the radius (piecewise: its outer edge;
+    Gaussian cluster: 12v, where its psi stops), so nothing is ignored; an
+    algebraic tail (power law from the origin, polynomial tail from r0 > 0)
+    solves a bound on the tail in closed form, and never returns less than
+    r0. The CLI sizes its campaigns with it, at the gamma
+    campaign_truncation_radius picks.
     """
     if not alpha > 2:
         raise ValueError(f"alpha must exceed 2, got {alpha}")
@@ -500,8 +502,8 @@ def default_truncation_radius(
 
     if not isinstance(model, IntensityModel):
         raise TypeError(f"unsupported model type: {type(model).__name__}")
-    if model.fixed_truncation_radius is not None:
-        return model.fixed_truncation_radius
+    if math.isfinite(model.support_radius):
+        return model.support_radius
     rho, eps, r0 = model.algebraic_tail
     # the psi tail beyond R is at most 2 pi rho gamma R^(2+eps-alpha)/(alpha-2-eps),
     # since the kernel is below gamma r^-alpha; R holds that to tail_fraction of
@@ -511,23 +513,24 @@ def default_truncation_radius(
         c = (2.0 + eps) / alpha
         factor = alpha * math.sin(math.pi * c) / (math.pi * tail_fraction * k)
         return gamma_max ** (1.0 / alpha) * factor ** (1.0 / k)
-    total = model.psi_closed_form(alpha, gamma_max)
+    total = _psi_sum(model.pieces, alpha, gamma_max)
     return max(r0, (TWO_PI * rho * gamma_max / (k * tail_fraction * total)) ** (1.0 / k))
 
 
 def campaign_truncation_radius(model: IntensityModel, link: LinkConfig) -> float:
     """The disk a campaign samples, sized from the model and the link alone.
 
-    A model's fixed_truncation_radius wins (piecewise: its support; Gaussian
-    cluster: 8v). An algebraic tail takes default_truncation_radius at the
-    gamma* where psi reaches x* = L + l + sqrt(l^2 + 2 L l), l =
-    -log(CAMPAIGN_COUNT_TAIL) (by _psi_inverse), so the disk holds 99% of
-    psi(gamma*) = x*. A Poisson count N of mean x >= L has P(N <= L - 1) <=
-    exp(-(x - L)^2 / 2x), which is CAMPAIGN_COUNT_TAIL at x*: few trials draw
-    fewer interferers than antennas, a singular covariance at sigma2 = 0.
+    A finite support is the disk (piecewise: its outer edge; Gaussian
+    cluster: 12v), so the disk law is the analytic law. An algebraic tail
+    takes default_truncation_radius at the gamma* where psi reaches x* =
+    L + l + sqrt(l^2 + 2 L l), l = -log(CAMPAIGN_COUNT_TAIL) (by
+    _psi_inverse), so the disk holds 99% of psi(gamma*) = x*. A Poisson
+    count N of mean x >= L has P(N <= L - 1) <= exp(-(x - L)^2 / 2x), which
+    is CAMPAIGN_COUNT_TAIL at x*: few trials draw fewer interferers than
+    antennas, a singular covariance at sigma2 = 0.
     """
-    if model.fixed_truncation_radius is not None:
-        return model.fixed_truncation_radius
+    if math.isfinite(model.support_radius):
+        return model.support_radius
     ell = -math.log(CAMPAIGN_COUNT_TAIL)
     x = link.L + ell + math.sqrt(ell * ell + 2.0 * link.L * ell)
     gamma = _psi_inverse(PsiEvaluator(model, link.alpha), x, "the disk count x*")

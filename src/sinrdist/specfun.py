@@ -11,9 +11,9 @@ runs take.
   it is small, so the lower tail keeps its relative accuracy (P(10, 1e-3)
   is about 2.8e-37). Its terms and the Gamma(L, 1) density are one array
   function, poisson_pmf; a scalar call is a batch of one.
-- P(3/2, y) and Q(3/2, y), for the Gaussian cluster's count, are a series
-  below y = 1 and the erfc form above it; a scalar call is a batch of one
-  here too.
+- P(3/2, y), for the Gaussian cluster's count, is a series below y = 1 and
+  one less the erfc form of Q(3/2, y) above it; a scalar call is a batch of
+  one here too.
 - The Gauss hypergeometric function is restricted to the first-parameter-1
   shape 2F1(1, b; b+1; -x), the only one the interference integrals
   produce: a fixed Gauss-Jacobi rule on its Euler integral up to x = 2, and
@@ -321,27 +321,25 @@ def _three_halves_ratio(j, y):
     return y / (1.5 + j)
 
 
-def three_halves_gamma(y, upper: bool = False):
-    """P(3/2, y), or Q(3/2, y) with upper, for y >= 0 (array or scalar).
+def three_halves_gamma(y):
+    """P(3/2, y) for y >= 0 (array or scalar).
 
     Below y = THREE_HALVES_SERIES_MAX, P = (4 / (3 sqrt(pi))) y^(3/2) e^-y
-    M(1, 5/2, y), summed term by term; above it Q = erfc(sqrt(y)) +
-    2 sqrt(y/pi) e^-y. Each is taken directly where it is the small one, so
-    P keeps its relative accuracy near 0 (like y^(3/2)) and Q far out. A
-    scalar y returns a float."""
+    M(1, 5/2, y), summed term by term, so P keeps its relative accuracy near
+    0 (like y^(3/2)); above it P = 1 - Q with Q = erfc(sqrt(y)) +
+    2 sqrt(y/pi) e^-y. A scalar y returns a float."""
     y, scalar = _as_array(y)
     flat = y.ravel()
     series = flat < THREE_HALVES_SERIES_MAX
     out = np.empty_like(flat)
     ys = flat[series]
     first = _THREE_HALVES_SERIES_SCALE * ys * np.sqrt(ys) * np.exp(-ys)
-    p = _falling_sum(first, _three_halves_ratio, ys)
-    out[series] = 1.0 - p if upper else p
+    out[series] = _falling_sum(first, _three_halves_ratio, ys)
     yt = flat[~series]
     with np.errstate(invalid="ignore", under="ignore"):
         erfc = np.frompyfunc(math.erfc, 1, 1)(np.sqrt(yt)).astype(float)
         q = np.where(yt == np.inf, 0.0, erfc + 2.0 * np.sqrt(yt / math.pi) * np.exp(-yt))
-    out[~series] = q if upper else 1.0 - q
+    out[~series] = 1.0 - q
     return float(out[0]) if scalar else out.reshape(y.shape)
 
 

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import sinrdist.cli
 import sinrdist.distribution
+import sinrdist.interference
 import sinrdist.simulator
 from sinrdist import (
     DiskRegion,
@@ -421,7 +422,7 @@ def test_run_cdf_with_empirical_column(tmp_path):
     meta = json.loads(sidecar_path(out).read_text())
     assert meta["trials"] == 50
     assert 0.0 < meta["ks_distance"] <= 1.0
-    assert meta["truncation_radius"] == pytest.approx(8.0 * 50.0)
+    assert meta["truncation_radius"] == 12.0 * 50.0
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -512,6 +513,19 @@ def test_disk_cdf_of_a_model_cut_at_its_support_is_the_analytic_cdf(tmp_path):
     cfg = _cdf_config(tmp_path, model={"family": "piecewise_power_law", "segments": segments})
     columns, meta = _run(tmp_path, "cdf", cfg, "--trials", "10")
     assert meta["truncation_radius"] == 1000.0
+    np.testing.assert_array_equal(columns["disk_cdf"], columns["analytic_cdf"])
+    assert meta["disk_cdf_gap"] == 0.0
+
+
+def test_gaussian_campaign_samples_its_whole_support(tmp_path):
+    """A Gaussian cluster's disk is its 12v support, where its psi stops,
+    so the disk law is the analytic law bit for bit."""
+    model = {"family": "gaussian_cluster", "v": 500.0, "total_count": 1000.0}
+    link = {"alpha": 3.0, "sigma2": 1e-14, "r_T": 20.0, "L": 10}
+    cfg = _cdf_config(tmp_path, model=model, link=link)
+    cfg["gamma_grid"] = {"min": 8e2, "max": 8e8, "points": 25}
+    columns, meta = _run(tmp_path, "cdf", cfg, "--trials", "10")
+    assert meta["truncation_radius"] == meta["config"]["sim"]["truncation_radius"] == 12.0 * 500.0
     np.testing.assert_array_equal(columns["disk_cdf"], columns["analytic_cdf"])
     assert meta["disk_cdf_gap"] == 0.0
 
@@ -1032,15 +1046,15 @@ def test_main_simulate_huge_noise_sizes_its_disk_without_warnings(tmp_path):
 @pytest.mark.filterwarnings("error")
 def test_main_non_finite_bound_grid_fails_before_any_trial(tmp_path, capsys, monkeypatch):
     # psi overflows above gamma = 1e5, which the CDF grid reaches
-    closed_form = PowerLaw.psi_closed_form
+    closed_form = sinrdist.interference._psi_sum
 
-    def overflowing(self, alpha, gamma):
-        return np.where(np.asarray(gamma) < 1e5, closed_form(self, alpha, gamma), np.inf)
+    def overflowing(pieces, alpha, gamma):
+        return np.where(np.asarray(gamma) < 1e5, closed_form(pieces, alpha, gamma), np.inf)
 
     def no_campaign(*args):
         raise AssertionError("a trial was drawn")
 
-    monkeypatch.setattr(PowerLaw, "psi_closed_form", overflowing)
+    monkeypatch.setattr(sinrdist.interference, "_psi_sum", overflowing)
     monkeypatch.setattr(sinrdist.cli, "run_campaign", no_campaign)
     cfg = _cdf_config(tmp_path, sim={"trials": 20, "seed": 3, "truncation_radius": 300.0})
     assert main(["cdf", "--config", json.dumps(cfg)]) == 2
@@ -1090,6 +1104,43 @@ def test_main_campaign_matrices_over_the_draw_limit_are_a_config_error(tmp_path)
     assert done.returncode == 1, done.stderr
     assert "Traceback" not in done.stderr
     assert "L = 100000" in done.stderr
+
+
+def test_main_oversized_campaign_or_grid_is_a_config_error(tmp_path):
+    """A trial count or grid whose arrays would not fit in MAX_DRAW_BYTES
+    exits 1 naming the key before anything is allocated, where 1e12 trials
+    or points once ended in an uncaught allocation error. The runs are made
+    in one child that caps its own address space at 4 GB, so a failure to
+    refuse them cannot take the host's memory."""
+    cases = [
+        ("simulate", {"sim": {"trials": 10**12, "seed": 1}}, "trials"),
+        ("simulate", {"sim": {"trials": 2**62, "seed": 1}}, "trials"),
+        ("cdf", {"sim": {"trials": 10**12, "seed": 1}}, "trials"),
+        ("cdf", {"gamma_grid": {"min": 1.0, "max": 1e6, "points": 10**12}}, "'points'"),
+    ]
+    configs = [{**_cdf_config(tmp_path), "experiment": kind, **extra} for kind, extra, _ in cases]
+    del configs[0]["gamma_grid"], configs[1]["gamma_grid"]
+    child = (
+        "import contextlib, io, json, resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (4_000_000_000, 4_000_000_000))\n"
+        "from sinrdist.cli import main\n"
+        "for cfg in sys.argv[1:]:\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stderr(err):\n"
+        "        code = main([json.loads(cfg)['experiment'], '--config', cfg])\n"
+        "    print(json.dumps([code, err.getvalue()]))\n"
+    )
+    src = str(Path(sinrdist.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-c", child, *map(json.dumps, configs)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    results = [json.loads(line) for line in done.stdout.splitlines()]
+    assert len(results) == len(cases)
+    for (kind, _, key), (code, err) in zip(cases, results):
+        assert code == 1 and key in err and "B limit" in err, (kind, err)
 
 
 def test_main_oversized_point_draw_is_a_config_error(tmp_path, capsys):

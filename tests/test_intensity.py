@@ -40,6 +40,7 @@ from sinrdist.intensity import (
     IntensityModel,
     PowerLawSum,
     _inverse_cdf_table,
+    _psi_sum,
     _table_radii,
 )
 from sinrdist.interference import _psi_adaptive, _psi_panels
@@ -251,13 +252,12 @@ def test_location_pdf_normalization():
         (GaussianCluster(rho=0.7, v=3.0), DiskRegion(5.0)),
     ]
     for model, region in cases:
-        upper = region.radius if region.is_finite else math.inf
         # the joint polar density already carries the Jacobian r, so the
         # normalization integral is just 2*pi * integral of pdf over r
         total = integrate_radial(
             lambda r: TWO_PI * location_pdf(model, region, r) if r > 0 else 0.0,
             0.0,
-            upper,
+            region.radius,
         )
         assert total == pytest.approx(1.0, rel=1e-8)
 
@@ -578,17 +578,17 @@ def _assert_answers_protocol(model):
     assert model.support_radius > 0
     assert all(0 < b < model.support_radius for b in model.quadrature_breakpoints)
     model.check_alpha(alpha)
-    # the count over the plane is finite exactly when the region may be the plane
-    try:
-        plane = model.count_beyond(0.0)
-    except DivergenceError:
-        assert model.algebraic_tail is not None
-    else:
+    # a family has a finite support or an algebraic tail, not both, and the
+    # count over the plane is finite exactly when the support is
+    assert math.isfinite(model.support_radius) != (model.algebraic_tail is not None)
+    if math.isfinite(model.support_radius):
+        plane = mean_count(model, FULL_PLANE)
+        assert plane == model.cumulative_count(model.support_radius)
         assert plane == pytest.approx(model.cumulative_count(1e12), rel=1e-12)
-        assert model.count_beyond(1.0) + model.cumulative_count(1.0) == pytest.approx(plane, rel=1e-12)
         assert np.all(np.isfinite(model.sample_radii(np.array([0.5, 1.0]), math.inf)))
-    # a family truncates either at a fixed radius or by its algebraic tail
-    assert (model.fixed_truncation_radius is None) != (model.algebraic_tail is None)
+    else:
+        with pytest.raises(DivergenceError):
+            mean_count(model, FULL_PLANE)
     if model.algebraic_tail is not None:
         rho, eps, r0 = model.algebraic_tail
         far = max(r0, 1.0) * 10.0
@@ -601,8 +601,8 @@ def _assert_answers_protocol(model):
     # the panel rule integrates psi, whether or not a closed form exists
     panels = _psi_panels(model, alpha, gammas, DEFAULT_QUADRATURE, False)
     np.testing.assert_allclose(panels, PsiEvaluator(model, alpha).value(gammas), rtol=1e-8)
-    if model.psi_closed_form is not None:
-        nominal = model.psi_closed_form(alpha, gammas)
+    if model.pieces is not None:
+        nominal = _psi_sum(model.pieces, alpha, gammas)
         np.testing.assert_array_equal(model.beta * nominal, PsiEvaluator(model, alpha).value(gammas))
     if model.dpsi_closed_form is not None:
         psi = PsiEvaluator(model, alpha).value(gammas)

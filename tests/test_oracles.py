@@ -40,7 +40,7 @@ from sinrdist import (
     trial_rng,
 )
 
-from sinrdist.intensity import MAXWELL_MEDIAN, _piece_psi
+from sinrdist.intensity import MAXWELL_MEDIAN, _piece_psi, _power_mass
 from sinrdist.specfun import three_halves_gamma
 
 mp = pytest.importorskip("mpmath")
@@ -139,21 +139,15 @@ def test_gamma_density_matches_mpmath(L):
 
 
 def test_three_halves_gamma_no_worse_than_scipy():
-    """P and Q(3/2, y) from deep inside the origin to the 12v tail (y = 72)
-    and beyond, across the switch from the series to erfc at y = 1."""
+    """P(3/2, y) from deep inside the origin to the 12v tail (y = 72) and
+    beyond, across the switch from the series to erfc at y = 1."""
     special = pytest.importorskip("scipy.special")
     mp.mp.dps = 40
     y = np.concatenate([np.geomspace(1e-30, 700.0, 41), [0.5, 0.999, 1.0, 1.001, 72.0]])
-    lower = [mp.gammainc(1.5, 0, mp.mpf(v), regularized=True) for v in y]
-    upper = [mp.gammainc(1.5, mp.mpf(v), mp.inf, regularized=True) for v in y]
-    for got, theirs, ref, label in (
-        (three_halves_gamma(y), special.gammainc(1.5, y), lower, "P"),
-        (three_halves_gamma(y, upper=True), special.gammaincc(1.5, y), upper, "Q"),
-    ):
-        ref = np.array([float(r) for r in ref])
-        floor = EPS * (4.0 + np.abs(np.log(ref)))
-        _assert_no_worse_than_scipy(got, theirs, ref, floor, f"{label}(3/2, y)")
-    assert three_halves_gamma(0.0) == 0.0 and three_halves_gamma(np.inf, upper=True) == 0.0
+    ref = np.array([float(mp.gammainc(1.5, 0, mp.mpf(v), regularized=True)) for v in y])
+    floor = EPS * (4.0 + np.abs(np.log(ref)))
+    _assert_no_worse_than_scipy(three_halves_gamma(y), special.gammainc(1.5, y), ref, floor, "P(3/2, y)")
+    assert three_halves_gamma(0.0) == 0.0 and three_halves_gamma(np.inf) == 1.0
 
 
 def test_maxwell_median_matches_mpmath():
@@ -331,6 +325,25 @@ def test_annulus_psi_near_k_minus_two_matches_mpmath(k):
     np.testing.assert_allclose(got, ref, rtol=4e-15, atol=0.0)
 
 
+def test_power_mass_near_k_minus_two_matches_mpmath():
+    """The count of c * r**k on an annulus (lo, r] near k = -2, where
+    r^(k+2) - lo^(k+2) cancels (4.5e-12 off for the piecewise count at
+    r = 3 and 9.8e-11 for the bare piece on (10, 10.5]); lo^(k+2)
+    expm1((k+2) log(r/lo)) does not."""
+    mp.mp.dps = 40
+
+    def mass(c, k, lo, r):
+        p = mp.mpf(k) + 2
+        return 2 * mp.pi * c * (mp.mpf(r) ** p - mp.mpf(lo) ** p) / p
+
+    model = PiecewisePowerLaw(((1e-6, -0.5, 1.0), (1.0, -2.00001, 3.0)))
+    r = np.array([2.0, 3.0])
+    ref = [float(mass(1e-6, -0.5, 0, 1.0) + mass(1.0, -2.00001, 1.0, x)) for x in r]
+    np.testing.assert_allclose(model.cumulative_count(r), ref, rtol=1e-14, atol=0.0)
+    got = _power_mass(1.0, -2.00001, 10.0, 10.5)
+    assert got == pytest.approx(float(mass(1.0, -2.00001, 10.0, 10.5)), rel=1e-14, abs=0.0)
+
+
 # (model, disk radius, the power-law pieces (c, k, lo, hi) of the profile
 # cut at the disk, written out by hand)
 _POLYNOMIAL = PolynomialWithTail(coeffs=(0.005, 1e-4), R0=110.0, rho0=0.016 * 110.0**1.5, eps_tail=-1.5)
@@ -368,8 +381,8 @@ def test_disk_psi_matches_mpmath(shape):
 
 @pytest.mark.parametrize("disk", (3.0, 7.0))
 def test_gaussian_disk_psi_matches_mpmath(disk):
-    """A Gaussian cluster's psi over disks inside its 8v simulation radius,
-    one inside and one beyond the 6v split: the panel rule to rel_tol, and
+    """A Gaussian cluster's psi over disks inside its 12v support, one
+    inside and one beyond the 6v split: the panel rule to rel_tol, and
     the adaptive reference to its own max(abs_tol, rel_tol * |psi|)."""
     mp.mp.dps = 20
     v, spec = 500.0, DEFAULT_QUADRATURE

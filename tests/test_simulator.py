@@ -33,6 +33,7 @@ from sinrdist import (
     mean_count,
     mmse_sinr,
     psi_piecewise,
+    psi_polynomial,
     psi_power_law,
     run_campaign,
     run_trial,
@@ -638,7 +639,8 @@ def test_truncation_piecewise_support():
 
 
 def test_truncation_gaussian_factor():
-    assert default_truncation_radius(GaussianCluster(rho=1.0, v=500.0), 3.0, 1e6) == 4000.0
+    # a finite support is the radius: the Gaussian cluster's 12v
+    assert default_truncation_radius(GaussianCluster(rho=1.0, v=500.0), 3.0, 1e6) == 6000.0
 
 
 def test_truncation_power_law_tail_bound():
@@ -661,7 +663,7 @@ def test_truncation_polynomial_tail_bound(alpha, gamma_max):
     R = default_truncation_radius(model, alpha, gamma_max)
     assert R >= R0
     tail = _outer_term(model.rho0, eps_tail, alpha, gamma_max, R)
-    assert tail <= 1e-3 * model.psi_closed_form(alpha, gamma_max)
+    assert tail <= 1e-3 * psi_polynomial(model.coeffs, R0, model.rho0, eps_tail, alpha, gamma_max)
     # a radius below R0 is never returned
     assert default_truncation_radius(model, alpha, 1e-6) == R0
 
@@ -685,7 +687,7 @@ def test_truncation_validation():
 def test_campaign_radius_keeps_the_fixed_rules():
     piecewise = PiecewisePowerLaw(segments=((0.5, -0.5, 100.0), (0.2, -2.5, 1000.0)))
     assert campaign_truncation_radius(piecewise, FIELD_LINK) == 1000.0
-    assert campaign_truncation_radius(GaussianCluster(rho=1.0, v=500.0), FIELD_LINK) == 4000.0
+    assert campaign_truncation_radius(GaussianCluster(rho=1.0, v=500.0), FIELD_LINK) == 6000.0
 
 
 @settings(max_examples=25, deadline=None)
