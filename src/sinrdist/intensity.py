@@ -604,10 +604,19 @@ class PiecewisePowerLaw(PowerLawSum):
         out = np.empty_like(u)
         for i, (c, k, lo, _) in enumerate(self.pieces):
             mask = idx == i
-            # the mass on (lo, r] solved for r
+            # the mass on (lo, r] solved for r: r^p = lo^p + share p, which
+            # cancels where |share p| < lo^p (near p = 0), so there it is
+            # lo exp(log1p(share p / lo^p) / p); lo = 0 leaves lo^p = 0
             share = (target[mask] - (cum[i - 1] if i else 0.0)) / (TWO_PI * c)
             p = 2.0 + k
-            out[mask] = lo * np.exp(share) if p == 0.0 else np.power(lo**p + share * p, 1.0 / p)
+            if p == 0.0:
+                out[mask] = lo * np.exp(share)
+                continue
+            lo_p, rise = lo**p, share * p
+            near = np.abs(rise) < lo_p
+            ratio = np.where(near, rise, 0.0) / (lo_p or 1.0)
+            far = np.power(lo_p + rise, 1.0 / p)
+            out[mask] = np.where(near, lo * np.exp(np.log1p(ratio) / p), far)
         return np.minimum(out, r_max)
 
 

@@ -14,14 +14,19 @@ Poisson mean once, re-key one generator to each trial's stream and factor
 their trials' covariances a batch at a time, in one stacked Cholesky pass
 (_cholesky_quadratic_forms); run_trial and mmse_sinr take the same pass with
 a stack of one, so a trial's SINR does not depend on the batch it lands in.
+
+With workers > 1 the trials split into that many contiguous shares: the
+calling process runs the first share, and workers - 1 forked children run the
+rest and send back their arrays through pipes (_run_pool). A campaign runs on
+at most min(workers, os.cpu_count(), trials) processes, the caller included.
 """
 
 from __future__ import annotations
 
-import concurrent.futures.process
 import math
-import multiprocessing
 import os
+import pickle
+import signal
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -76,9 +81,6 @@ CONDITION_LIMIT = 1e8
 MAX_DRAW_BYTES = 2**30
 TRIAL_MATRIX_BYTES = 32 + 5 * 16
 BATCH_MATRIX_BYTES = 2**20
-# Contiguous chunks of trial indices per worker process: a few per worker even
-# out uneven trial costs, and each chunk returns its results as two arrays.
-CHUNKS_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -406,25 +408,85 @@ def _run_chunk(sim: SimConfig, start: int, stop: int):
     return sinr, counts
 
 
-def _run_pool(sim: SimConfig, workers: int):
-    """The campaign as two arrays, in trial order, from forked worker processes.
+def _run_child(sim: SimConfig, start: int, stop: int, out) -> None:
+    """In a forked child: run trials start..stop-1 and pickle (True, (sinr,
+    counts)), or (False, exception) with the child's traceback as a note, to
+    the pipe out. Ends the process from a finally, so it never returns into
+    the caller's stack nor flushes the caller's stdio."""
+    try:
+        try:
+            payload = pickle.dumps((True, _run_chunk(sim, start, stop)))
+        except BaseException as exc:
+            import traceback
 
-    Returns None where the platform cannot fork. Forked workers inherit the
-    imported package and any cached sampler table, so they import nothing again
-    (a spawned worker would import numpy and the package anew). Like any fork,
+            if hasattr(exc, "add_note"):  # Python 3.11+
+                trace = "".join(traceback.format_exception(exc))
+                exc.add_note(f"raised in campaign worker process {os.getpid()}:\n{trace}")
+            try:
+                payload = pickle.dumps((False, exc))
+                pickle.loads(payload)
+            except Exception as failure:
+                unpicklable = ChildProcessError(
+                    f"a campaign worker process raised {type(exc).__name__}: {exc}, "
+                    f"which cannot be pickled ({type(failure).__name__}: {failure})"
+                )
+                payload = pickle.dumps((False, unpicklable))
+        out.write(payload)
+        out.close()
+    finally:
+        os._exit(0)
+
+
+def _run_pool(sim: SimConfig, workers: int):
+    """The campaign as two arrays, in trial order: the calling process runs
+    the first of `workers` contiguous shares of the trials, and workers - 1
+    forked children run the rest (_run_child).
+
+    Returns None where the platform cannot fork. Forked children inherit the
+    imported package and any cached sampler table, so they import nothing
+    again. A child's exception is raised here with its own type; a child
+    that dies or sends nothing is a ChildProcessError. Whatever raises (the
+    caller's share, a child, KeyboardInterrupt) first kills and reaps every
+    child still running, so no process outlives the call. Like any fork,
     this is unsafe in a process that runs other threads at the time.
     """
-    if "fork" not in multiprocessing.get_all_start_methods():
+    if not hasattr(os, "fork"):
         return None
-    chunks = min(sim.trials, workers * CHUNKS_PER_WORKER)
-    bounds = [sim.trials * k // chunks for k in range(chunks + 1)]
-    context = multiprocessing.get_context("fork")
-    process = concurrent.futures.process
+    bounds = [sim.trials * k // workers for k in range(workers + 1)]
+    children = []  # (pid, read end of its pipe, its share) of each child not yet reaped
     try:
-        with process.ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            parts = list(pool.map(_run_chunk, [sim] * chunks, bounds[:-1], bounds[1:]))
-    except process.BrokenProcessPool as exc:
-        raise ChildProcessError(f"a campaign worker process died: {exc}") from exc
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            read, write = os.pipe()
+            pipe = os.fdopen(read, "rb")
+            with os.fdopen(write, "wb") as out:
+                pid = os.fork()
+                if pid == 0:
+                    pipe.close()  # so a write fails, not blocks, once the caller is gone
+                    _run_child(sim, start, stop, out)
+            children.append((pid, pipe, start, stop))
+        parts = [_run_chunk(sim, 0, bounds[1])]
+        while children:
+            pid, pipe, start, stop = children[0]
+            payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            pipe.close()
+            if code != 0 or not payload:
+                how = f"exit status {code}" if code >= 0 else f"killed by signal {-code}"
+                raise ChildProcessError(
+                    f"a campaign worker process died ({how}, {len(payload)} B sent) "
+                    f"running trials {start}..{stop - 1}"
+                )
+            ok, result = pickle.loads(payload)
+            if not ok:
+                raise result
+            parts.append(result)
+    except BaseException:
+        for pid, pipe, *_ in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+        raise
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
@@ -445,7 +507,7 @@ def _run_arrays(sim: SimConfig, workers: int):
     L = sim.link.L
     _require_bytes(TRIAL_MATRIX_BYTES * L * L, f"the matrices of a trial at L = {L} antennas")
     # a run holds up to 320 B per trial at once: the SINRs and counts, the
-    # pool's concatenation of them, the sorted samples and the KS's psi and
+    # shares' concatenation of them, the sorted samples and the KS's psi and
     # CDF arrays on them (about 300 B at the peak of a cdf or simulate run)
     _require_bytes(int(sim.trials) * 320, f"the arrays of trials = {sim.trials}")
     # 2L doubles of normals per interferer, and complex copies on the QR route
@@ -462,10 +524,12 @@ def _run_arrays(sim: SimConfig, workers: int):
 def run_trials(sim: SimConfig, workers: int = 1) -> list:
     """All trials of a campaign, in trial order.
 
-    With workers > 1 the trials run in contiguous chunks on a pool of forked
-    worker processes, at most os.cpu_count() of them; where the platform
-    cannot fork they run in this process. Results do not depend on the worker
-    count: each trial owns its stream and the chunks are joined in trial order.
+    With workers > 1 the calling process runs the first of that many
+    contiguous shares of the trials, and workers - 1 forked children run the
+    rest: at most min(workers, os.cpu_count(), trials) processes, the caller
+    included. Where the platform cannot fork, every trial runs in this
+    process. Results do not depend on the worker count: each trial owns its
+    stream and the shares are joined in trial order.
     """
     sinr, counts = _run_arrays(sim, workers)
     return [TrialResult(s, n) for s, n in zip(sinr.tolist(), counts.tolist())]

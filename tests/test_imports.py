@@ -1,4 +1,4 @@
-"""Import guard: a CLI run loads only the scipy it uses.
+"""Import guard: a CLI run loads only the scipy it uses, and no process pool.
 
 scipy.interpolate, scipy.optimize and scipy.integrate (with the scipy.sparse
 stack they share) cost about 0.2 s to import, and scipy.special, through
@@ -8,7 +8,9 @@ table, the scaling-limit root, the fit-poly reference and the special
 functions, and imports QUADPACK only inside integrate_radial; the simulator
 factors on numpy.linalg, not scipy.linalg. One fresh interpreter runs a tiny
 config of every CLI kind, and of each route that used the heavy modules, and
-reports what it loaded.
+reports what it loaded. A campaign forks its children directly, so neither
+concurrent.futures.process nor multiprocessing (about 20 ms of import) loads
+either, whatever the worker count; the cdf config asks for two workers.
 """
 
 import json
@@ -28,6 +30,7 @@ HEAVY = (
     "scipy.special",
     "numpy.f2py",
 )
+POOL = ("concurrent.futures.process", "multiprocessing")
 
 RUN = """
 import json, sys
@@ -55,7 +58,7 @@ def _configs(out: Path):
             "model": {"family": "power_law", "rho": 0.023, "eps": -0.5},
             "link": {"alpha": 4.0, "sigma2": 1e-12, "r_T": 10.0, "L": 2},
             "gamma_grid": {"min": 1e2, "max": 1e6, "points": 4},
-            "sim": {"trials": 16, "seed": 2, "workers": 1},
+            "sim": {"trials": 16, "seed": 2, "workers": 2},
             "output_path": str(out / "cdf.csv"),
         },
         {
@@ -111,3 +114,5 @@ def test_cli_runs_load_no_heavy_scipy(tmp_path):
     assert len(list(tmp_path.glob("*.csv"))) == 6
     heavy = [m for m in loaded if ".".join(m.split(".")[:2]) in HEAVY]
     assert heavy == []
+    pool = [m for m in loaded if m in POOL or m.startswith("multiprocessing.")]
+    assert pool == []

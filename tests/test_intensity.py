@@ -333,6 +333,31 @@ def test_sample_piecewise_matches_cumulative():
     assert ks_cut.statistic < 0.015
 
 
+def test_piecewise_sampler_does_not_cancel_near_p_zero():
+    """A piece at eps = -2.00001 (p = k + 2 = -1e-5) from lo = 1: r^p = lo^p +
+    share p cancels, and raising it to 1/p magnified the rounding to 4.7e-12;
+    the root against an mpmath inverse of the exact masses at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    segments = ((1e-6, -0.5, 1.0), (1.0, -2.00001, 3.0))
+    u = np.linspace(0.05, 1.0, 20)
+    r = PiecewisePowerLaw(segments).sample_radii(u, 3.0)
+    with mpmath.workdps(40):
+        pieces = [
+            (rho, mpmath.mpf(eps) + 2, mpmath.mpf(lo), mpmath.mpf(hi))
+            for (rho, eps, hi), lo in zip(segments, (0.0, 1.0))
+        ]
+        masses = [2 * mpmath.pi * rho * (hi**p - lo**p) / p for rho, p, lo, hi in pieces]
+        worst = 0.0
+        for u_k, r_k in zip(u, r):
+            target = mpmath.mpf(u_k) * sum(masses)
+            i = 0 if target <= masses[0] else 1
+            rho, p, lo, _ = pieces[i]
+            share = (target - sum(masses[:i])) / (2 * mpmath.pi * rho)
+            root = (lo**p + share * p) ** (1 / p)
+            worst = max(worst, float(abs(r_k - root) / root))
+    assert worst < 1e-14
+
+
 def test_sample_polynomial_matches_cumulative():
     with pytest.warns(UserWarning):
         model = PolynomialWithTail(

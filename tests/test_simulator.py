@@ -2,11 +2,14 @@
 hand-computed small cases, stream determinism, and agreement with the
 analytic distribution."""
 
-import concurrent.futures.process
 import math
-import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -368,7 +371,7 @@ def _field_trial_bytes(sim, workers=1):
 
 def test_campaign_is_run_trial_bit_for_bit_across_chunks_and_batches(monkeypatch):
     """Serially the 348 trials make batches of 93 (four of them); two workers
-    make eight chunks of 43 or 44; trials 59 and 71 take the QR route."""
+    make two shares of 174; trials 59 and 71 take the QR route."""
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     sim = _field_sim(trials=348, seed=123)
     assert sinrdist.simulator._batch_size(sim.link.L) == 93
@@ -439,54 +442,202 @@ def test_campaign_trials_are_mmse_sinr_of_the_public_draws(monkeypatch):
     np.testing.assert_allclose(campaign, public, rtol=1e-12, atol=0.0)
 
 
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="the campaign pool forks its workers",
-)
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the campaign forks its workers")
 
 
-class _RecordingPool:
-    """Stand-in for ProcessPoolExecutor that runs the chunks in this process."""
+def _record_forks(monkeypatch):
+    """Wrap os.fork to record the pid of each child a campaign forks."""
+    pids = []
+    fork = os.fork
 
-    created = []
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    def __init__(self, max_workers, mp_context):
-        self.created.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
 
 
+def _assert_reaped(pids):
+    """Every pid is reaped: waitpid finds no such child. A child still
+    running is killed before the assertion fails."""
+    running = []
+    for pid in pids:
+        try:
+            os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            continue
+        running.append(pid)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert running == []
+
+
+@needs_fork
 def test_pool_size_is_capped_at_the_cpu_count(monkeypatch):
-    monkeypatch.setattr(_RecordingPool, "created", [])
-    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", _RecordingPool)
+    forks = _record_forks(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     sim = _small_sim(trials=16)
     serial = np.array([t.sinr for t in run_trials(sim, workers=1)])
-    assert _RecordingPool.created == []
+    assert forks == []
     pooled = np.array([t.sinr for t in run_trials(sim, workers=64)])
-    assert _RecordingPool.created == [2]
+    assert len(forks) == 1
     assert pooled.tobytes() == serial.tobytes()
     run_campaign(_small_sim(trials=1), workers=2)
-    assert _RecordingPool.created == [2]
+    assert len(forks) == 1
+    _assert_reaped(forks)
 
 
 def test_campaign_without_fork_runs_serially(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("the pool must not start without fork")
-
     sim = _small_sim(trials=16)
     serial = run_campaign(sim, workers=1).samples
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", no_pool)
+    monkeypatch.delattr(os, "fork", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert sinrdist.simulator._run_pool(sim, 2) is None
     assert run_campaign(sim, workers=2).samples.tobytes() == serial.tobytes()
+
+
+@needs_fork
+def test_no_child_outlives_a_failed_campaign(monkeypatch):
+    """Trial 0, in the caller's share, fails while the child still runs its
+    share: the child is killed and reaped before the error propagates."""
+    draw_trial = sinrdist.simulator._draw_trial
+
+    def fails_in_the_caller(sim, trial_index, *args):
+        if trial_index == 0:
+            raise FloatingPointError("trial 0 fails in the calling process")
+        time.sleep(60)  # the child's share, still running when the caller fails
+        return draw_trial(sim, trial_index, *args)
+
+    forks = _record_forks(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sinrdist.simulator, "_draw_trial", fails_in_the_caller)
+    start = time.monotonic()
+    with pytest.raises(FloatingPointError, match="calling process"):
+        run_campaign(_small_sim(trials=8), workers=2)
+    assert len(forks) == 1
+    _assert_reaped(forks)
+    assert time.monotonic() - start < 30
+
+
+CALLER_DIES = """
+import os, signal
+import sinrdist.simulator as simulator
+from sinrdist import LinkConfig, PowerLaw, SimConfig
+
+fork, run_chunk = os.fork, simulator._run_chunk
+
+
+def fork_and_report():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+
+def caller_dies(sim, start, stop):
+    if start == 0:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return run_chunk(sim, start, stop)
+
+
+os.fork, simulator._run_chunk = fork_and_report, caller_dies
+link = LinkConfig(alpha=4.0, sigma2=1e-12, r_T=10.0, L=2)
+sim = SimConfig(trials=12000, truncation_radius=2.0, seed=1, link=link, model=PowerLaw(0.023, -0.5))
+simulator._run_pool(sim, 2)
+"""
+
+
+def _gone(pid):
+    """True once pid has exited (a zombie left to an init that does not
+    reap counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc/<pid>/stat")
+def test_child_of_a_killed_caller_does_not_block_on_its_pipe(tmp_path):
+    """The caller is killed before it reads: the child's 96 kB of results
+    overfill the pipe, and the child must get a broken pipe and exit, not
+    block on a pipe it holds open itself. Output goes to files, which the
+    child may hold open without stalling the run."""
+    src = str(Path(sinrdist.__file__).resolve().parents[1])
+    out, err = tmp_path / "stdout", tmp_path / "stderr"
+    with open(out, "w") as stdout, open(err, "w") as stderr:
+        proc = subprocess.run(
+            [sys.executable, "-c", CALLER_DIES],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=stdout,
+            stderr=stderr,
+            timeout=60,
+        )
+    assert proc.returncode == -signal.SIGKILL, err.read_text()
+    (pid,) = map(int, out.read_text().split())
+    deadline = time.monotonic() + 30
+    try:
+        while not _gone(pid) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert _gone(pid)
+    finally:
+        if not _gone(pid):
+            os.kill(pid, signal.SIGKILL)
+
+
+@needs_fork
+def test_child_error_keeps_its_type_and_carries_the_child_traceback(monkeypatch):
+    draw_trial = sinrdist.simulator._draw_trial
+
+    def fails_in_the_child(sim, trial_index, *args):
+        if trial_index == 5:
+            raise FloatingPointError("trial 5 fails in the child")
+        return draw_trial(sim, trial_index, *args)
+
+    forks = _record_forks(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sinrdist.simulator, "_draw_trial", fails_in_the_child)
+    with pytest.raises(FloatingPointError, match="fails in the child") as info:
+        run_campaign(_small_sim(trials=8), workers=2)
+    _assert_reaped(forks)
+    if hasattr(info.value, "add_note"):  # Python 3.11+
+        (note,) = info.value.__notes__
+        assert f"campaign worker process {forks[0]}" in note and "fails_in_the_child" in note
+
+
+class _NeedsTwoArguments(Exception):
+    """Pickles, but cannot be rebuilt from its one-string args."""
+
+    def __init__(self, first, second):
+        super().__init__(f"{first} and {second}")
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "error, name",
+    [
+        (lambda: ValueError(lambda: None), "ValueError"),
+        (lambda: _NeedsTwoArguments(1, 2), "_NeedsTwoArguments"),
+    ],
+)
+def test_unpicklable_child_error_is_a_child_process_error(monkeypatch, error, name):
+    draw_trial = sinrdist.simulator._draw_trial
+
+    def fails_at_trial_5(sim, trial_index, *args):
+        if trial_index == 5:
+            raise error()
+        return draw_trial(sim, trial_index, *args)
+
+    forks = _record_forks(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sinrdist.simulator, "_draw_trial", fails_at_trial_5)
+    with pytest.raises(ChildProcessError, match=f"raised {name}: .*cannot be pickled"):
+        run_campaign(_small_sim(trials=8), workers=2)
+    _assert_reaped(forks)
 
 
 @needs_fork
