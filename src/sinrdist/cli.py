@@ -47,7 +47,6 @@ from .intensity import (
     _as_number,
     _check_keys,
     _FIELD_PARSERS,
-    _outer_term,
     _parse_fields,
     _require_object,
     fit_polynomial,
@@ -527,9 +526,7 @@ class FitPoly(ExperimentConfig):
         closed form psi_polynomial gives the fits."""
         alpha, g, R0, tail = self.link.alpha, self.gamma_grid, self.R0, self.tail
         psi = _psi_panels(self.model, alpha, g, self.quad, radius=R0)
-        if tail.rho0 > 0:
-            psi = psi + _outer_term(tail.rho0, tail.eps_tail, alpha, g, R0)
-        return psi
+        return psi + psi_polynomial((), R0, tail.rho0, tail.eps_tail, alpha, g)
 
     def run(self):
         link = self.link

@@ -131,10 +131,7 @@ def psi_quadrature(
     1e-12, rel_tol = 1e-9) the reference is an absolute one below |psi| =
     1e-3; pass abs_tol=0 for a relative reference at tiny psi.
     """
-    _check_alpha(alpha)
-    model.check_alpha(alpha)
-    _check_gamma(gamma)
-    return _psi_adaptive(model, alpha, gamma, spec) if gamma > 0 else 0.0
+    return PsiEvaluator(model, alpha, spec, method="quadrature").value(gamma)
 
 
 def _psi_layout(model, alpha: float, gamma, derivative=False, radius=math.inf):

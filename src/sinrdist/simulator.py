@@ -14,11 +14,14 @@ Poisson mean once, re-key one generator to each trial's stream and factor
 their trials' covariances a batch at a time, in one stacked Cholesky pass
 (_cholesky_quadratic_forms); run_trial and mmse_sinr take the same pass with
 a stack of one, so a trial's SINR does not depend on the batch it lands in.
+The pass and the QR route a trial takes when the pass rejects it both end in
+a squared norm of a triangular solve, ||F^-1 g_T||^2 or ||R^-H g_T||^2.
 
-With workers > 1 the trials split into that many contiguous shares: the
-calling process runs the first share, and workers - 1 forked children run the
-rest and send back their arrays through pipes (_run_pool). A campaign runs on
-at most min(workers, os.cpu_count(), trials) processes, the caller included.
+Every campaign splits its trials into `workers` contiguous shares
+(_run_pool): the calling process runs the first share, and workers - 1
+forked children run the rest and send back their arrays through pipes. A
+campaign runs on at most min(workers, os.cpu_count(), trials) processes, the
+caller included, and on the caller alone where the platform cannot fork.
 """
 
 from __future__ import annotations
@@ -237,7 +240,8 @@ def _interference_covariance(powers, S, sigma2: float, out=None) -> np.ndarray:
 
 
 def _cholesky_quadratic_forms(cov, g):
-    """g_k^H cov_k^{-1} g_k for a stack of covariances cov (B x L x L) and
+    """g_k^H cov_k^{-1} g_k = ||F_k^-1 g_k||^2 (float64, >= 0), F_k the
+    Cholesky factor of cov_k, for a stack of covariances cov (B x L x L) and
     vectors g (B x L), by one stacked Cholesky pass, and a mask of the trials
     the pass accepts: those whose factorization succeeds and whose exact
     1-norm condition number is at most CONDITION_LIMIT. A stacked
@@ -247,7 +251,7 @@ def _cholesky_quadratic_forms(cov, g):
         inverse = np.linalg.inv(np.linalg.cholesky(cov))
     except np.linalg.LinAlgError:
         if len(cov) == 1:
-            return np.zeros(1, dtype=complex), np.zeros(1, dtype=bool)
+            return np.zeros(1), np.zeros(1, dtype=bool)
         parts = [_cholesky_quadratic_forms(cov[k : k + 1], g[k : k + 1]) for k in range(len(cov))]
         return tuple(np.concatenate(column) for column in zip(*parts))
     # cov^{-1} = F^-H F^-1 gives the exact 1-norm condition number
@@ -256,8 +260,8 @@ def _cholesky_quadratic_forms(cov, g):
         adjoint @ inverse, 1, axis=(-2, -1)
     )
     accepted = condition <= CONDITION_LIMIT
-    y = adjoint @ (inverse @ g[..., None])
-    quad = (g.conj()[..., None, :] @ y)[:, 0, 0]
+    z = (inverse @ g[..., None])[..., 0]
+    quad = np.sum(z.real**2 + z.imag**2, axis=-1)
     return np.where(accepted, quad, 0.0), accepted
 
 
@@ -290,19 +294,14 @@ def _qr_quadratic_form(powers, g, S, sigma2: float) -> float:
 
 def _sinrs(cov, g, link: LinkConfig, redraw) -> np.ndarray:
     """SINRs of a stack of trials from their covariances and target channels:
-    the stacked Cholesky pass, then, in trial order, the QR route for each
-    trial the pass rejects, on the powers, g_T and S that redraw(k) gives for
-    trial k of the stack."""
+    the squared norms ||F^-1 g_T||^2 of the stacked Cholesky pass, then, in
+    trial order, ||R^-H g_T||^2 of the QR route for each trial the pass
+    rejects, on the powers, g_T and S that redraw(k) gives for trial k of the
+    stack; both times r_T^-alpha."""
     quad, accepted = _cholesky_quadratic_forms(cov, g)
-    out = quad.real.copy()
-    imaginary = np.abs(quad.imag) > 1e-12 * np.maximum(1.0, np.abs(quad.real))
-    for k in np.flatnonzero(~accepted | imaginary):
-        if accepted[k]:
-            raise ArithmeticError(
-                f"MMSE quadratic form has non-negligible imaginary part: {complex(quad[k])!r}"
-            )
-        out[k] = _qr_quadratic_form(*redraw(k), link.sigma2)
-    return out * link.r_T ** (-link.alpha)
+    for k in np.flatnonzero(~accepted):
+        quad[k] = _qr_quadratic_form(*redraw(k), link.sigma2)
+    return quad * link.r_T ** (-link.alpha)
 
 
 def mmse_sinr(radii, g_t, G, link: LinkConfig) -> float:
@@ -314,17 +313,18 @@ def mmse_sinr(radii, g_t, G, link: LinkConfig) -> float:
     _gram_block(L): thousands of interferers cost O(n L^2), and no dgemm is
     large enough to start BLAS threads inside a campaign's worker processes.
 
-    The quadratic form is g_T^H F^-H F^-1 g_T, F the Cholesky factor of the
-    covariance, from the stacked pass a campaign factors its batches in, on a
-    stack of one (_cholesky_quadratic_forms), so the SINR is bit for bit the
-    one a campaign gets for the same draws; an imaginary part above 1e-12
-    (relative) aborts the trial. A close interferer can make the covariance
-    so ill-conditioned that forming it squares away the digits that matter:
-    when the factorization fails or the exact 1-norm condition number (from
-    F^-1) exceeds CONDITION_LIMIT, the trial factors the (n+L) x L matrix
-    [(G P^(1/2))^H; sigma I] = QR instead, so cov = R^H R and SINR = ||R^-H g_T||^2 r_T^-alpha without
-    squaring the condition number. An exactly singular covariance (sigma2 = 0
-    with fewer interferers than antennas) raises ArithmeticError.
+    The quadratic form is the squared norm ||F^-1 g_T||^2, F the Cholesky
+    factor of the covariance, real and >= 0 by construction, from the stacked
+    pass a campaign factors its batches in, on a stack of one
+    (_cholesky_quadratic_forms), so the SINR is bit for bit the one a
+    campaign gets for the same draws. A close interferer can make the
+    covariance so ill-conditioned that forming it squares away the digits
+    that matter: when the factorization fails or the exact 1-norm condition
+    number (from F^-1) exceeds CONDITION_LIMIT, the trial factors the
+    (n+L) x L matrix [(G P^(1/2))^H; sigma I] = QR instead, so cov = R^H R
+    and SINR = ||R^-H g_T||^2 r_T^-alpha without squaring the condition
+    number. An exactly singular covariance (sigma2 = 0 with fewer
+    interferers than antennas) raises ArithmeticError.
     """
     radii = np.asarray(radii, dtype=float)
     g_t = np.asarray(g_t)
@@ -348,11 +348,12 @@ def run_trial(sim: SimConfig, trial_index: int) -> TrialResult:
 
 
 def _draw_trial(sim: SimConfig, trial_index: int, mean: float, rng):
-    """Radii and normals g, S (see _draw_normals) of one trial, drawn as
-    draw_network and _draw_normals draw them on trial_rng(sim.seed,
-    trial_index), by rng (a Philox generator) re-keyed to that stream, with
-    the disk's Poisson mean given. Re-keying through the state setter is
-    several times cheaper than building a generator for each trial."""
+    """Powers r_i^-alpha and normals g, S (see _draw_normals) of one trial:
+    the radii and normals as draw_network and _draw_normals draw them on
+    trial_rng(sim.seed, trial_index), by rng (a Philox generator) re-keyed to
+    that stream, with the disk's Poisson mean given. Re-keying through the
+    state setter is several times cheaper than building a generator for each
+    trial."""
     rng.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {
@@ -365,7 +366,7 @@ def _draw_trial(sim: SimConfig, trial_index: int, mean: float, rng):
         "uinteger": 0,
     }
     radii = _draw_radii(sim.model, mean, sim.truncation_radius, rng)
-    return (radii, *_draw_normals(radii.size, sim.link.L, rng))
+    return (radii ** (-sim.link.alpha), *_draw_normals(radii.size, sim.link.L, rng))
 
 
 def _batch_size(L: int) -> int:
@@ -395,14 +396,14 @@ def _run_chunk(sim: SimConfig, start: int, stop: int):
         cov = np.empty((len(trials), L, L), dtype=complex)
         g = np.empty((len(trials), L), dtype=complex)
         for k, t in enumerate(trials):
-            radii, g_k, S = _draw_trial(sim, t, mean, rng)
-            counts[t - start] = radii.size
+            powers, g_k, S = _draw_trial(sim, t, mean, rng)
+            counts[t - start] = powers.size
             _complex(g_k, out=g[k])
-            _interference_covariance(radii ** (-link.alpha), S, link.sigma2, out=cov[k])
+            _interference_covariance(powers, S, link.sigma2, out=cov[k])
 
         def redraw(k):
-            radii, g_k, S = _draw_trial(sim, trials[k], mean, rng)
-            return radii ** (-link.alpha), _complex(g_k), S
+            powers, g_k, S = _draw_trial(sim, trials[k], mean, rng)
+            return powers, _complex(g_k), S
 
         sinr[first - start : trials.stop - start] = _sinrs(cov, g, link, redraw)
     return sinr, counts
@@ -440,18 +441,17 @@ def _run_child(sim: SimConfig, start: int, stop: int, out) -> None:
 def _run_pool(sim: SimConfig, workers: int):
     """The campaign as two arrays, in trial order: the calling process runs
     the first of `workers` contiguous shares of the trials, and workers - 1
-    forked children run the rest (_run_child).
+    forked children run the rest (_run_child), so one worker forks nothing
+    and runs every trial here.
 
-    Returns None where the platform cannot fork. Forked children inherit the
-    imported package and any cached sampler table, so they import nothing
-    again. A child's exception is raised here with its own type; a child
-    that dies or sends nothing is a ChildProcessError. Whatever raises (the
-    caller's share, a child, KeyboardInterrupt) first kills and reaps every
-    child still running, so no process outlives the call. Like any fork,
-    this is unsafe in a process that runs other threads at the time.
+    Forked children inherit the imported package and any cached sampler
+    table, so they import nothing again. A child's exception is raised here
+    with its own type; a child that dies or sends nothing is a
+    ChildProcessError. Whatever raises (the caller's share, a child,
+    KeyboardInterrupt) first kills and reaps every child still running, so
+    no process outlives the call. Like any fork, this is unsafe in a process
+    that runs other threads at the time.
     """
-    if not hasattr(os, "fork"):
-        return None
     bounds = [sim.trials * k // workers for k in range(workers + 1)]
     children = []  # (pid, read end of its pipe, its share) of each child not yet reaped
     try:
@@ -512,9 +512,9 @@ def _run_arrays(sim: SimConfig, workers: int):
     _require_bytes(int(sim.trials) * 320, f"the arrays of trials = {sim.trials}")
     # 2L doubles of normals per interferer, and complex copies on the QR route
     require_draw_fits(mean_count(sim.model, DiskRegion(sim.truncation_radius)), 32 * L)
-    workers = min(workers, os.cpu_count() or 1, sim.trials)
-    arrays = _run_pool(sim, workers) if workers > 1 else None
-    sinr, counts = arrays if arrays is not None else _run_chunk(sim, 0, sim.trials)
+    # where the platform cannot fork, every trial runs in this process
+    workers = min(workers, os.cpu_count() or 1, sim.trials) if hasattr(os, "fork") else 1
+    sinr, counts = _run_pool(sim, max(workers, 1))
     bad = np.flatnonzero(~(sinr > 0))
     if bad.size:
         raise ValueError(f"sinr must be > 0, got {sinr[bad[0]]} in trial {bad[0]}")
@@ -524,12 +524,12 @@ def _run_arrays(sim: SimConfig, workers: int):
 def run_trials(sim: SimConfig, workers: int = 1) -> list:
     """All trials of a campaign, in trial order.
 
-    With workers > 1 the calling process runs the first of that many
-    contiguous shares of the trials, and workers - 1 forked children run the
-    rest: at most min(workers, os.cpu_count(), trials) processes, the caller
-    included. Where the platform cannot fork, every trial runs in this
-    process. Results do not depend on the worker count: each trial owns its
-    stream and the shares are joined in trial order.
+    The calling process runs the first of `workers` contiguous shares of the
+    trials, and workers - 1 forked children run the rest (_run_pool): at
+    most min(workers, os.cpu_count(), trials) processes, the caller
+    included, and one where the platform cannot fork. Results do not depend
+    on the worker count: each trial owns its stream and the shares are
+    joined in trial order.
     """
     sinr, counts = _run_arrays(sim, workers)
     return [TrialResult(s, n) for s, n in zip(sinr.tolist(), counts.tolist())]

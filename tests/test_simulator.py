@@ -291,6 +291,24 @@ def test_mmse_qr_route_factors_blocks_of_at_least_L_rows(monkeypatch):
     assert 0 < len(calls) <= math.ceil((n + L) / L)
 
 
+def test_cholesky_pass_returns_real_squared_norms():
+    """The stacked pass gives g^H cov^-1 g as float64 forms >= 0; a member
+    whose factorization fails gives 0 and is rejected."""
+    rng = np.random.default_rng(8)
+    B, L = 6, 5
+    A = rng.standard_normal((B, L, 2 * L)) + 1j * rng.standard_normal((B, L, 2 * L))
+    cov = A @ A.conj().swapaxes(-1, -2) + np.eye(L)
+    g = rng.standard_normal((B, L)) + 1j * rng.standard_normal((B, L))
+    cov[3] = 0.0
+    quad, accepted = sinrdist.simulator._cholesky_quadratic_forms(cov, g)
+    assert quad.dtype == np.float64
+    assert accepted.tolist() == [k != 3 for k in range(B)]
+    assert quad[3] == 0.0 and np.all(quad >= 0.0)
+    for k in np.flatnonzero(accepted):
+        expected = np.vdot(g[k], np.linalg.solve(cov[k], g[k])).real
+        assert quad[k] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 def test_mmse_singular_covariance_is_a_numerical_error():
     """No noise and fewer interferers than antennas: the SINR is unbounded."""
     link = LinkConfig(alpha=4.0, sigma2=0.0, r_T=1.0, L=3)
@@ -495,8 +513,10 @@ def test_campaign_without_fork_runs_serially(monkeypatch):
     serial = run_campaign(sim, workers=1).samples
     monkeypatch.delattr(os, "fork", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert sinrdist.simulator._run_pool(sim, 2) is None
     assert run_campaign(sim, workers=2).samples.tobytes() == serial.tobytes()
+    pooled = sinrdist.simulator._run_pool(sim, 1)
+    chunk = sinrdist.simulator._run_chunk(sim, 0, sim.trials)
+    assert [(a.dtype, a.tobytes()) for a in pooled] == [(a.dtype, a.tobytes()) for a in chunk]
 
 
 @needs_fork
