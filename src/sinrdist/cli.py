@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
+import importlib.util
 import itertools
 import json
 import math
@@ -25,7 +27,6 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .distribution import (
@@ -705,6 +706,16 @@ def sidecar_path(output_path) -> Path:
     return Path(output_path).with_suffix(".meta.json")
 
 
+@functools.cache
+def _scipy_version() -> str:
+    """scipy.__version__ from scipy/version.py, without scipy's 10-17 ms package init."""
+    (package,) = importlib.util.find_spec("scipy").submodule_search_locations
+    spec = importlib.util.spec_from_file_location("scipy.version", Path(package, "version.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.version
+
+
 def run_experiment(config: ExperimentConfig) -> Path:
     """Execute one experiment: write the CSV and its metadata sidecar."""
     columns, extra = config.run()
@@ -716,7 +727,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
         "versions": {
             "sinrdist": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": _scipy_version(),
         },
     }
     meta.update(extra)
@@ -744,7 +755,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, help="override the trial count")
         p.add_argument("--out", help="override the output CSV path")
         p.add_argument("--tol", type=float, help="override the quadrature rel_tol")
-        p.add_argument("--workers", type=int, help="worker processes, capped at the CPU count")
+        p.add_argument("--workers", type=int, help="worker processes, capped at the allowed CPUs")
     return parser
 
 

@@ -19,8 +19,9 @@ a squared norm of a triangular solve, ||F^-1 g_T||^2 or ||R^-H g_T||^2.
 
 Every campaign splits its trials into `workers` contiguous shares
 (_run_pool): the calling process runs the first share, and workers - 1
-forked children run the rest and send back their arrays through pipes. A
-campaign runs on at most min(workers, os.cpu_count(), trials) processes, the
+forked children run the rest and send back their arrays through pipes; each
+first moves itself to its own allowed CPU and releases the pin at once. A
+campaign runs on at most min(workers, allowed CPUs, trials) processes, the
 caller included, and on the caller alone where the platform cannot fork.
 """
 
@@ -36,7 +37,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import numpy.random  # loaded with the simulator, not by its first trial
 
-from .distribution import LinkConfig, _psi_inverse
+from .distribution import BracketingError, LinkConfig, _psi_inverse
 from .intensity import TWO_PI, ConfigError, DiskRegion, IntensityModel, _psi_sum, mean_count
 from .interference import PsiEvaluator
 
@@ -99,9 +100,7 @@ class SimConfig:
     def __post_init__(self):
         if not (isinstance(self.trials, (int, np.integer)) and self.trials >= 1):
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if not (
-            math.isfinite(self.truncation_radius) and self.truncation_radius > 0
-        ):
+        if not (math.isfinite(self.truncation_radius) and self.truncation_radius > 0):
             raise ValueError(
                 f"truncation_radius must be positive and finite, "
                 f"got {self.truncation_radius}"
@@ -409,12 +408,25 @@ def _run_chunk(sim: SimConfig, start: int, stop: int):
     return sinr, counts
 
 
-def _run_child(sim: SimConfig, start: int, stop: int, out) -> None:
-    """In a forked child: run trials start..stop-1 and pickle (True, (sinr,
-    counts)), or (False, exception) with the child's traceback as a note, to
-    the pipe out. Ends the process from a finally, so it never returns into
-    the caller's stack nor flushes the caller's stdio."""
+def _move_apart(k: int) -> None:
+    """Pin this process, the campaign's k-th, to the k-th of its allowed CPUs
+    (cyclically), then allow them all again: the kernel moves a task off a CPU
+    its mask excludes, and not back when it widens. Skipped where unsupported."""
     try:
+        cpus = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {cpus[k % len(cpus)]})
+        os.sched_setaffinity(0, cpus)
+    except (AttributeError, OSError):
+        pass
+
+
+def _run_child(sim: SimConfig, start: int, stop: int, out, k: int) -> None:
+    """In the k-th process, a forked child: move apart, run trials start..stop-1
+    and pickle (True, (sinr, counts)), or (False, exception) with the child's
+    traceback as a note, to the pipe out. Ends the process from a finally, so
+    it never returns into the caller's stack nor flushes the caller's stdio."""
+    try:
+        _move_apart(k)
         try:
             payload = pickle.dumps((True, _run_chunk(sim, start, stop)))
         except BaseException as exc:
@@ -442,7 +454,7 @@ def _run_pool(sim: SimConfig, workers: int):
     """The campaign as two arrays, in trial order: the calling process runs
     the first of `workers` contiguous shares of the trials, and workers - 1
     forked children run the rest (_run_child), so one worker forks nothing
-    and runs every trial here.
+    and runs every trial here; having forked, each process moves apart first.
 
     Forked children inherit the imported package and any cached sampler
     table, so they import nothing again. A child's exception is raised here
@@ -455,15 +467,17 @@ def _run_pool(sim: SimConfig, workers: int):
     bounds = [sim.trials * k // workers for k in range(workers + 1)]
     children = []  # (pid, read end of its pipe, its share) of each child not yet reaped
     try:
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
+        for k, (start, stop) in enumerate(zip(bounds[1:-1], bounds[2:]), 1):
             read, write = os.pipe()
             pipe = os.fdopen(read, "rb")
             with os.fdopen(write, "wb") as out:
                 pid = os.fork()
                 if pid == 0:
                     pipe.close()  # so a write fails, not blocks, once the caller is gone
-                    _run_child(sim, start, stop, out)
+                    _run_child(sim, start, stop, out, k)
             children.append((pid, pipe, start, stop))
+        if children:
+            _move_apart(0)
         parts = [_run_chunk(sim, 0, bounds[1])]
         while children:
             pid, pipe, start, stop = children[0]
@@ -513,7 +527,8 @@ def _run_arrays(sim: SimConfig, workers: int):
     # 2L doubles of normals per interferer, and complex copies on the QR route
     require_draw_fits(mean_count(sim.model, DiskRegion(sim.truncation_radius)), 32 * L)
     # where the platform cannot fork, every trial runs in this process
-    workers = min(workers, os.cpu_count() or 1, sim.trials) if hasattr(os, "fork") else 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, cpus or 1, sim.trials) if hasattr(os, "fork") else 1
     sinr, counts = _run_pool(sim, max(workers, 1))
     bad = np.flatnonzero(~(sinr > 0))
     if bad.size:
@@ -526,10 +541,10 @@ def run_trials(sim: SimConfig, workers: int = 1) -> list:
 
     The calling process runs the first of `workers` contiguous shares of the
     trials, and workers - 1 forked children run the rest (_run_pool): at
-    most min(workers, os.cpu_count(), trials) processes, the caller
-    included, and one where the platform cannot fork. Results do not depend
-    on the worker count: each trial owns its stream and the shares are
-    joined in trial order.
+    most min(workers, CPUs this process may run on, trials) processes, the
+    caller included, and one where the platform cannot fork. Results do not
+    depend on the worker count: each trial owns its stream and the shares
+    are joined in trial order.
     """
     sinr, counts = _run_arrays(sim, workers)
     return [TrialResult(s, n) for s, n in zip(sinr.tolist(), counts.tolist())]
@@ -597,5 +612,9 @@ def campaign_truncation_radius(model: IntensityModel, link: LinkConfig) -> float
         return model.support_radius
     ell = -math.log(CAMPAIGN_COUNT_TAIL)
     x = link.L + ell + math.sqrt(ell * ell + 2.0 * link.L * ell)
-    gamma = _psi_inverse(PsiEvaluator(model, link.alpha), x, "the disk count x*")
+    try:
+        gamma = _psi_inverse(PsiEvaluator(model, link.alpha), x, "the disk count x*")
+    except BracketingError as exc:
+        where = f"the {model.family} model {model} at alpha = {link.alpha:g}, L = {link.L}"
+        raise BracketingError(f"{exc}: set sim.truncation_radius for {where}") from exc
     return default_truncation_radius(model, link.alpha, gamma, CAMPAIGN_TAIL_FRACTION)

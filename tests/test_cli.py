@@ -982,6 +982,19 @@ def test_main_campaign_with_an_overflowing_scale_exits_cleanly(tmp_path, capsys,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_main_unsizable_campaign_disk_names_the_model(tmp_path, capsys):
+    # psi of this nearly flat power law reaches the disk count x* only above
+    # gamma = 1e300, so the disk needs an explicit sim.truncation_radius
+    model = {"family": "power_law", "rho": 0.023, "eps": -1.99}
+    link = {"alpha": 4.0, "sigma2": 1e-12, "r_T": 10.0, "L": 1000}
+    cfg = _cdf_config(tmp_path, model=model, link=link, sim={"trials": 4, "seed": 1})
+    assert main(["cdf", "--config", json.dumps(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "power_law" in err and "truncation_radius" in err
+    assert not (tmp_path / "cdf.csv").exists()
+
+
 def test_main_unreachable_quantile_is_numerical(tmp_path, capsys):
     # without noise a 5-interferer cluster caps the CDF at 1 - Q(10, 5) ~ 0.03
     cfg = {
@@ -1170,8 +1183,7 @@ def _pool_cdf_config(tmp_path):
 
 
 @needs_fork
-def test_power_law_campaign_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+def test_power_law_campaign_bytes_do_not_depend_on_workers(tmp_path, two_cpus):
     cfg = _cdf_config(tmp_path)
     cfg["sim"] = {"trials": 24, "seed": 5}
     serial = run_experiment(parse_config(json.dumps(cfg)))
@@ -1185,9 +1197,8 @@ def test_power_law_campaign_bytes_do_not_depend_on_workers(tmp_path, monkeypatch
 
 
 @needs_fork
-def test_main_worker_numerical_error_exits_2(tmp_path, capsys, monkeypatch):
+def test_main_worker_numerical_error_exits_2(tmp_path, capsys, two_cpus):
     # no noise and fewer interferers than antennas: singular in every worker
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     cfg = _pool_cdf_config(tmp_path)
     cfg["link"]["sigma2"] = 0.0
     assert main(["cdf", "--config", json.dumps(cfg)]) == 2
@@ -1196,7 +1207,7 @@ def test_main_worker_numerical_error_exits_2(tmp_path, capsys, monkeypatch):
 
 
 @needs_fork
-def test_main_dead_worker_exits_1(tmp_path, capsys, monkeypatch):
+def test_main_dead_worker_exits_1(tmp_path, capsys, monkeypatch, two_cpus):
     draw_trial = sinrdist.simulator._draw_trial
 
     def dies_at_trial_5(sim, trial_index, *args):
@@ -1204,7 +1215,6 @@ def test_main_dead_worker_exits_1(tmp_path, capsys, monkeypatch):
             os._exit(3)
         return draw_trial(sim, trial_index, *args)
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(sinrdist.simulator, "_draw_trial", dies_at_trial_5)
     assert main(["cdf", "--config", json.dumps(_pool_cdf_config(tmp_path))]) == 1
     err = capsys.readouterr().err

@@ -11,6 +11,9 @@ config of every CLI kind, and of each route that used the heavy modules, and
 reports what it loaded. A campaign forks its children directly, so neither
 concurrent.futures.process nor multiprocessing (about 20 ms of import) loads
 either, whatever the worker count; the cdf config asks for two workers.
+The sidecar reads scipy's version from its version.py without importing
+scipy, so a cdf run with a campaign, which needs no QUADPACK, loads no scipy
+module at all.
 """
 
 import json
@@ -18,6 +21,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import scipy
 
 import sinrdist
 
@@ -100,19 +105,32 @@ def _configs(out: Path):
     ]
 
 
-def test_cli_runs_load_no_heavy_scipy(tmp_path):
+def _modules_loaded_by(configs):
+    """The sorted names in sys.modules after one fresh interpreter ran configs."""
     src = str(Path(sinrdist.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", RUN, json.dumps(_configs(tmp_path))],
+        [sys.executable, "-c", RUN, json.dumps(configs)],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_runs_load_no_heavy_scipy(tmp_path):
+    loaded = _modules_loaded_by(_configs(tmp_path))
     assert len(list(tmp_path.glob("*.csv"))) == 6
     heavy = [m for m in loaded if ".".join(m.split(".")[:2]) in HEAVY]
     assert heavy == []
     pool = [m for m in loaded if m in POOL or m.startswith("multiprocessing.")]
     assert pool == []
+
+
+def test_cdf_campaign_run_loads_no_scipy(tmp_path):
+    (cdf,) = [config for config in _configs(tmp_path) if config["experiment"] == "cdf"]
+    loaded = _modules_loaded_by([cdf])
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    meta = json.loads((tmp_path / "cdf.meta.json").read_text())
+    assert meta["versions"]["scipy"] == scipy.__version__

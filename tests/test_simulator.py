@@ -2,6 +2,7 @@
 hand-computed small cases, stream determinism, and agreement with the
 analytic distribution."""
 
+import errno
 import math
 import os
 import signal
@@ -387,10 +388,9 @@ def _field_trial_bytes(sim, workers=1):
     return np.array([t.sinr for t in run_trials(sim, workers=workers)]).tobytes()
 
 
-def test_campaign_is_run_trial_bit_for_bit_across_chunks_and_batches(monkeypatch):
+def test_campaign_is_run_trial_bit_for_bit_across_chunks_and_batches(two_cpus):
     """Serially the 348 trials make batches of 93 (four of them); two workers
     make two shares of 174; trials 59 and 71 take the QR route."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     sim = _field_sim(trials=348, seed=123)
     assert sinrdist.simulator._batch_size(sim.link.L) == 93
     single = np.array([run_trial(sim, t).sinr for t in range(sim.trials)])
@@ -495,8 +495,13 @@ def _assert_reaped(pids):
 
 @needs_fork
 def test_pool_size_is_capped_at_the_cpu_count(monkeypatch):
+    """The cap is the CPUs this process may run on, not the machine's count;
+    the affinity is patched to be read here and never set."""
     forks = _record_forks(monkeypatch)
+    allowed = {0, 1}
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(allowed), raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: None, raising=False)
     sim = _small_sim(trials=16)
     serial = np.array([t.sinr for t in run_trials(sim, workers=1)])
     assert forks == []
@@ -505,14 +510,92 @@ def test_pool_size_is_capped_at_the_cpu_count(monkeypatch):
     assert pooled.tobytes() == serial.tobytes()
     run_campaign(_small_sim(trials=1), workers=2)
     assert len(forks) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    allowed.discard(1)
+    assert _field_trial_bytes(sim, workers=2) == serial.tobytes()
+    assert len(forks) == 1
     _assert_reaped(forks)
 
 
-def test_campaign_without_fork_runs_serially(monkeypatch):
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "fork")
+    or not hasattr(os, "sched_getaffinity")
+    or len(os.sched_getaffinity(0)) < 2,
+    reason="the campaign forks its child onto a second allowed CPU",
+)
+
+
+def _record_affinity(monkeypatch, log):
+    """Wrap os.sched_setaffinity to append the pid and the sorted mask of
+    each call to the file log; a forked child inherits the wrapper."""
+    setaffinity = os.sched_setaffinity
+
+    def recording(pid, mask):
+        with open(log, "a") as out:
+            out.write(" ".join(map(str, [os.getpid(), *sorted(mask)])) + "\n")
+        setaffinity(pid, mask)
+
+    monkeypatch.setattr(os, "sched_setaffinity", recording)
+
+
+def _affinity_calls(log):
+    """{pid: [mask of each call, in order]} from the file _record_affinity writes."""
+    calls = {}
+    for line in log.read_text().splitlines() if log.exists() else []:
+        pid, *mask = map(int, line.split())
+        calls.setdefault(pid, []).append(mask)
+    return calls
+
+
+@needs_two_cpus
+def test_each_campaign_process_moves_to_its_own_cpu_and_is_released(tmp_path, monkeypatch):
+    """The caller moves to the first allowed CPU and the child to the
+    second, and each allows every CPU again at once: they start apart and
+    neither stays pinned. The bytes are the one-worker bytes."""
+    log = tmp_path / "affinity"
+    cpus = sorted(os.sched_getaffinity(0))
+    sim = _field_sim(trials=200, seed=7)
+    serial = _field_trial_bytes(sim)
+    _record_affinity(monkeypatch, log)
+    forks = _record_forks(monkeypatch)
+    assert _field_trial_bytes(sim, workers=2) == serial
+    _assert_reaped(forks)
+    assert _affinity_calls(log) == {os.getpid(): [cpus[:1], cpus], forks[0]: [cpus[1:2], cpus]}
+    assert sorted(os.sched_getaffinity(0)) == cpus
+
+
+def _refuse_affinity(pid, mask):
+    raise OSError(errno.EINVAL, "Invalid argument")
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("platform", ["refuses", "lacks"])
+def test_campaign_runs_where_affinity_cannot_be_set(monkeypatch, platform):
+    sim = _field_sim(trials=200, seed=7)
+    serial = _field_trial_bytes(sim)
+    if platform == "refuses":
+        monkeypatch.setattr(os, "sched_setaffinity", _refuse_affinity)
+    else:
+        monkeypatch.delattr(os, "sched_setaffinity")
+    forks = _record_forks(monkeypatch)
+    assert _field_trial_bytes(sim, workers=2) == serial
+    assert len(forks) == 1
+    _assert_reaped(forks)
+
+
+@needs_two_cpus
+def test_one_process_campaign_sets_no_affinity(tmp_path, monkeypatch):
+    log = tmp_path / "affinity"
+    _record_affinity(monkeypatch, log)
+    run_trials(_field_sim(trials=200, seed=7), workers=1)
+    run_campaign(_field_sim(trials=1, seed=7), workers=2)  # one trial: one process
+    assert _affinity_calls(log) == {}
+
+
+def test_campaign_without_fork_runs_serially(monkeypatch, two_cpus):
     sim = _small_sim(trials=16)
     serial = run_campaign(sim, workers=1).samples
     monkeypatch.delattr(os, "fork", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert run_campaign(sim, workers=2).samples.tobytes() == serial.tobytes()
     pooled = sinrdist.simulator._run_pool(sim, 1)
     chunk = sinrdist.simulator._run_chunk(sim, 0, sim.trials)
@@ -520,7 +603,7 @@ def test_campaign_without_fork_runs_serially(monkeypatch):
 
 
 @needs_fork
-def test_no_child_outlives_a_failed_campaign(monkeypatch):
+def test_no_child_outlives_a_failed_campaign(monkeypatch, two_cpus):
     """Trial 0, in the caller's share, fails while the child still runs its
     share: the child is killed and reaped before the error propagates."""
     draw_trial = sinrdist.simulator._draw_trial
@@ -532,7 +615,6 @@ def test_no_child_outlives_a_failed_campaign(monkeypatch):
         return draw_trial(sim, trial_index, *args)
 
     forks = _record_forks(monkeypatch)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(sinrdist.simulator, "_draw_trial", fails_in_the_caller)
     start = time.monotonic()
     with pytest.raises(FloatingPointError, match="calling process"):
@@ -610,7 +692,7 @@ def test_child_of_a_killed_caller_does_not_block_on_its_pipe(tmp_path):
 
 
 @needs_fork
-def test_child_error_keeps_its_type_and_carries_the_child_traceback(monkeypatch):
+def test_child_error_keeps_its_type_and_carries_the_child_traceback(monkeypatch, two_cpus):
     draw_trial = sinrdist.simulator._draw_trial
 
     def fails_in_the_child(sim, trial_index, *args):
@@ -619,7 +701,6 @@ def test_child_error_keeps_its_type_and_carries_the_child_traceback(monkeypatch)
         return draw_trial(sim, trial_index, *args)
 
     forks = _record_forks(monkeypatch)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(sinrdist.simulator, "_draw_trial", fails_in_the_child)
     with pytest.raises(FloatingPointError, match="fails in the child") as info:
         run_campaign(_small_sim(trials=8), workers=2)
@@ -644,7 +725,7 @@ class _NeedsTwoArguments(Exception):
         (lambda: _NeedsTwoArguments(1, 2), "_NeedsTwoArguments"),
     ],
 )
-def test_unpicklable_child_error_is_a_child_process_error(monkeypatch, error, name):
+def test_unpicklable_child_error_is_a_child_process_error(monkeypatch, two_cpus, error, name):
     draw_trial = sinrdist.simulator._draw_trial
 
     def fails_at_trial_5(sim, trial_index, *args):
@@ -653,7 +734,6 @@ def test_unpicklable_child_error_is_a_child_process_error(monkeypatch, error, na
         return draw_trial(sim, trial_index, *args)
 
     forks = _record_forks(monkeypatch)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(sinrdist.simulator, "_draw_trial", fails_at_trial_5)
     with pytest.raises(ChildProcessError, match=f"raised {name}: .*cannot be pickled"):
         run_campaign(_small_sim(trials=8), workers=2)
@@ -661,9 +741,8 @@ def test_unpicklable_child_error_is_a_child_process_error(monkeypatch, error, na
 
 
 @needs_fork
-def test_worker_numerical_error_keeps_its_type(monkeypatch):
+def test_worker_numerical_error_keeps_its_type(two_cpus):
     """No noise and fewer interferers than antennas, raised inside a worker."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     model = GaussianCluster.with_total_count(2.0, 50.0)
     link = LinkConfig(alpha=3.0, sigma2=0.0, r_T=20.0, L=8)
     sim = SimConfig(trials=4, truncation_radius=400.0, seed=3, link=link, model=model)
@@ -672,7 +751,7 @@ def test_worker_numerical_error_keeps_its_type(monkeypatch):
 
 
 @needs_fork
-def test_dead_worker_is_a_child_process_error(monkeypatch):
+def test_dead_worker_is_a_child_process_error(monkeypatch, two_cpus):
     draw_trial = sinrdist.simulator._draw_trial
 
     def dies_at_trial_5(sim, trial_index, *args):
@@ -680,7 +759,6 @@ def test_dead_worker_is_a_child_process_error(monkeypatch):
             os._exit(3)
         return draw_trial(sim, trial_index, *args)
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(sinrdist.simulator, "_draw_trial", dies_at_trial_5)
     with pytest.raises(ChildProcessError, match="worker process died"):
         run_campaign(_small_sim(trials=8), workers=2)
@@ -695,9 +773,8 @@ def test_gram_block_shrinks_with_the_antenna_count():
 
 
 @needs_fork
-def test_wide_array_campaign_through_the_pool(monkeypatch):
+def test_wide_array_campaign_through_the_pool(two_cpus):
     """L = 32 takes 64-column Gram blocks; the pool gives the serial bytes."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     link = LinkConfig(alpha=3.0, sigma2=1e-10, r_T=20.0, L=32)
     model = GaussianCluster.with_total_count(150.0, v=50.0)
     sim = SimConfig(trials=6, truncation_radius=400.0, seed=8, link=link, model=model)
