@@ -18,8 +18,8 @@ The pass and the QR route a trial takes when the pass rejects it both end in
 a squared norm of a triangular solve, ||F^-1 g_T||^2 or ||R^-H g_T||^2.
 
 Every campaign splits its trials into `workers` contiguous shares
-(_run_pool): the calling process runs the first share, and workers - 1
-forked children run the rest and send back their arrays through pipes; each
+(_run_pool): the calling process runs the first share, and workers - 1 forked
+children run the rest and send back their TRIAL_RECORD through pipes; each
 first moves itself to its own allowed CPU and releases the pin at once. A
 campaign runs on at most min(workers, allowed CPUs, trials) processes, the
 caller included, and on the caller alone where the platform cannot fork.
@@ -85,6 +85,11 @@ CONDITION_LIMIT = 1e8
 MAX_DRAW_BYTES = 2**30
 TRIAL_MATRIX_BYTES = 32 + 5 * 16
 BATCH_MATRIX_BYTES = 2**20
+# What a campaign knows of each trial, from _run_chunk through the fork pipes:
+# its SINR, its interferer count and whether it took the QR route.
+TRIAL_RECORD = np.dtype([("sinr", float), ("count", int), ("qr", bool)])
+# Sorted samples per call of ks_distance's reference CDF.
+KS_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -144,15 +149,19 @@ class EmpiricalDistribution:
     def ks_distance(self, analytic_cdf: Callable[[np.ndarray], np.ndarray]) -> float:
         """Two-sided sup gap between the ECDF and a reference CDF.
 
-        analytic_cdf is called once, on the array of sorted samples, and must
-        return the CDF at each of them. Checks both i/n and (i-1)/n against F
-        at each order statistic, which is where the sup of |ECDF - F| is
-        attained.
+        analytic_cdf is called on blocks of at most KS_BLOCK sorted samples,
+        so it must be elementwise: the CDF at each sample of the block.
+        Checks both i/n and (i-1)/n against F at each order statistic, which
+        is where the sup of |ECDF - F| is attained.
         """
         n = self.samples.size
-        ref = np.asarray(analytic_cdf(self.samples), dtype=float)
-        steps = np.arange(1, n + 1) / n
-        return float(np.max(np.maximum(steps - ref, ref - (steps - 1.0 / n))))
+        gap = 0.0
+        for start in range(0, n, KS_BLOCK):
+            block = self.samples[start : start + KS_BLOCK]
+            ref = np.asarray(analytic_cdf(block), dtype=float)
+            steps = np.arange(start + 1, start + block.size + 1) / n
+            gap = np.maximum(gap, np.max(np.maximum(steps - ref, ref - (steps - 1.0 / n))))
+        return float(gap)
 
 
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
@@ -291,16 +300,16 @@ def _qr_quadratic_form(powers, g, S, sigma2: float) -> float:
     return float(np.vdot(y, y).real)
 
 
-def _sinrs(cov, g, link: LinkConfig, redraw) -> np.ndarray:
+def _sinrs(cov, g, link: LinkConfig, redraw):
     """SINRs of a stack of trials from their covariances and target channels:
-    the squared norms ||F^-1 g_T||^2 of the stacked Cholesky pass, then, in
-    trial order, ||R^-H g_T||^2 of the QR route for each trial the pass
-    rejects, on the powers, g_T and S that redraw(k) gives for trial k of the
-    stack; both times r_T^-alpha."""
+    ||F^-1 g_T||^2 of the stacked Cholesky pass, then, in trial order, the QR
+    route's ||R^-H g_T||^2 for each trial the pass rejects, on the powers, g_T
+    and S that redraw(k) gives for trial k, both times r_T^-alpha; and the
+    mask of the trials that took the QR route."""
     quad, accepted = _cholesky_quadratic_forms(cov, g)
     for k in np.flatnonzero(~accepted):
         quad[k] = _qr_quadratic_form(*redraw(k), link.sigma2)
-    return quad * link.r_T ** (-link.alpha)
+    return quad * link.r_T ** (-link.alpha), ~accepted
 
 
 def mmse_sinr(radii, g_t, G, link: LinkConfig) -> float:
@@ -335,15 +344,15 @@ def mmse_sinr(radii, g_t, G, link: LinkConfig) -> float:
     powers = radii ** (-link.alpha)
     S = np.vstack((G.real, G.imag))
     cov = _interference_covariance(powers, S, link.sigma2)
-    return float(_sinrs(cov[None], g_t[None], link, lambda k: (powers, g_t, S))[0])
+    return float(_sinrs(cov[None], g_t[None], link, lambda k: (powers, g_t, S))[0][0])
 
 
 def run_trial(sim: SimConfig, trial_index: int) -> TrialResult:
     """One deterministic trial, a pure function of (config, trial index): bit
     for bit the mmse_sinr of draw_network and draw_channels on the trial's
     stream, and the trial a campaign runs (a chunk of one)."""
-    sinr, counts = _run_chunk(sim, trial_index, trial_index + 1)
-    return TrialResult(sinr=float(sinr[0]), n_interferers=int(counts[0]))
+    record = _run_chunk(sim, trial_index, trial_index + 1)
+    return TrialResult(sinr=float(record["sinr"][0]), n_interferers=int(record["count"][0]))
 
 
 def _draw_trial(sim: SimConfig, trial_index: int, mean: float, rng):
@@ -375,8 +384,8 @@ def _batch_size(L: int) -> int:
     return max(1, BATCH_MATRIX_BYTES // (TRIAL_MATRIX_BYTES * L * L))
 
 
-def _run_chunk(sim: SimConfig, start: int, stop: int):
-    """SINRs (float64) and interferer counts (int) of trials start..stop-1.
+def _run_chunk(sim: SimConfig, start: int, stop: int) -> np.ndarray:
+    """The TRIAL_RECORD (SINR, interferer count, QR route) of trials start..stop-1.
 
     The disk's Poisson mean is taken once and one generator is re-keyed to
     each trial's stream (_draw_trial). Each batch of _batch_size(L) trials
@@ -387,8 +396,7 @@ def _run_chunk(sim: SimConfig, start: int, stop: int):
     link, L = sim.link, sim.link.L
     mean = mean_count(sim.model, DiskRegion(sim.truncation_radius))
     rng = np.random.Generator(np.random.Philox(0))
-    sinr = np.empty(stop - start)
-    counts = np.empty(stop - start, dtype=int)
+    record = np.empty(stop - start, TRIAL_RECORD)
     batch = _batch_size(L)
     for first in range(start, stop, batch):
         trials = range(first, min(first + batch, stop))
@@ -396,7 +404,7 @@ def _run_chunk(sim: SimConfig, start: int, stop: int):
         g = np.empty((len(trials), L), dtype=complex)
         for k, t in enumerate(trials):
             powers, g_k, S = _draw_trial(sim, t, mean, rng)
-            counts[t - start] = powers.size
+            record["count"][t - start] = powers.size
             _complex(g_k, out=g[k])
             _interference_covariance(powers, S, link.sigma2, out=cov[k])
 
@@ -404,8 +412,9 @@ def _run_chunk(sim: SimConfig, start: int, stop: int):
             powers, g_k, S = _draw_trial(sim, trials[k], mean, rng)
             return powers, _complex(g_k), S
 
-        sinr[first - start : trials.stop - start] = _sinrs(cov, g, link, redraw)
-    return sinr, counts
+        rows = record[first - start : trials.stop - start]
+        rows["sinr"], rows["qr"] = _sinrs(cov, g, link, redraw)
+    return record
 
 
 def _move_apart(k: int) -> None:
@@ -422,7 +431,7 @@ def _move_apart(k: int) -> None:
 
 def _run_child(sim: SimConfig, start: int, stop: int, out, k: int) -> None:
     """In the k-th process, a forked child: move apart, run trials start..stop-1
-    and pickle (True, (sinr, counts)), or (False, exception) with the child's
+    and pickle (True, record), or (False, exception) with the child's
     traceback as a note, to the pipe out. Ends the process from a finally, so
     it never returns into the caller's stack nor flushes the caller's stdio."""
     try:
@@ -451,7 +460,7 @@ def _run_child(sim: SimConfig, start: int, stop: int, out, k: int) -> None:
 
 
 def _run_pool(sim: SimConfig, workers: int):
-    """The campaign as two arrays, in trial order: the calling process runs
+    """The campaign's TRIAL_RECORD, in trial order: the calling process runs
     the first of `workers` contiguous shares of the trials, and workers - 1
     forked children run the rest (_run_child), so one worker forks nothing
     and runs every trial here; having forked, each process moves apart first.
@@ -501,7 +510,7 @@ def _run_pool(sim: SimConfig, workers: int):
             os.waitpid(pid, 0)
             pipe.close()
         raise
-    return tuple(np.concatenate(column) for column in zip(*parts))
+    return np.concatenate(parts)
 
 
 def _require_bytes(nbytes: float, what: str) -> None:
@@ -516,24 +525,24 @@ def require_draw_fits(mean: float, bytes_per_point: int) -> None:
     _require_bytes(mean * bytes_per_point, f"a draw at a Poisson mean of {mean:.6g} points")
 
 
-def _run_arrays(sim: SimConfig, workers: int):
-    """SINRs and interferer counts of every trial, in trial order."""
+def _run_record(sim: SimConfig, workers: int) -> np.ndarray:
+    """The TRIAL_RECORD of every trial, in trial order."""
     L = sim.link.L
     _require_bytes(TRIAL_MATRIX_BYTES * L * L, f"the matrices of a trial at L = {L} antennas")
-    # a run holds up to 320 B per trial at once: the SINRs and counts, the
-    # shares' concatenation of them, the sorted samples and the KS's psi and
-    # CDF arrays on them (about 300 B at the peak of a cdf or simulate run)
+    # a run holds about 42 B per trial at once: the shares' records and their
+    # concatenation (17 B each) and the sorted samples, and besides them about
+    # 18 MB of the KS's psi and CDF arrays on one block of KS_BLOCK samples
     _require_bytes(int(sim.trials) * 320, f"the arrays of trials = {sim.trials}")
     # 2L doubles of normals per interferer, and complex copies on the QR route
     require_draw_fits(mean_count(sim.model, DiskRegion(sim.truncation_radius)), 32 * L)
     # where the platform cannot fork, every trial runs in this process
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(workers, cpus or 1, sim.trials) if hasattr(os, "fork") else 1
-    sinr, counts = _run_pool(sim, max(workers, 1))
-    bad = np.flatnonzero(~(sinr > 0))
+    record = _run_pool(sim, max(workers, 1))
+    bad = np.flatnonzero(~(record["sinr"] > 0))
     if bad.size:
-        raise ValueError(f"sinr must be > 0, got {sinr[bad[0]]} in trial {bad[0]}")
-    return sinr, counts
+        raise ValueError(f"sinr must be > 0, got {record['sinr'][bad[0]]} in trial {bad[0]}")
+    return record
 
 
 def run_trials(sim: SimConfig, workers: int = 1) -> list:
@@ -543,16 +552,16 @@ def run_trials(sim: SimConfig, workers: int = 1) -> list:
     trials, and workers - 1 forked children run the rest (_run_pool): at
     most min(workers, CPUs this process may run on, trials) processes, the
     caller included, and one where the platform cannot fork. Results do not
-    depend on the worker count: each trial owns its stream and the shares
-    are joined in trial order.
+    depend on the worker count: each trial owns its stream and the shares'
+    TRIAL_RECORDs are joined in trial order.
     """
-    sinr, counts = _run_arrays(sim, workers)
-    return [TrialResult(s, n) for s, n in zip(sinr.tolist(), counts.tolist())]
+    record = _run_record(sim, workers)
+    return [TrialResult(s, n) for s, n in zip(record["sinr"].tolist(), record["count"].tolist())]
 
 
 def run_campaign(sim: SimConfig, workers: int = 1) -> EmpiricalDistribution:
     """Run the campaign and collect the empirical SINR distribution."""
-    return EmpiricalDistribution(_run_arrays(sim, workers)[0])
+    return EmpiricalDistribution(_run_record(sim, workers)["sinr"])
 
 
 def default_truncation_radius(

@@ -39,6 +39,7 @@ from sinrdist import (
     psi_piecewise,
     psi_polynomial,
     psi_power_law,
+    regularized_lower_gamma,
     run_campaign,
     run_trial,
     run_trials,
@@ -441,17 +442,12 @@ def test_batch_matrices_stay_within_the_draw_limit():
     assert sim_module.TRIAL_MATRIX_BYTES * 3097**2 > sim_module.MAX_DRAW_BYTES
 
 
-def test_campaign_trials_are_mmse_sinr_of_the_public_draws(monkeypatch):
+def test_campaign_trials_are_mmse_sinr_of_the_public_draws():
     """run_trial on its real block against mmse_sinr on draw_network and
     draw_channels from the same stream, QR-route trials included."""
     sim = _field_sim(trials=1, seed=123)
-    qr_route = sinrdist.simulator._qr_quadratic_form
-    calls = []
-    monkeypatch.setattr(
-        sinrdist.simulator, "_qr_quadratic_form", lambda *args: calls.append(1) or qr_route(*args)
-    )
     campaign = [run_trial(sim, t).sinr for t in range(300)]
-    assert len(calls) >= 1
+    assert sinrdist.simulator._run_chunk(sim, 0, 300)["qr"].any()
     public = []
     for t in range(300):
         rng = trial_rng(sim.seed, t)
@@ -461,6 +457,21 @@ def test_campaign_trials_are_mmse_sinr_of_the_public_draws(monkeypatch):
 
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the campaign forks its workers")
+
+
+@needs_fork
+def test_campaign_record_carries_the_qr_route_through_the_pool(two_cpus):
+    """fig3's campaign disk, seed 1: the forked child's share comes back with
+    its QR-route trials marked, and the record is the one-worker record."""
+    R = campaign_truncation_radius(FIELD_MODEL, FIELD_LINK)
+    sim = SimConfig(trials=400, truncation_radius=R, seed=1, link=FIELD_LINK, model=FIELD_MODEL)
+    serial = sinrdist.simulator._run_record(sim, 1)
+    pooled = sinrdist.simulator._run_record(sim, 2)
+    assert pooled.dtype == serial.dtype == sinrdist.simulator.TRIAL_RECORD
+    assert pooled.tobytes() == serial.tobytes()
+    qr = np.flatnonzero(pooled["qr"])
+    assert qr.tolist() == [15, 140, 168, 311]
+    assert pooled["sinr"][qr].tolist() == [run_trial(sim, t).sinr for t in qr]
 
 
 def _record_forks(monkeypatch):
@@ -599,7 +610,7 @@ def test_campaign_without_fork_runs_serially(monkeypatch, two_cpus):
     assert run_campaign(sim, workers=2).samples.tobytes() == serial.tobytes()
     pooled = sinrdist.simulator._run_pool(sim, 1)
     chunk = sinrdist.simulator._run_chunk(sim, 0, sim.trials)
-    assert [(a.dtype, a.tobytes()) for a in pooled] == [(a.dtype, a.tobytes()) for a in chunk]
+    assert (pooled.dtype, pooled.tobytes()) == (chunk.dtype, chunk.tobytes())
 
 
 @needs_fork
@@ -665,10 +676,11 @@ def _gone(pid):
 @needs_fork
 @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc/<pid>/stat")
 def test_child_of_a_killed_caller_does_not_block_on_its_pipe(tmp_path):
-    """The caller is killed before it reads: the child's 96 kB of results
+    """The caller is killed before it reads: the child's 102 kB of results
     overfill the pipe, and the child must get a broken pipe and exit, not
     block on a pipe it holds open itself. Output goes to files, which the
     child may hold open without stalling the run."""
+    assert 6000 * sinrdist.simulator.TRIAL_RECORD.itemsize > 2**16  # a 64 kB pipe buffer
     src = str(Path(sinrdist.__file__).resolve().parents[1])
     out, err = tmp_path / "stdout", tmp_path / "stderr"
     with open(out, "w") as stdout, open(err, "w") as stderr:
@@ -817,6 +829,18 @@ def test_ks_distance_against_own_steps():
     emp = EmpiricalDistribution(np.array([0.1, 0.4, 0.9]))
     # against its own right-continuous ECDF the two-sided gap is exactly 1/n
     assert emp.ks_distance(emp.cdf) == pytest.approx(1.0 / 3.0)
+
+
+def test_ks_distance_in_blocks_is_the_one_array_gap():
+    """200,000 samples take four blocks: the reference sees at most KS_BLOCK
+    samples at a time, and the gap is the one-array formula's, bit for bit."""
+    emp = EmpiricalDistribution(np.random.default_rng(5).gamma(3.0, size=200_000))
+    sizes = []
+    gap = emp.ks_distance(lambda x: sizes.append(x.size) or regularized_lower_gamma(3, x))
+    assert max(sizes) <= sinrdist.simulator.KS_BLOCK and sum(sizes) == emp.trials
+    n, ref = emp.trials, regularized_lower_gamma(3, emp.samples)
+    steps = np.arange(1, n + 1) / n
+    assert gap == float(np.max(np.maximum(steps - ref, ref - (steps - 1.0 / n))))
 
 
 def test_ks_distance_uniform_calibration():
