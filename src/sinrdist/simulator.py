@@ -18,16 +18,18 @@ The pass and the QR route a trial takes when the pass rejects it both end in
 a squared norm of a triangular solve, ||F^-1 g_T||^2 or ||R^-H g_T||^2.
 
 Every campaign splits its trials into `workers` contiguous shares
-(_run_pool): the calling process runs the first share, and workers - 1 forked
-children run the rest and send back their TRIAL_RECORD through pipes; each
-first moves itself to its own allowed CPU and releases the pin at once. A
-campaign runs on at most min(workers, allowed CPUs, trials) processes, the
+(_run_pool) of one TRIAL_RECORD in shared memory: the calling process fills
+the first share's rows, and workers - 1 forked children fill the rest in
+place, each sending an exception through its pipe only if its share raises;
+each first moves itself to its own allowed CPU and releases the pin at once.
+A campaign runs on at most min(workers, allowed CPUs, trials) processes, the
 caller included, and on the caller alone where the platform cannot fork.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import pickle
 import signal
@@ -85,8 +87,8 @@ CONDITION_LIMIT = 1e8
 MAX_DRAW_BYTES = 2**30
 TRIAL_MATRIX_BYTES = 32 + 5 * 16
 BATCH_MATRIX_BYTES = 2**20
-# What a campaign knows of each trial, from _run_chunk through the fork pipes:
-# its SINR, its interferer count and whether it took the QR route.
+# What a campaign knows of each trial, in one array every process fills in
+# place: its SINR, its interferer count and whether it took the QR route.
 TRIAL_RECORD = np.dtype([("sinr", float), ("count", int), ("qr", bool)])
 # Sorted samples per call of ks_distance's reference CDF.
 KS_BLOCK = 2**16
@@ -351,7 +353,8 @@ def run_trial(sim: SimConfig, trial_index: int) -> TrialResult:
     """One deterministic trial, a pure function of (config, trial index): bit
     for bit the mmse_sinr of draw_network and draw_channels on the trial's
     stream, and the trial a campaign runs (a chunk of one)."""
-    record = _run_chunk(sim, trial_index, trial_index + 1)
+    record = np.empty(1, TRIAL_RECORD)
+    _run_chunk(sim, trial_index, trial_index + 1, record)
     return TrialResult(sinr=float(record["sinr"][0]), n_interferers=int(record["count"][0]))
 
 
@@ -384,8 +387,9 @@ def _batch_size(L: int) -> int:
     return max(1, BATCH_MATRIX_BYTES // (TRIAL_MATRIX_BYTES * L * L))
 
 
-def _run_chunk(sim: SimConfig, start: int, stop: int) -> np.ndarray:
-    """The TRIAL_RECORD (SINR, interferer count, QR route) of trials start..stop-1.
+def _run_chunk(sim: SimConfig, start: int, stop: int, record: np.ndarray) -> None:
+    """Fill record, stop - start rows of TRIAL_RECORD, with the SINR,
+    interferer count and QR route of trials start..stop-1.
 
     The disk's Poisson mean is taken once and one generator is re-keyed to
     each trial's stream (_draw_trial). Each batch of _batch_size(L) trials
@@ -396,7 +400,6 @@ def _run_chunk(sim: SimConfig, start: int, stop: int) -> np.ndarray:
     link, L = sim.link, sim.link.L
     mean = mean_count(sim.model, DiskRegion(sim.truncation_radius))
     rng = np.random.Generator(np.random.Philox(0))
-    record = np.empty(stop - start, TRIAL_RECORD)
     batch = _batch_size(L)
     for first in range(start, stop, batch):
         trials = range(first, min(first + batch, stop))
@@ -414,7 +417,6 @@ def _run_chunk(sim: SimConfig, start: int, stop: int) -> np.ndarray:
 
         rows = record[first - start : trials.stop - start]
         rows["sinr"], rows["qr"] = _sinrs(cov, g, link, redraw)
-    return record
 
 
 def _move_apart(k: int) -> None:
@@ -429,15 +431,15 @@ def _move_apart(k: int) -> None:
         pass
 
 
-def _run_child(sim: SimConfig, start: int, stop: int, out, k: int) -> None:
-    """In the k-th process, a forked child: move apart, run trials start..stop-1
-    and pickle (True, record), or (False, exception) with the child's
-    traceback as a note, to the pipe out. Ends the process from a finally, so
-    it never returns into the caller's stack nor flushes the caller's stdio."""
+def _run_child(sim: SimConfig, start: int, stop: int, record, out, k: int) -> None:
+    """In the k-th process, a forked child: move apart and fill record, the
+    shared rows of trials start..stop-1, or pickle what raised, with the
+    child's traceback as a note, to the pipe out. Ends the process from a
+    finally, so it never returns into the caller's stack nor flushes its stdio."""
     try:
-        _move_apart(k)
         try:
-            payload = pickle.dumps((True, _run_chunk(sim, start, stop)))
+            _move_apart(k)
+            _run_chunk(sim, start, stop, record)
         except BaseException as exc:
             import traceback
 
@@ -445,35 +447,38 @@ def _run_child(sim: SimConfig, start: int, stop: int, out, k: int) -> None:
                 trace = "".join(traceback.format_exception(exc))
                 exc.add_note(f"raised in campaign worker process {os.getpid()}:\n{trace}")
             try:
-                payload = pickle.dumps((False, exc))
+                payload = pickle.dumps(exc)
                 pickle.loads(payload)
             except Exception as failure:
                 unpicklable = ChildProcessError(
                     f"a campaign worker process raised {type(exc).__name__}: {exc}, "
                     f"which cannot be pickled ({type(failure).__name__}: {failure})"
                 )
-                payload = pickle.dumps((False, unpicklable))
-        out.write(payload)
+                payload = pickle.dumps(unpicklable)
+            out.write(payload)
         out.close()
     finally:
         os._exit(0)
 
 
-def _run_pool(sim: SimConfig, workers: int):
-    """The campaign's TRIAL_RECORD, in trial order: the calling process runs
-    the first of `workers` contiguous shares of the trials, and workers - 1
-    forked children run the rest (_run_child), so one worker forks nothing
-    and runs every trial here; having forked, each process moves apart first.
+def _run_pool(sim: SimConfig, workers: int) -> np.ndarray:
+    """The campaign's TRIAL_RECORD, in trial order, in one anonymous shared
+    mapping: the calling process fills the rows of the first of `workers`
+    contiguous shares of the trials, and workers - 1 forked children fill
+    the rest in place (_run_child), so one worker forks nothing and fills
+    every row here; having forked, each process moves apart first.
 
-    Forked children inherit the imported package and any cached sampler
-    table, so they import nothing again. A child's exception is raised here
-    with its own type; a child that dies or sends nothing is a
+    Forked children inherit the imported package, any cached sampler table
+    and the mapping, so they import nothing again and send back only an
+    exception, raised here with its own type; a child that dies is a
     ChildProcessError. Whatever raises (the caller's share, a child,
     KeyboardInterrupt) first kills and reaps every child still running, so
     no process outlives the call. Like any fork, this is unsafe in a process
     that runs other threads at the time.
     """
     bounds = [sim.trials * k // workers for k in range(workers + 1)]
+    # zero-filled, so a row no process wrote reads SINR 0 (see _run_record)
+    record = np.frombuffer(mmap.mmap(-1, sim.trials * TRIAL_RECORD.itemsize), TRIAL_RECORD)
     children = []  # (pid, read end of its pipe, its share) of each child not yet reaped
     try:
         for k, (start, stop) in enumerate(zip(bounds[1:-1], bounds[2:]), 1):
@@ -483,34 +488,32 @@ def _run_pool(sim: SimConfig, workers: int):
                 pid = os.fork()
                 if pid == 0:
                     pipe.close()  # so a write fails, not blocks, once the caller is gone
-                    _run_child(sim, start, stop, out, k)
+                    _run_child(sim, start, stop, record[start:stop], out, k)
             children.append((pid, pipe, start, stop))
         if children:
             _move_apart(0)
-        parts = [_run_chunk(sim, 0, bounds[1])]
+        _run_chunk(sim, 0, bounds[1], record[: bounds[1]])
         while children:
             pid, pipe, start, stop = children[0]
             payload = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             children.pop(0)
             pipe.close()
-            if code != 0 or not payload:
+            if code != 0:
                 how = f"exit status {code}" if code >= 0 else f"killed by signal {-code}"
                 raise ChildProcessError(
                     f"a campaign worker process died ({how}, {len(payload)} B sent) "
                     f"running trials {start}..{stop - 1}"
                 )
-            ok, result = pickle.loads(payload)
-            if not ok:
-                raise result
-            parts.append(result)
+            if payload:
+                raise pickle.loads(payload)
     except BaseException:
         for pid, pipe, *_ in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             pipe.close()
         raise
-    return np.concatenate(parts)
+    return record
 
 
 def _require_bytes(nbytes: float, what: str) -> None:
@@ -529,9 +532,9 @@ def _run_record(sim: SimConfig, workers: int) -> np.ndarray:
     """The TRIAL_RECORD of every trial, in trial order."""
     L = sim.link.L
     _require_bytes(TRIAL_MATRIX_BYTES * L * L, f"the matrices of a trial at L = {L} antennas")
-    # a run holds about 42 B per trial at once: the shares' records and their
-    # concatenation (17 B each) and the sorted samples, and besides them about
-    # 18 MB of the KS's psi and CDF arrays on one block of KS_BLOCK samples
+    # run_campaign peaks at about 28 B per trial: the record (17 B) and the
+    # sorted samples, and a KS adds about 18 MB of psi and CDF arrays on one
+    # block of KS_BLOCK samples; run_trials peaks at about 135 B, its list
     _require_bytes(int(sim.trials) * 320, f"the arrays of trials = {sim.trials}")
     # 2L doubles of normals per interferer, and complex copies on the QR route
     require_draw_fits(mean_count(sim.model, DiskRegion(sim.truncation_radius)), 32 * L)
@@ -552,8 +555,8 @@ def run_trials(sim: SimConfig, workers: int = 1) -> list:
     trials, and workers - 1 forked children run the rest (_run_pool): at
     most min(workers, CPUs this process may run on, trials) processes, the
     caller included, and one where the platform cannot fork. Results do not
-    depend on the worker count: each trial owns its stream and the shares'
-    TRIAL_RECORDs are joined in trial order.
+    depend on the worker count: each trial owns its stream and its row of
+    the one shared TRIAL_RECORD.
     """
     record = _run_record(sim, workers)
     return [TrialResult(s, n) for s, n in zip(record["sinr"].tolist(), record["count"].tolist())]

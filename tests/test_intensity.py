@@ -334,9 +334,11 @@ def test_sample_piecewise_matches_cumulative():
 
 
 def test_piecewise_sampler_does_not_cancel_near_p_zero():
-    """A piece at eps = -2.00001 (p = k + 2 = -1e-5) from lo = 1: r^p = lo^p +
-    share p cancels, and raising it to 1/p magnified the rounding to 4.7e-12;
-    the root against an mpmath inverse of the exact masses at 40 digits."""
+    """A piece at eps = -2.00001 (p = k + 2 = -1e-5) from lo = 1, where
+    solving the mass r^p = lo^p + share p for r would cancel: the inherited
+    sampler polishes each draw on cumulative_count, whose annulus mass does
+    not cancel there; the root against an mpmath inverse of the exact masses
+    at 40 digits."""
     mpmath = pytest.importorskip("mpmath")
     segments = ((1e-6, -0.5, 1.0), (1.0, -2.00001, 3.0))
     u = np.linspace(0.05, 1.0, 20)

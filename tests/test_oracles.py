@@ -206,11 +206,19 @@ def test_gaussian_panel_route_matches_mpmath():
 
 
 def test_gaussian_quadrature_reference_matches_mpmath():
-    # the knee gamma^(1/alpha) = 0.03 sits four decades inside v, where almost
-    # all of psi comes from the profile's r-linear start
-    mp.mp.dps = 20
-    got = psi_quadrature(GaussianCluster(rho=1.0, v=500.0), 4.0, 1e-6)
-    assert got == pytest.approx(_psi_gaussian_mpmath(500.0, 4.0, 1e-6), rel=1e-9, abs=0.0)
+    # the knee gamma^(1/alpha) sits decades from v: inside it (gamma = 1e-6),
+    # where almost all of psi comes from the profile's r-linear start, or far
+    # beyond 6v (v = 1, gamma >= 3e8), where the mass packs against the inner
+    # end of the split interval [6v, knee]
+    mp.mp.dps = 30
+    cases = ((500.0, 4.0, 1e-6), (1e4, 3.0, 1e-6), (1e4, 3.0, 1e12), (1.0, 2.5, 3e8), (1.0, 2.5, 1e12))
+    for v, alpha, gamma in cases:
+        model = GaussianCluster(rho=1.0, v=v)
+        ref = _psi_gaussian_mpmath(v, alpha, gamma)
+        got = psi_quadrature(model, alpha, gamma, QuadratureSpec(abs_tol=0.0))
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0), (v, alpha, gamma)
+        if ref > DEFAULT_QUADRATURE.abs_tol:  # below it, the default spec is held to abs_tol
+            assert psi_quadrature(model, alpha, gamma) == pytest.approx(ref, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("v, alpha, gamma", [(500.0, 3.0, 1e-30), (500.0, 3.0, 1e-120), (1e4, 4.0, 1e-12)])

@@ -5,6 +5,7 @@ analytic distribution."""
 import errno
 import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -447,7 +448,9 @@ def test_campaign_trials_are_mmse_sinr_of_the_public_draws():
     draw_channels from the same stream, QR-route trials included."""
     sim = _field_sim(trials=1, seed=123)
     campaign = [run_trial(sim, t).sinr for t in range(300)]
-    assert sinrdist.simulator._run_chunk(sim, 0, 300)["qr"].any()
+    record = np.empty(300, sinrdist.simulator.TRIAL_RECORD)
+    sinrdist.simulator._run_chunk(sim, 0, 300, record)
+    assert record["qr"].any()
     public = []
     for t in range(300):
         rng = trial_rng(sim.seed, t)
@@ -472,6 +475,56 @@ def test_campaign_record_carries_the_qr_route_through_the_pool(two_cpus):
     qr = np.flatnonzero(pooled["qr"])
     assert qr.tolist() == [15, 140, 168, 311]
     assert pooled["sinr"][qr].tolist() == [run_trial(sim, t).sinr for t in qr]
+
+
+@needs_fork
+@pytest.mark.parametrize("workers", [2, 4])
+def test_forked_shares_are_written_in_place_not_sent(monkeypatch, two_cpus, workers):
+    """fig3's campaign disk, seed 1: each child fills its own rows of the
+    shared record, so nothing is unpickled here and the record is the
+    one-worker record byte for byte. Four processes read four allowed CPUs
+    that cannot be set, so more processes than cores write at once."""
+    R = campaign_truncation_radius(FIELD_MODEL, FIELD_LINK)
+    sim = SimConfig(trials=400, truncation_radius=R, seed=1, link=FIELD_LINK, model=FIELD_MODEL)
+    serial = sinrdist.simulator._run_record(sim, 1)
+    if workers > 2:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    loads = []
+    unpickle = pickle.loads
+
+    def counting_loads(*args, **kwargs):
+        loads.append(args)
+        return unpickle(*args, **kwargs)
+
+    forks = _record_forks(monkeypatch)
+    monkeypatch.setattr(sinrdist.simulator.pickle, "loads", counting_loads)
+    pooled = sinrdist.simulator._run_record(sim, workers)
+    assert len(forks) == workers - 1
+    _assert_reaped(forks)
+    assert loads == []
+    assert pooled.tobytes() == serial.tobytes()
+
+
+@needs_fork
+def test_child_error_before_its_share_keeps_its_type(monkeypatch, two_cpus):
+    """A child whose move to its CPU raises reports that error, with its
+    traceback as a note, instead of exiting 0 with its rows unwritten."""
+    move_apart = sinrdist.simulator._move_apart
+
+    def fails_in_the_child(k):
+        if k >= 1:
+            raise RuntimeError(f"process {k} cannot move")
+        move_apart(k)
+
+    forks = _record_forks(monkeypatch)
+    monkeypatch.setattr(sinrdist.simulator, "_move_apart", fails_in_the_child)
+    with pytest.raises(RuntimeError, match="process 1 cannot move") as info:
+        run_campaign(_small_sim(trials=8), workers=2)
+    _assert_reaped(forks)
+    if hasattr(info.value, "add_note"):  # Python 3.11+
+        (note,) = info.value.__notes__
+        assert f"campaign worker process {forks[0]}" in note and "fails_in_the_child" in note
 
 
 def _record_forks(monkeypatch):
@@ -609,7 +662,8 @@ def test_campaign_without_fork_runs_serially(monkeypatch, two_cpus):
     monkeypatch.delattr(os, "fork", raising=False)
     assert run_campaign(sim, workers=2).samples.tobytes() == serial.tobytes()
     pooled = sinrdist.simulator._run_pool(sim, 1)
-    chunk = sinrdist.simulator._run_chunk(sim, 0, sim.trials)
+    chunk = np.empty(sim.trials, sinrdist.simulator.TRIAL_RECORD)
+    sinrdist.simulator._run_chunk(sim, 0, sim.trials, chunk)
     assert (pooled.dtype, pooled.tobytes()) == (chunk.dtype, chunk.tobytes())
 
 
@@ -635,12 +689,15 @@ def test_no_child_outlives_a_failed_campaign(monkeypatch, two_cpus):
     assert time.monotonic() - start < 30
 
 
-CALLER_DIES = """
+# characters in the message of the error the child's share raises
+CHILD_ERROR_CHARS = 2**17
+
+CALLER_DIES = f"""
 import os, signal
 import sinrdist.simulator as simulator
 from sinrdist import LinkConfig, PowerLaw, SimConfig
 
-fork, run_chunk = os.fork, simulator._run_chunk
+fork = os.fork
 
 
 def fork_and_report():
@@ -650,10 +707,10 @@ def fork_and_report():
     return pid
 
 
-def caller_dies(sim, start, stop):
+def caller_dies(sim, start, stop, record):
     if start == 0:
         os.kill(os.getpid(), signal.SIGKILL)
-    return run_chunk(sim, start, stop)
+    raise RuntimeError("x" * {CHILD_ERROR_CHARS})
 
 
 os.fork, simulator._run_chunk = fork_and_report, caller_dies
@@ -676,11 +733,12 @@ def _gone(pid):
 @needs_fork
 @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc/<pid>/stat")
 def test_child_of_a_killed_caller_does_not_block_on_its_pipe(tmp_path):
-    """The caller is killed before it reads: the child's 102 kB of results
-    overfill the pipe, and the child must get a broken pipe and exit, not
-    block on a pipe it holds open itself. Output goes to files, which the
-    child may hold open without stalling the run."""
-    assert 6000 * sinrdist.simulator.TRIAL_RECORD.itemsize > 2**16  # a 64 kB pipe buffer
+    """The caller is killed before it reads: the child's pickled error, over
+    128 kB, overfills the pipe, and the child must get a broken pipe and
+    exit, not block on a pipe it holds open itself. Output goes to files,
+    which the child may hold open without stalling the run."""
+    error = RuntimeError("x" * CHILD_ERROR_CHARS)
+    assert len(pickle.dumps(error)) > 2**16  # a 64 kB pipe buffer
     src = str(Path(sinrdist.__file__).resolve().parents[1])
     out, err = tmp_path / "stdout", tmp_path / "stderr"
     with open(out, "w") as stdout, open(err, "w") as stderr:
