@@ -33,7 +33,6 @@ from .distribution import (
     BracketingError,
     LinkConfig,
     SinrDistribution,
-    argument_supremum,
     cdf_gamma,
     gamma_argument,
     pdf_gamma,
@@ -303,6 +302,11 @@ def _disk_law(config: ExperimentConfig, dist: SinrDistribution):
         radius = float(campaign_truncation_radius(config.model, config.link))
         config.sim = dataclasses.replace(config.sim, truncation_radius=radius)
     radius, link = config.sim.truncation_radius, config.link
+    # a CDF below this quantile leaves SINR mass at infinity, which no campaign samples
+    p_hi = 1.0 - min(1e-4, 1.0 / (10.0 * config.sim.trials))
+    x_sup = mean_count(config.model, DiskRegion(radius)) + link.sigma2 * float(np.finfo(float).max)
+    if regularized_lower_gamma(link.L, x_sup) < p_hi:
+        raise BracketingError("analytic CDF never reaches the requested quantile")
 
     def disk_cdf(gamma):
         x = gamma_argument(lambda g: dist.psi.value(g, radius), link.sigma2, gamma)
@@ -493,12 +497,6 @@ class Simulate(ExperimentConfig):
     def run(self):
         evaluator = PsiEvaluator(self.model, self.link.alpha, self.quad)
         dist = SinrDistribution(evaluator, self.link)
-        if self.truncation_radius is None:
-            # a CDF below this quantile leaves SINR mass at infinity, which no campaign samples
-            p_hi = 1.0 - min(1e-4, 1.0 / (10.0 * self.sim.trials))
-            x_sup = argument_supremum(self.model, self.link.sigma2)
-            if regularized_lower_gamma(self.link.L, x_sup) < p_hi:
-                raise BracketingError("analytic CDF never reaches the requested quantile")
         empirical, extra = _run_sim(self, _disk_law(self, dist))
         extra["mean_interferers"] = mean_count(self.model, DiskRegion(self.truncation_radius))
         return {"sinr": empirical.samples, "sinr_db": _db(empirical.samples)}, extra

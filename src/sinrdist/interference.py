@@ -19,12 +19,13 @@ and an algebraic tail far beyond it in closed form, the body between them
 cut at the model's breakpoints. They differ only in the integrator. A bare
 profile (psi_quadrature_radial) is integrated in r.
 
-Every psi helper takes gamma as a scalar (float result) or an array. The
-closed forms live beside their families in intensity and are re-exported
-here; this module holds what does not depend on the family: the adaptive
-reference, the panel rule, and PsiEvaluator, which wraps a model object,
-applies its beta scale, and takes the model's closed form where it has one
-and the panel rule where it has none.
+Every psi helper takes gamma as a scalar (float result) or an array. This
+module holds all of psi: the closed forms of power-law pieces, which take
+nominal parameters so a coefficient set needs no model object; the adaptive
+reference; the panel rule; and PsiEvaluator, which wraps a model object,
+applies its beta scale, and sums the closed forms of the model's pieces
+where it has them and takes the panel rule where it has none. The point
+process itself (profiles, counts, samplers) is intensity's.
 """
 
 from __future__ import annotations
@@ -39,19 +40,18 @@ import numpy as np
 
 from .intensity import (
     TWO_PI,
+    DivergenceError,
     GaussianCluster,
     IntensityModel,
-    _check_alpha,
-    _gamma_array,
-    _psi_sum,
-    psi_piecewise,
-    psi_polynomial,
-    psi_power_law,
+    PiecewisePowerLaw,
+    _polynomial_pieces,
+    _power_mass,
 )
 from .specfun import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
     _quad,
+    hyp2f1_first_unit,
     integrate_log_panels,
     integrate_radial,
 )
@@ -70,6 +70,158 @@ __all__ = [
 # e-folds of r^alpha between the knee gamma^(1/alpha) and the layout's ends,
 # where the psi kernel is 1, or its power asymptote, to within e^-40 ~ 4e-18
 PANEL_TAIL_EFOLDS = 40.0
+# Annulus pieces closer than this to the outer-form pole at k = alpha - 2 are
+# evaluated with the disk form instead.
+_POLE_MARGIN = 0.01
+
+
+# ---------------------------------------------------------------------------
+# closed forms of psi, on nominal parameters
+
+
+def _check_alpha(alpha: float) -> None:
+    if not alpha > 2:
+        raise ValueError(f"path-loss exponent alpha must exceed 2, got {alpha}")
+
+
+def _gamma_array(gamma):
+    """gamma as a float array, whether it was a scalar, and a positive stand-in.
+
+    The stand-in replaces gamma = 0 by 1 so closed forms stay finite there;
+    callers zero those entries afterwards (psi(0) = 0).
+    """
+    g = np.asarray(gamma, dtype=float)
+    if not np.all(g >= 0):
+        raise ValueError(f"gamma must be >= 0, got {gamma!r}")
+    return g, g.ndim == 0, np.where(g > 0, g, 1.0)
+
+
+def _finish(g, scalar, values):
+    out = np.where(g > 0, values, 0.0)
+    return float(out) if scalar else out
+
+
+def psi_power_law(rho, eps, alpha: float, gamma):
+    """Closed form for the unbounded power law rho * r**eps.
+
+    psi(gamma) = (2 pi^2 rho / alpha) * gamma^((eps+2)/alpha) / sin(pi (eps+2)/alpha),
+    valid for -2 < eps < alpha - 2 (the open constraint keeps the cosecant
+    away from its poles). rho and eps may be arrays too, broadcast against
+    gamma; the result is a float only when all three are scalars.
+    """
+    _check_alpha(alpha)
+    g, _, gp = _gamma_array(gamma)
+    rho, eps = np.asarray(rho, dtype=float), np.asarray(eps, dtype=float)
+    if not np.all(rho >= 0):
+        raise ValueError(f"rho must be >= 0, got {rho}")
+    if not np.all((-2.0 < eps) & (eps < alpha - 2.0)):
+        raise DivergenceError(
+            f"power-law interference requires -2 < eps < alpha - 2, got eps={eps}"
+        )
+    c = (eps + 2.0) / alpha
+    # numpy takes x ** 0.5 as sqrt(x) for a scalar exponent only; c = 1/2
+    # entries use sqrt too, so a point's value does not depend on its batch
+    power = np.where(c == 0.5, np.sqrt(gp), gp**c)
+    out = _finish(g, False, (2.0 * math.pi**2 * rho / alpha) * power / np.sin(math.pi * c))
+    return float(out) if out.ndim == 0 else out
+
+
+def _disk_term(rho: float, eps: float, alpha: float, gamma, radius: float):
+    """Contribution of rho*r**eps over the disk (0, radius]; needs eps > -2."""
+    scale = TWO_PI * rho * radius ** (2.0 + eps) / (2.0 + eps)
+    return scale * hyp2f1_first_unit((2.0 + eps) / alpha, radius**alpha / gamma)
+
+
+def _outer_term(rho: float, eps: float, alpha: float, gamma, radius: float):
+    """Contribution of rho*r**eps over (radius, inf); needs eps < alpha - 2."""
+    scale = TWO_PI * rho * gamma * radius ** (2.0 + eps - alpha) / (alpha - 2.0 - eps)
+    return scale * hyp2f1_first_unit((alpha - 2.0 - eps) / alpha, gamma * radius ** (-alpha))
+
+
+def _piece_psi(c, k, lo, hi, alpha: float, gamma):
+    """psi of c * r**k on (lo, hi] at gamma > 0: the cosecant form over the
+    plane, the disk form on (0, hi] and the outer form on (lo, inf).
+
+    An annulus is a difference of two disk forms or of two outer forms,
+    algebraically identical where both converge. Each difference cancels to
+    noise where its two terms saturate: the disk forms on an annulus beyond
+    the knee gamma^(1/alpha), the outer forms on one inside it. So the disk
+    forms are taken where the annulus starts inside the knee and the outer
+    forms beyond it, except that only the disk forms hold at or above
+    k = alpha - 2 - _POLE_MARGIN (near the outer form's pole) and only the
+    outer forms at k <= -2. Near k = -2 (|k + 2| < 1/2) both differences
+    cancel like 1/(k + 2) inside the knee, so there the annulus is its count
+    less the part the kernel removes, 2 pi c r^(k+1) r^alpha / (r^alpha +
+    gamma), which is the disk form of exponent k + alpha over gamma.
+    """
+    if lo == 0.0:
+        if hi == math.inf:
+            return psi_power_law(c, k, alpha, gamma)
+        return _disk_term(c, k, alpha, gamma, hi)
+    if hi == math.inf:
+        return _outer_term(c, k, alpha, gamma, lo)
+
+    def disk(g):
+        return _disk_term(c, k, alpha, g, hi) - _disk_term(c, k, alpha, g, lo)
+
+    def outer(g):
+        return _outer_term(c, k, alpha, g, lo) - _outer_term(c, k, alpha, g, hi)
+
+    def count_less_removed(g):
+        removed = _disk_term(c, k + alpha, alpha, g, hi) - _disk_term(c, k + alpha, alpha, g, lo)
+        return _power_mass(c, k, lo, hi) - removed / g
+
+    if k >= alpha - 2.0 - _POLE_MARGIN:
+        return disk(gamma)
+    inner = count_less_removed if abs(k + 2.0) < 0.5 else disk if k > -2.0 else outer
+    inside = lo**alpha <= gamma
+    if np.all(inside):
+        return inner(gamma)
+    if not np.any(inside):
+        return outer(gamma)
+    out = np.empty(gamma.shape)
+    out[inside], out[~inside] = inner(gamma[inside]), outer(gamma[~inside])
+    return out
+
+
+def _psi_sum(pieces, alpha: float, gamma):
+    """psi of a sum of power-law pieces (see PowerLawSum), term by term."""
+    _check_alpha(alpha)
+    g, scalar, gp = _gamma_array(gamma)
+    return _finish(g, scalar, sum(_piece_psi(*piece, alpha, gp) for piece in pieces))
+
+
+def psi_polynomial(
+    coeffs: Sequence[float], R0: float, rho0: float, eps_tail: float, alpha: float, gamma
+):
+    """Closed form for a polynomial profile on [0, R0] plus a power-law tail.
+
+    The disk part contributes one hypergeometric term per coefficient,
+    2*pi*a_k*R0^(2+k)/(2+k) * 2F1(1,(2+k)/alpha;(2+k)/alpha+1;-R0^alpha/gamma),
+    and the tail rho0*r**eps_tail over (R0, inf) contributes the outer-region
+    term. rho0 = 0 is allowed and drops the tail (a purely disk-supported
+    profile).
+    """
+    if not R0 > 0:
+        raise ValueError(f"R0 must be > 0, got {R0}")
+    if not rho0 >= 0:
+        raise ValueError(f"rho0 must be >= 0, got {rho0}")
+    if rho0 > 0 and not -2.0 < eps_tail < -1.0:
+        raise ValueError(f"eps_tail must lie strictly inside (-2, -1), got {eps_tail}")
+    return _psi_sum(_polynomial_pieces(coeffs, R0, rho0, eps_tail), alpha, gamma)
+
+
+def psi_piecewise(segments, alpha: float, gamma):
+    """Closed form for concentric power-law annuli (zero beyond the support).
+
+    segments is a sequence of (rho, eps, R) triples, each annulus one
+    piece of the sum (see _piece_psi).
+    """
+    return _psi_sum(PiecewisePowerLaw(tuple(segments)).pieces, alpha, gamma)
+
+
+# ---------------------------------------------------------------------------
+# quadratures
 
 
 def expit(t):
@@ -77,11 +229,6 @@ def expit(t):
     e^-t overflows (t below about -709) the result is its true value, 0."""
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-t))
-
-
-def _check_gamma(gamma: float) -> None:
-    if not gamma >= 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
 
 
 def psi_quadrature_radial(
@@ -103,7 +250,7 @@ def psi_quadrature_radial(
     range (a profile 0.1*r^0.5 at alpha = 3 then ends in NaN).
     """
     _check_alpha(alpha)
-    _check_gamma(gamma)
+    _gamma_array(gamma)
     if gamma == 0.0:
         return 0.0
     log_gamma = math.log(gamma)

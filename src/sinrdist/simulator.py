@@ -40,8 +40,8 @@ import numpy as np
 import numpy.random  # loaded with the simulator, not by its first trial
 
 from .distribution import BracketingError, LinkConfig, _psi_inverse
-from .intensity import TWO_PI, ConfigError, DiskRegion, IntensityModel, _psi_sum, mean_count
-from .interference import PsiEvaluator
+from .intensity import TWO_PI, ConfigError, DiskRegion, IntensityModel, mean_count
+from .interference import PsiEvaluator, _psi_sum
 
 __all__ = [
     "SimConfig",

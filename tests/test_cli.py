@@ -1008,6 +1008,99 @@ def test_main_unreachable_quantile_is_numerical(tmp_path, capsys):
     assert "never reaches the requested quantile" in capsys.readouterr().err
 
 
+_POLYNOMIAL = {"family": "polynomial_with_tail", "R0": 110.0, "eps_tail": -1.5}
+
+
+@pytest.mark.parametrize(
+    "kind, key, value, message",
+    [
+        ("cdf", "gamma_grid", {"values": []}, "'values' in gamma_grid must be a nonempty list"),
+        (
+            "cdf",
+            "gamma_grid",
+            {"min": 1.0, "max": 10.0, "points": 3, "spacing": "cubic"},
+            "'spacing' in gamma_grid must be 'log' or 'linear'",
+        ),
+        (
+            "cdf",
+            "gamma_grid",
+            {"min": 1.0, "max": 10.0, "points": 1},
+            "'points' in gamma_grid must be >= 2",
+        ),
+        (
+            "cdf",
+            "gamma_grid",
+            {"min": 0.0, "max": 10.0, "points": 3},
+            "log spacing in gamma_grid requires min > 0",
+        ),
+        ("cdf", "output_path", 5, "'output_path' in config must be a string, got 5"),
+        ("cdf", "model", [], "model must be a JSON object, got list"),
+        (
+            "cdf",
+            "link",
+            {"alpha": 4.0, "sigma2": 1e-12, "r_T": 10.0, "L": 10.5},
+            "'L' in link must be an integer, got 10.5",
+        ),
+        (
+            "outage-sweep",
+            "L_values",
+            [],
+            "'L_values' in config must be a nonempty list of integers",
+        ),
+        (
+            "cdf",
+            "model",
+            {**_POLYNOMIAL, "coeffs": [], "rho0": 1.0},
+            "'coeffs' in model must be a nonempty list, got []",
+        ),
+        (
+            "cdf",
+            "model",
+            {**_POLYNOMIAL, "coeffs": [0.005], "rho0": 0.0},
+            "invalid model: rho0 must be > 0, got 0.0",
+        ),
+        (
+            "cdf",
+            "model",
+            {"family": "piecewise_power_law", "segments": [[1.0, 0.5]]},
+            "segments must be (rho, eps, R) triples",
+        ),
+    ],
+)
+def test_main_malformed_input_is_a_config_error(tmp_path, capsys, kind, key, value, message):
+    cfg = _outage_config(tmp_path) if kind == "outage-sweep" else _cdf_config(tmp_path)
+    cfg[key] = value
+    assert main([kind, "--config", json.dumps(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["cdf", "simulate"])
+def test_main_unreachable_quantile_on_the_disk_fails_before_any_trial(
+    tmp_path, capsys, monkeypatch, kind
+):
+    # without noise an 18-interferer cluster caps the CDF at 1 - Q(10, 18) ~ 0.985 on its
+    # 12v support, the disk given here: every kind refuses it before a trial, whatever the seed
+    def no_campaign(*args):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(sinrdist.cli, "run_campaign", no_campaign)
+    cfg = _cdf_config(
+        tmp_path,
+        experiment=kind,
+        model={"family": "gaussian_cluster", "v": 50.0, "total_count": 18.0},
+        link={"alpha": 3.0, "sigma2": 0.0, "r_T": 20.0, "L": 10},
+        sim={"trials": 100, "seed": 4, "truncation_radius": 600.0},
+    )
+    if kind == "simulate":
+        del cfg["gamma_grid"]
+    assert main([kind, "--config", json.dumps(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: analytic CDF never reaches the requested quantile\n"
+    assert not (tmp_path / "cdf.csv").exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_main_non_finite_rho_adjusted_is_a_config_error(tmp_path, capsys):
     # R_c**(2 + eps) underflows to 0, so the density that keeps mu would be inf
@@ -1197,11 +1290,17 @@ def test_power_law_campaign_bytes_do_not_depend_on_workers(tmp_path, two_cpus):
 
 
 @needs_fork
-def test_main_worker_numerical_error_exits_2(tmp_path, capsys, two_cpus):
-    # no noise and fewer interferers than antennas: singular in every worker
-    cfg = _pool_cdf_config(tmp_path)
-    cfg["link"]["sigma2"] = 0.0
-    assert main(["cdf", "--config", json.dumps(cfg)]) == 2
+def test_main_worker_numerical_error_exits_2(tmp_path, capsys, monkeypatch, two_cpus):
+    # the forked child's share (trials 4-7 of 8 at two workers) meets a numerical error
+    draw_trial = sinrdist.simulator._draw_trial
+
+    def singular_from_trial_4(sim, trial_index, *args):
+        if trial_index >= 4:
+            raise ArithmeticError("interference covariance is singular")
+        return draw_trial(sim, trial_index, *args)
+
+    monkeypatch.setattr(sinrdist.simulator, "_draw_trial", singular_from_trial_4)
+    assert main(["cdf", "--config", json.dumps(_pool_cdf_config(tmp_path))]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "singular" in err and err.count("\n") == 1
 
@@ -1219,6 +1318,22 @@ def test_main_dead_worker_exits_1(tmp_path, capsys, monkeypatch, two_cpus):
     assert main(["cdf", "--config", json.dumps(_pool_cdf_config(tmp_path))]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: a campaign worker process died") and err.count("\n") == 1
+
+
+@needs_fork
+def test_main_unwritten_share_exits_1(tmp_path, capsys, monkeypatch, two_cpus):
+    # the forked child's share (trials 4-7 of 8) exits 0 without writing its rows
+    run_chunk = sinrdist.simulator._run_chunk
+
+    def child_writes_nothing(sim, start, stop, record):
+        if start < 4:
+            run_chunk(sim, start, stop, record)
+
+    monkeypatch.setattr(sinrdist.simulator, "_run_chunk", child_writes_nothing)
+    assert main(["cdf", "--config", json.dumps(_pool_cdf_config(tmp_path))]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: sinr must be > 0, got 0.0 in trial 4\n"
+    assert not (tmp_path / "cdf.csv").exists()
 
 
 @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4", "fig5"])

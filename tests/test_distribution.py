@@ -23,6 +23,7 @@ from sinrdist import (
     outage_probability,
     pdf_gamma,
     regularized_gamma_limit_scan,
+    regularized_lower_gamma,
     scaling_limit,
 )
 import sinrdist.distribution
@@ -111,6 +112,29 @@ def test_double_sum_cap():
     dist = dataclasses.replace(SPARSE, link=dataclasses.replace(SPARSE.link, L=65))
     with pytest.raises(ValueError):
         cdf_gamma_double_sum(dist, 1.0)
+
+
+def _psi_never_evaluated(monkeypatch):
+    def evaluated(self, gamma, radius=math.inf):
+        raise AssertionError(f"psi evaluated at {gamma!r}")
+
+    monkeypatch.setattr(PsiEvaluator, "value", evaluated)
+
+
+def test_double_sum_checks_gamma_before_psi(monkeypatch):
+    _psi_never_evaluated(monkeypatch)
+    with pytest.raises(ValueError, match="gamma must be >= 0, got -1.0"):
+        cdf_gamma_double_sum(SPARSE, -1.0)
+    assert cdf_gamma_double_sum(SPARSE, 0.0) == 0.0
+
+
+def test_double_sum_without_interference_is_the_noise_law():
+    # rho = 0 gives psi = 0, so every psi^k term with k > 0 is skipped
+    dist = _dist(PowerLaw(rho=0.0, eps=-0.5), 4.0, 1e-3, 10.0, 6)
+    for gamma in (1e3, 5e3, 1e4):
+        assert cdf_gamma_double_sum(dist, gamma) == pytest.approx(
+            regularized_lower_gamma(6, 1e-3 * gamma), abs=1e-12
+        )
 
 
 def test_double_sum_noiseless_branch():
@@ -241,6 +265,12 @@ def test_antenna_gain_is_cdf_difference():
 
 def test_antenna_gain_at_zero():
     assert antenna_gain_delta(SPARSE, 0.0) == 0.0
+
+
+def test_antenna_gain_checks_gamma_before_psi(monkeypatch):
+    _psi_never_evaluated(monkeypatch)
+    with pytest.raises(ValueError, match="gamma must be >= 0, got -1.0"):
+        antenna_gain_delta(SPARSE, -1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -40,10 +40,9 @@ from sinrdist.intensity import (
     IntensityModel,
     PowerLawSum,
     _inverse_cdf_table,
-    _psi_sum,
     _table_radii,
 )
-from sinrdist.interference import _psi_adaptive, _psi_panels
+from sinrdist.interference import _psi_adaptive, _psi_panels, _psi_sum
 
 TWO_PI = 2.0 * math.pi
 
@@ -150,6 +149,12 @@ def test_mean_count_uniform_disk():
     mu = mean_count(model, region)
     assert mu == pytest.approx(math.pi * 1.0003e-3 * 1000.0**2, rel=1e-12)
     assert mu == pytest.approx(3142.0, rel=1e-3)
+
+
+def test_disk_region_needs_a_positive_radius():
+    for radius in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="disk radius must be positive"):
+            DiskRegion(radius)
 
 
 def test_mean_count_zero_density():

@@ -30,6 +30,7 @@ from sinrdist import (
     psi_polynomial,
     psi_power_law,
     psi_quadrature,
+    psi_quadrature_radial,
 )
 
 GAMMAS = (1e-2, 1.0, 1e3, 1e6)
@@ -64,6 +65,15 @@ def test_zero_gamma_returns_zero():
     assert psi_polynomial((1.0,), 10.0, 0.0, -1.5, 4.0, 0.0) == 0.0
     assert psi_gaussian(1.0, 5.0, 3.0, 0.0) == 0.0
     assert psi_quadrature(PowerLaw(rho=1.0, eps=0.0), 4.0, 0.0) == 0.0
+
+
+def test_radial_quadrature_checks_gamma_before_the_profile():
+    def profile(r):
+        raise AssertionError(f"profile evaluated at r = {r}")
+
+    assert psi_quadrature_radial(profile, 4.0, 0.0) == 0.0
+    with pytest.raises(ValueError, match="gamma must be >= 0, got -1.0"):
+        psi_quadrature_radial(profile, 4.0, -1.0)
 
 
 def test_power_law_validation():

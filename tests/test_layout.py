@@ -7,12 +7,19 @@ against its config or class name, any dict keyed by them, and any match case
 on them, outside the classes themselves. The names come from the registries
 (FAMILIES and KINDS), so a new family or kind is guarded as soon as it is
 registered.
+
+Also pins psi to one module: its closed forms live in interference, beside
+the quadratures and PsiEvaluator, and intensity holds only the point process.
 """
 
 import ast
 from pathlib import Path
 
+import pytest
+
 import sinrdist
+import sinrdist.intensity
+import sinrdist.interference
 from sinrdist.cli import KINDS
 from sinrdist.intensity import FAMILIES
 
@@ -140,3 +147,15 @@ class Cdf:
         return self.kind == "cdf" or isinstance(self, Cdf)
 '''
     assert len(kind_checks(ast.parse(source))) == 8
+
+
+@pytest.mark.parametrize(
+    "name", ["psi_power_law", "psi_piecewise", "psi_polynomial", "_psi_sum", "_piece_psi"]
+)
+def test_psi_closed_forms_live_in_interference(name):
+    assert getattr(sinrdist.interference, name).__module__ == "sinrdist.interference"
+    assert not hasattr(sinrdist.intensity, name)
+
+
+def test_intensity_has_no_hypergeometric_kernel():
+    assert not hasattr(sinrdist.intensity, "hyp2f1_first_unit")

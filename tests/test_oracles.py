@@ -40,7 +40,8 @@ from sinrdist import (
     trial_rng,
 )
 
-from sinrdist.intensity import MAXWELL_MEDIAN, _piece_psi, _power_mass
+from sinrdist.intensity import MAXWELL_MEDIAN, _power_mass
+from sinrdist.interference import _piece_psi
 from sinrdist.specfun import three_halves_gamma
 
 mp = pytest.importorskip("mpmath")

@@ -48,7 +48,8 @@ from sinrdist import (
     trial_rng,
     DiskRegion,
 )
-from sinrdist.intensity import ConfigError, _outer_term
+from sinrdist.intensity import ConfigError
+from sinrdist.interference import _outer_term
 from sinrdist.specfun import ANTENNAS_MAX
 
 LINK = LinkConfig(alpha=4.0, sigma2=1e-12, r_T=10.0, L=4)
@@ -525,6 +526,22 @@ def test_child_error_before_its_share_keeps_its_type(monkeypatch, two_cpus):
     if hasattr(info.value, "add_note"):  # Python 3.11+
         (note,) = info.value.__notes__
         assert f"campaign worker process {forks[0]}" in note and "fails_in_the_child" in note
+
+
+@needs_fork
+def test_rows_no_process_wrote_are_an_error(monkeypatch, two_cpus):
+    """A child that exits 0 without writing its share leaves those rows of
+    the zero-filled record at SINR 0, which the record's sinr > 0 check
+    reports by the share's first trial."""
+    run_chunk = sinrdist.simulator._run_chunk
+
+    def child_writes_nothing(sim, start, stop, record):
+        if start < 4:
+            run_chunk(sim, start, stop, record)
+
+    monkeypatch.setattr(sinrdist.simulator, "_run_chunk", child_writes_nothing)
+    with pytest.raises(ValueError, match=r"got 0\.0 in trial 4$"):
+        run_campaign(_small_sim(trials=8), workers=2)
 
 
 def _record_forks(monkeypatch):
