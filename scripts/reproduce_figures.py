@@ -4,7 +4,9 @@
 Each config in configs/ drives one CLI experiment; results land in outputs/
 as a CSV plus a .meta.json sidecar. The two Monte-Carlo runs (fig2, fig3)
 default to 2e4 trials and dominate the runtime; pass --trials to shrink them
-for a smoke run. The committed outputs/ were made with --trials 800.
+for a smoke run. The committed outputs/ were made with --trials 800. Each
+run prints a summary line; a Monte-Carlo run's gives ks/crit, its KS distance
+over the 5% critical value 1.36 / sqrt(trials).
 
 --check regenerates the figures into a temporary directory instead, with the
 Monte-Carlo runs at 800 trials, compares each CSV byte for byte with the one
@@ -38,6 +40,8 @@ from sinrdist.cli import main as cli_main, sidecar_path  # noqa: E402
 FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5")
 # sidecar keys worth echoing per experiment kind
 SUMMARY_KEYS = ("count", "ks_distance", "disk_cdf_gap", "sinr_limit_db", "mean_interferers")
+# the two-sided 5% critical value of the KS distance, times sqrt(trials)
+KS_CRITICAL = 1.36
 # Monte-Carlo trial count the committed outputs/ were generated with
 GOLDEN_TRIALS = 800
 # the sidecar's library versions, the one block --check does not compare
@@ -151,6 +155,9 @@ def run_one(name: str, trials, workers, root: Path = ROOT) -> int:
         for key in SUMMARY_KEYS
         if key in meta
     )
+    if "ks_distance" in meta:
+        critical = KS_CRITICAL / math.sqrt(meta["trials"])
+        notes += f", ks/crit={meta['ks_distance'] / critical:.3g}"
     print(f"{name}: {out.relative_to(root)}" + (f" ({notes})" if notes else ""))
     return 0
 

@@ -72,7 +72,7 @@ GAUSSIAN_SPLIT_FACTOR = 6.0
 GAUSSIAN_SUPPORT_FACTOR = 12.0
 # The median of the Maxwell law in units of v, where P(3/2, m^2 / 2) = 1/2:
 # on a Gaussian-cluster disk at least this wide at least half of the radii
-# v |Z| fall inside, so a radius takes at most two draws on average.
+# v sqrt(Z^2 + 2E) fall inside, so a radius takes at most two draws on average.
 MAXWELL_MEDIAN = 1.5381722544550522
 
 
@@ -585,9 +585,10 @@ class GaussianCluster(IntensityModel):
         return float(out) if scalar else out
 
     def draw_radii(self, rng, n: int, r_max: float):
-        """v |Z| with Z ~ N(0, I_3): the radial density is proportional to
-        r^2 exp(-r^2 / 2v^2), the Maxwell law (Devroye 1986, ch. IX), so the
-        length of a 3-D standard normal vector times v is a draw on the plane.
+        """v sqrt(Z^2 + 2E): each round draws k normals Z, then k exponentials
+        E. The radial density is proportional to r^2 exp(-r^2 / 2v^2), the
+        Maxwell law of v |Z_3|, Z_3 ~ N(0, I_3), and |Z_3|^2 = Z^2 + 2E in
+        law, chi-squared with 3 degrees of freedom (Devroye 1986, ch. IX).
         Radii beyond the disk are drawn again until none is left. A disk
         narrower than MAXWELL_MEDIAN v would redraw more than half of them,
         so there the inherited inverse CDF draws instead."""
@@ -597,7 +598,8 @@ class GaussianCluster(IntensityModel):
         r = np.empty(n)
         todo = np.arange(n)
         while todo.size:
-            r[todo] = self.v * np.linalg.norm(rng.standard_normal((todo.size, 3)), axis=1)
+            z = rng.standard_normal(todo.size)
+            r[todo] = self.v * np.sqrt(z * z + 2.0 * rng.standard_exponential(todo.size))
             todo = todo[r[todo] > r_max]
         return r
 
@@ -685,8 +687,9 @@ def sample_location(model: IntensityModel, region: DiskRegion, rng, size=None):
     the family's draw_radii after the angles: analytic inversion for the
     power law, a 4096-knot cubic Hermite inverse-CDF table with slopes from
     the density and Newton polish for the piecewise and polynomial families,
-    and for the Gaussian cluster v |Z| with Z a 3-D standard normal vector. Pass
-    size=None for one (float, float) pair, or an integer for arrays.
+    and for the Gaussian cluster v sqrt(Z^2 + 2E), Z a standard normal and E
+    a standard exponential (the Maxwell law). Pass size=None for one
+    (float, float) pair, or an integer for arrays.
 
     rng must be an exclusive numpy Generator (one per thread).
     """

@@ -5,15 +5,17 @@ node an i.i.d. complex Gaussian channel vector, and computes the output SINR
 of the linear MMSE combiner. The resulting empirical distribution validates
 the analytic CDF, which is exactly what the test suite uses it for.
 
-Determinism contract: trial t draws all of its randomness from a counter-based
-stream keyed by (seed, t), so a campaign is a pure function of its config and
-is bit-identical no matter how its trials are split across worker processes.
+Determinism contract: trial t draws all of its randomness from one SFC64
+generator seeded from the counter-based Philox stream keyed by (seed, t)
+(trial_rng), so a campaign is a pure function of its config and is
+bit-identical no matter how its trials are split across worker processes.
 
 A campaign runs in chunks of consecutive trials (_run_chunk), which take the
-Poisson mean once, re-key one generator to each trial's stream and factor
-their trials' covariances a batch at a time, in one stacked Cholesky pass
-(_cholesky_quadratic_forms); run_trial and mmse_sinr take the same pass with
-a stack of one, so a trial's SINR does not depend on the batch it lands in.
+Poisson mean once, re-key one SFC64 generator to each trial's stream and
+factor their trials' covariances a batch at a time, in one stacked Cholesky
+pass (_cholesky_quadratic_forms); run_trial and mmse_sinr take the same pass
+with a stack of one, so a trial's SINR does not depend on the batch it lands
+in.
 The pass and the QR route a trial takes when the pass rejects it both end in
 a squared norm of a triangular solve, ||F^-1 g_T||^2 or ||R^-H g_T||^2.
 
@@ -166,12 +168,33 @@ class EmpiricalDistribution:
         return float(gap)
 
 
-def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
-    """Independent counter-based stream for one trial of one campaign. The
-    key words are uint64: numpy casts a Python int of 2^63 or more through
-    float64, which would give distinct seeds one stream."""
+def _key_trial(philox, rng, seed: int, trial_index: int) -> None:
+    """Seed rng, a Generator(SFC64), as numpy seeds SFC64 (state: three seed
+    words and a counter of 1, then 12 outputs discarded) from the first three
+    outputs of philox re-keyed to (seed, trial_index). The key words are
+    uint64: numpy casts a Python int of 2^63 or more through float64, which
+    would give distinct seeds one stream."""
     key = np.array([seed & _MASK64, trial_index & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    philox.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    words = np.append(philox.random_raw(3), np.uint64(1))
+    state = {"bit_generator": "SFC64", "state": {"state": words}, "has_uint32": 0, "uinteger": 0}
+    rng.bit_generator.state = state
+    rng.bit_generator.random_raw(12)
+
+
+def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
+    """Independent stream for one trial of one campaign: SFC64 seeded from
+    the counter-based Philox stream keyed by (seed, trial_index)."""
+    rng = np.random.Generator(np.random.SFC64(0))
+    _key_trial(np.random.Philox(0), rng, seed, trial_index)
+    return rng
 
 
 def _draw_radii(model: IntensityModel, mean: float, radius: float, rng) -> np.ndarray:
@@ -358,24 +381,13 @@ def run_trial(sim: SimConfig, trial_index: int) -> TrialResult:
     return TrialResult(sinr=float(record["sinr"][0]), n_interferers=int(record["count"][0]))
 
 
-def _draw_trial(sim: SimConfig, trial_index: int, mean: float, rng):
+def _draw_trial(sim: SimConfig, trial_index: int, mean: float, philox, rng):
     """Powers r_i^-alpha and normals g, S (see _draw_normals) of one trial:
     the radii and normals as draw_network and _draw_normals draw them on
-    trial_rng(sim.seed, trial_index), by rng (a Philox generator) re-keyed to
-    that stream, with the disk's Poisson mean given. Re-keying through the
-    state setter is several times cheaper than building a generator for each
-    trial."""
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([sim.seed & _MASK64, trial_index & _MASK64], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    trial_rng(sim.seed, trial_index), by rng re-keyed to that stream through
+    philox (_key_trial), with the disk's Poisson mean given. Setting both
+    states is several times cheaper than building generators per trial."""
+    _key_trial(philox, rng, sim.seed, trial_index)
     radii = _draw_radii(sim.model, mean, sim.truncation_radius, rng)
     return (radii ** (-sim.link.alpha), *_draw_normals(radii.size, sim.link.L, rng))
 
@@ -391,28 +403,28 @@ def _run_chunk(sim: SimConfig, start: int, stop: int, record: np.ndarray) -> Non
     """Fill record, stop - start rows of TRIAL_RECORD, with the SINR,
     interferer count and QR route of trials start..stop-1.
 
-    The disk's Poisson mean is taken once and one generator is re-keyed to
-    each trial's stream (_draw_trial). Each batch of _batch_size(L) trials
-    writes its covariances and target channels into stacks that one Cholesky
-    pass factors (_sinrs); a trial the pass rejects is drawn again from its
-    own stream for the QR route.
+    The disk's Poisson mean is taken once, and one Philox bit generator
+    re-keys one SFC64 generator to each trial's stream (_draw_trial). Each
+    batch of _batch_size(L) trials writes its covariances and target
+    channels into stacks that one Cholesky pass factors (_sinrs); a trial the
+    pass rejects is drawn again from its own stream for the QR route.
     """
     link, L = sim.link, sim.link.L
     mean = mean_count(sim.model, DiskRegion(sim.truncation_radius))
-    rng = np.random.Generator(np.random.Philox(0))
+    philox, rng = np.random.Philox(0), np.random.Generator(np.random.SFC64(0))
     batch = _batch_size(L)
     for first in range(start, stop, batch):
         trials = range(first, min(first + batch, stop))
         cov = np.empty((len(trials), L, L), dtype=complex)
         g = np.empty((len(trials), L), dtype=complex)
         for k, t in enumerate(trials):
-            powers, g_k, S = _draw_trial(sim, t, mean, rng)
+            powers, g_k, S = _draw_trial(sim, t, mean, philox, rng)
             record["count"][t - start] = powers.size
             _complex(g_k, out=g[k])
             _interference_covariance(powers, S, link.sigma2, out=cov[k])
 
         def redraw(k):
-            powers, g_k, S = _draw_trial(sim, trials[k], mean, rng)
+            powers, g_k, S = _draw_trial(sim, trials[k], mean, philox, rng)
             return powers, _complex(g_k), S
 
         rows = record[first - start : trials.stop - start]

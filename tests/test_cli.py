@@ -1378,7 +1378,14 @@ def test_reproduce_check_with_workers_matches_outputs(capsys):
     any output: the sidecar does not record the worker count."""
     module = _reproduce_script()
     assert module.check(list(module.FIGURES), workers=2) == 0
-    assert "5 of 5 runs identical to outputs/" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "5 of 5 runs identical to outputs/" in out
+    # each Monte-Carlo run's summary gives its KS distance over 1.36 / sqrt(trials)
+    for name in ("fig2_cdf_pdf", "fig3_cdf"):
+        meta = json.loads((module.ROOT / "outputs" / f"{name}.meta.json").read_text())
+        ratio = meta["ks_distance"] / (1.36 / math.sqrt(meta["trials"]))
+        assert f"ks/crit={ratio:.3g})" in out
+    assert out.count("ks/crit=") == 2
 
 
 def test_reproduce_check_sizes_each_move():

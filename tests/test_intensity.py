@@ -379,7 +379,7 @@ def test_sample_polynomial_matches_cumulative():
 
 
 def test_sample_gaussian_chi_square():
-    """Binned goodness of fit for the Gaussian radial law drawn as v |Z|."""
+    """Binned goodness of fit for the Gaussian radial law drawn as v sqrt(Z^2 + 2E)."""
     gc = GaussianCluster(rho=1.0, v=500.0)
     region = DiskRegion(5 * 500.0)
     rng = np.random.default_rng(505)
@@ -412,6 +412,20 @@ def test_gaussian_draw_radii_follow_the_maxwell_law(disk):
     if disk < MAXWELL_MEDIAN:
         fallback = model.sample_radii(1.0 - np.random.default_rng(606).random(n), r_max)
         np.testing.assert_array_equal(r, fallback)
+
+
+def test_gaussian_draw_radii_take_normals_then_exponentials():
+    """On the 12v disk nothing is drawn again: the radii are v sqrt(Z^2 + 2E)
+    of n normals and then n exponentials of the same stream, which stops
+    where that stream stops."""
+    v, n = 500.0, 1000
+    model = GaussianCluster(rho=1.0, v=v)
+    rng, replay = np.random.default_rng(707), np.random.default_rng(707)
+    r = model.draw_radii(rng, n, 12.0 * v)
+    z = replay.standard_normal(n)
+    e = replay.standard_exponential(n)
+    np.testing.assert_array_equal(r, v * np.sqrt(z * z + 2.0 * e))
+    assert rng.random() == replay.random()
 
 
 # ---------------------------------------------------------------------------

@@ -79,11 +79,55 @@ def test_trial_rng_seeds_outside_int64_get_their_own_streams():
     assert len(draws) == len(seeds)
 
 
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """Given seed words, for numpy's own seeding of a bit generator."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words[:n_words]
+
+
+class _Outputs:
+    """Stands in for the Philox bit generator: its state is kept, not used,
+    and its outputs are the words given."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def random_raw(self, n):
+        return self.words[:n]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 123, 2**62 + 5, 2**63 - 1])
 def test_trial_rng_keeps_the_streams_of_int64_seeds(seed):
+    """The Philox key is (seed, index) in uint64 words: for int64 seeds the
+    SFC64 seed words are those of Philox(key=[seed, index]), its first three
+    outputs."""
     for index in (0, 7, 2**63 - 1):
-        old = np.random.Generator(np.random.Philox(key=[seed, index]))
+        words = np.random.Philox(key=[seed, index]).random_raw(3)
+        old = np.random.Generator(np.random.SFC64(_SeedWords(words)))
         assert trial_rng(seed, index).random(4).tobytes() == old.random(4).tobytes()
+
+
+def test_trial_streams_take_numpys_own_sfc64_seeding():
+    """Three seed words into the SFC64 state, a counter of 1 and 12 outputs
+    discarded is what np.random.SFC64 does with a SeedSequence's words."""
+    ss = np.random.SeedSequence(20111)
+    rng = np.random.Generator(np.random.SFC64(0))
+    sinrdist.simulator._key_trial(_Outputs(ss.generate_state(3, np.uint64)), rng, 0, 0)
+    expected = np.random.SFC64(ss).random_raw(1000)
+    assert rng.bit_generator.random_raw(1000).tobytes() == expected.tobytes()
+
+
+def test_consecutive_trial_streams_start_independent():
+    """The first normal of each of 1e4 consecutive trial streams: KS below
+    the 5% critical value 1.36/sqrt(n), lag-1 correlation below 4/sqrt(n)."""
+    n = 10_000
+    z = np.array([trial_rng(1, t).standard_normal() for t in range(n)])
+    assert scipy.stats.kstest(z, "norm").statistic < 1.36 / math.sqrt(n)
+    assert abs(np.corrcoef(z[:-1], z[1:])[0, 1]) < 4.0 / math.sqrt(n)
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +298,12 @@ def _field_sim(trials, seed):
     ],
 )
 def test_mmse_ill_conditioned_trials_match_mpmath(seed, trial, expected):
-    # the networks of the stream that also drew an angle per interferer:
-    # Poisson count, then sample_location's angles and radii, then channels
+    # the networks of the Philox stream that also drew an angle per
+    # interferer: Poisson count, then sample_location's angles and radii,
+    # then channels
     sim = _field_sim(trials=1, seed=seed)
     region = DiskRegion(sim.truncation_radius)
-    rng = trial_rng(seed, trial)
+    rng = np.random.Generator(np.random.Philox(key=[seed, trial]))
     n = int(rng.poisson(mean_count(sim.model, region)))
     radii, _theta = sample_location(sim.model, region, rng, size=n)
     g_t, G = draw_channels(n, sim.link.L, rng)
@@ -377,14 +422,17 @@ def test_campaign_independent_of_worker_count():
 
 
 def test_field_campaign_bytes_independent_of_worker_count():
-    """348 mc-field trials, trials 59 and 71 among them taking the QR route
-    (kappa_1(cov) = 3.4e8 and 2.7e10; values from a 50-digit mpmath solve)."""
+    """348 mc-field trials, trials 48, 84, 253 and 329 taking the QR route;
+    84 and 329 (kappa_1(cov) = 2.7e8 and 2.9e8) against a 50-digit mpmath
+    solve."""
     sim = _field_sim(trials=348, seed=123)
-    serial = np.array([t.sinr for t in run_trials(sim, workers=1)])
+    record = sinrdist.simulator._run_record(sim, 1)
+    assert np.flatnonzero(record["qr"]).tolist() == [48, 84, 253, 329]
+    serial = record["sinr"]
     threaded = np.array([t.sinr for t in run_trials(sim, workers=2)])
     assert serial.tobytes() == threaded.tobytes()
-    assert serial[59] == pytest.approx(4.5410567160603279903, rel=1e-9)
-    assert serial[71] == pytest.approx(38.713300630146966181, rel=1e-9)
+    assert serial[84] == pytest.approx(11.489991204375844897, rel=1e-9)
+    assert serial[329] == pytest.approx(5.7956509660116775523, rel=1e-9)
 
 
 def _field_trial_bytes(sim, workers=1):
@@ -393,7 +441,7 @@ def _field_trial_bytes(sim, workers=1):
 
 def test_campaign_is_run_trial_bit_for_bit_across_chunks_and_batches(two_cpus):
     """Serially the 348 trials make batches of 93 (four of them); two workers
-    make two shares of 174; trials 59 and 71 take the QR route."""
+    make two shares of 174; trials 48, 84, 253 and 329 take the QR route."""
     sim = _field_sim(trials=348, seed=123)
     assert sinrdist.simulator._batch_size(sim.link.L) == 93
     single = np.array([run_trial(sim, t).sinr for t in range(sim.trials)])
@@ -474,7 +522,7 @@ def test_campaign_record_carries_the_qr_route_through_the_pool(two_cpus):
     assert pooled.dtype == serial.dtype == sinrdist.simulator.TRIAL_RECORD
     assert pooled.tobytes() == serial.tobytes()
     qr = np.flatnonzero(pooled["qr"])
-    assert qr.tolist() == [15, 140, 168, 311]
+    assert qr.tolist() == [20, 24, 76, 109, 136, 218, 308, 318, 351, 353, 365, 367]
     assert pooled["sinr"][qr].tolist() == [run_trial(sim, t).sinr for t in qr]
 
 
